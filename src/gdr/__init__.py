@@ -17,15 +17,12 @@ from .core import (
     DecoratedChain,
     KappaMap,
     PsiKappaMonomial,
-    Rational,
     format_rational,
     kappa_map,
     parse_rational,
-    rational,
 )
 from .correlators import (
     CacheError,
-    CorrelatorKey,
     clear_memo,
     correlator,
     load_cache,
@@ -49,11 +46,9 @@ __all__ = [
     "Bamboo",
     "CacheError",
     "ChainVertex",
-    "CorrelatorKey",
     "DecoratedChain",
     "KappaMap",
     "PsiKappaMonomial",
-    "Rational",
     "VerificationRecord",
     "VerificationReport",
     "bernoulli",
@@ -78,7 +73,6 @@ __all__ = [
     "pair_dr_side",
     "parse_rational",
     "psi_lambda_g_integral",
-    "rational",
     "store_cache",
     "verify",
     "vertex_integral",

@@ -26,7 +26,7 @@ from .core import (
     kappa_distributions,
 )
 from .correlators import correlator
-from .kappa import kappa_to_psi
+from .kappa import integrate
 
 
 def enumerate_bamboos(g: int) -> List[Bamboo]:
@@ -76,10 +76,7 @@ def vertex_integral(genus: int, left_psi: int, right_psi: int, kappa: KappaMap) 
     """int over the two-pointed genus-g space of psi_l^a psi_r^b * kappa."""
     if left_psi + right_psi + kappa_degree(kappa) != 3 * genus - 1:
         return Fraction(0)
-    total = Fraction(0)
-    for coeff, exps in kappa_to_psi(2, (left_psi, right_psi), kappa):
-        total += coeff * correlator(genus, exps)
-    return total
+    return integrate(correlator, genus, (left_psi, right_psi), kappa)
 
 
 def _pair(g: int, omega: PsiKappaMonomial) -> Fraction:

@@ -155,8 +155,9 @@ def enumerate_omegas(g: int, include_kappa: bool = False, include_boundary: bool
 def verify(g: int, include_kappa: bool = False, include_boundary: bool = False) -> VerificationReport:
     """Run both pipelines over every enumerated omega and compare exactly.
 
-    An internal degree-bookkeeping violation aborts that record with a
-    diagnostic on stderr instead of reporting a value, and fails the run.
+    Any internal failure (a degree-bookkeeping violation, a broken
+    invariant) aborts that record with a diagnostic on stderr instead of
+    reporting a value, and fails the run.
     """
     report = VerificationReport(genus=g)
     for test_class in enumerate_omegas(g, include_kappa, include_boundary):
@@ -164,7 +165,7 @@ def verify(g: int, include_kappa: bool = False, include_boundary: bool = False) 
         try:
             bamboo_value = test_class.bamboo_value(g)
             dr_value = test_class.dr_value(g)
-        except ValueError as exc:
+        except Exception as exc:
             print(f"aborted record {test_class.label!r}: {exc}", file=sys.stderr)
             report.aborted.append(test_class.label)
             continue

@@ -18,16 +18,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Iterator, Mapping
-
-Rational = Fraction
+from typing import Iterable, Iterator
 
 _FRACTION_RE = re.compile(r"^(-?\d+)/(\d+)$")
-
-
-def rational(numerator: int, denominator: int = 1) -> Fraction:
-    """Exact rational in lowest terms; denominator 0 is rejected."""
-    return Fraction(numerator, denominator)
 
 
 def format_rational(value: Fraction) -> str:
@@ -53,9 +46,10 @@ def parse_rational(text: str) -> Fraction:
 KappaMap = tuple  # tuple[tuple[int, int], ...]
 
 
-def kappa_map(entries: Mapping[int, int] | Iterable[tuple[int, int]] = ()) -> KappaMap:
-    """Canonical kappa decoration: sorted by index, zero exponents dropped."""
-    items = entries.items() if isinstance(entries, Mapping) else entries
+def kappa_map(entries: dict[int, int] | Iterable[tuple[int, int]] = ()) -> KappaMap:
+    """Canonical kappa decoration: sorted by index, zero exponents dropped,
+    exponents of a repeated index added up."""
+    items = entries.items() if isinstance(entries, dict) else entries
     acc: dict[int, int] = {}
     for index, exponent in items:
         if index < 1:
@@ -142,9 +136,6 @@ class PsiKappaMonomial:
             else:
                 raise ValueError(f"unknown factor {token!r}")
         return cls(d1, d2, kappa_map(kappa))
-
-
-MONOMIAL_ONE = PsiKappaMonomial(0, 0, ())
 
 
 @dataclass(frozen=True)

@@ -16,36 +16,16 @@ that recomputation would reproduce.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from typing import Dict, Iterable, Tuple
 
-from .core import format_rational, parse_rational
+from .core import format_rational, multinomial, parse_rational
 
 Key = Tuple[int, Tuple[int, ...]]
 
 _memo: Dict[Key, Fraction] = {}
 
 _GENUS_1_ONE_POINT = Fraction(1, 24)
-
-
-@dataclass(frozen=True)
-class CorrelatorKey:
-    """Memo key (genus, sorted exponent multiset); insertion order is
-    irrelevant because the correlator is symmetric."""
-
-    genus: int
-    exponents: tuple
-
-    @classmethod
-    def make(cls, genus: int, exponents: Iterable[int]) -> "CorrelatorKey":
-        return cls(int(genus), tuple(sorted(int(k) for k in exponents)))
-
-    @property
-    def dimension_ok(self) -> bool:
-        n = len(self.exponents)
-        return sum(self.exponents) == 3 * self.genus - 3 + n
 
 
 def clear_memo() -> None:
@@ -79,12 +59,7 @@ def correlator(genus: int, exponents: Iterable[int]) -> Fraction:
     if n == 0 or sum(exps) != 3 * genus - 3 + n:
         return Fraction(0)
     if genus == 0:
-        if n < 3:
-            return Fraction(0)
-        value = Fraction(factorial(n - 3))
-        for k in exps:
-            value /= factorial(k)
-        return value
+        return Fraction(multinomial(exps))
     key = (genus, exps)
     cached = _memo.get(key)
     if cached is not None:

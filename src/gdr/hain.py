@@ -23,19 +23,13 @@ two node branches.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, product
 from math import factorial
-from typing import List, Sequence, Tuple, Union
+from typing import List, Tuple, Union
 
-from .core import (
-    ChainVertex,
-    DecoratedChain,
-    KappaMap,
-    PsiKappaMonomial,
-    kappa_degree,
-    kappa_distributions,
-)
+from .core import ChainVertex, DecoratedChain, PsiKappaMonomial, kappa_distributions, kappa_map
 from .hodge import psi_lambda_g_integral
-from .kappa import kappa_to_psi
+from .kappa import integrate
 
 DivisorTerm = Union[str, Tuple[str, int]]  # "psi1" | "psi2" | ("delta", h)
 
@@ -45,8 +39,7 @@ def hain_divisor_terms(g: int) -> List[tuple]:
 
     Weights come from the squared ramification sums: a^2 for psi_1 and
     psi_2, a^2 for each marking-separating delta_h, and (a - a)^2 = 0 for
-    divisors with both markings on one side (listed by
-    :func:`weighted_divisor_candidates`, dropped here).
+    divisors with both markings on one side (dropped here).
     """
     if g < 1:
         raise ValueError("genus must be >= 1")
@@ -55,38 +48,6 @@ def hain_divisor_terms(g: int) -> List[tuple]:
     for h in range(1, g):
         terms.append((("delta", h), -half))
     return terms
-
-
-def weighted_divisor_candidates(g: int) -> List[tuple]:
-    """Every degree-1 candidate with its weight as (term, marking split S,
-    coefficient of a^2, a-degree).
-
-    Each candidate is homogeneous of degree exactly 2 in the ramification
-    parameter, so the g-fold product is homogeneous of degree exactly 2g:
-    no other power of a can arise. Candidates whose weight vanishes are
-    the divisors with both markings on one component.
-    """
-    if g < 1:
-        raise ValueError("genus must be >= 1")
-    ram = {1: 1, 2: -1}  # ramification values in units of a
-    out: List[tuple] = []
-    for i in (1, 2):
-        out.append((f"psi{i}", (i,), Fraction(ram[i] ** 2, 2), 2))
-    for h in range(1, g):
-        # marking 1 alone on the genus-h side
-        out.append((("delta", h), (1,), Fraction(-(ram[1] ** 2), 2), 2))
-    for h in range(0, g):
-        # both markings on the genus-h side: weight (a - a)^2 = 0
-        out.append((("delta_both", h), (1, 2), Fraction(-((ram[1] + ram[2]) ** 2), 2), 2))
-    return out
-
-
-def coefficient_a_degree(g: int) -> int:
-    """Total a-degree of the expanded g-fold divisor product (always 2g)."""
-    degrees = {deg for _, _, _, deg in weighted_divisor_candidates(g)}
-    if degrees != {2}:
-        raise AssertionError(f"inhomogeneous divisor weights: degrees {degrees}")
-    return 2 * g
 
 
 def multiply_by_divisor(chain: DecoratedChain, term: DivisorTerm) -> List[DecoratedChain]:
@@ -169,40 +130,62 @@ def evaluate_chain(chain: DecoratedChain) -> Fraction:
     lambda-capped two-leg integral, times the chain coefficient."""
     value = chain.coefficient
     for v in chain.vertices:
-        if not value:
+        # support of the capped evaluation: decoration degree = 2g - 3 + n
+        if not value or v.decoration_degree != 2 * v.genus - 1:
             return Fraction(0)
-        value *= _vertex_value(v.genus, v.left_psi, v.right_psi, v.kappa)
+        value *= integrate(psi_lambda_g_integral, v.genus, (v.left_psi, v.right_psi), v.kappa)
     return value
 
 
-def _vertex_value(genus: int, left_psi: int, right_psi: int, kappa: KappaMap) -> Fraction:
-    # support of the capped evaluation: decoration degree = 2g - 3 + n
-    if left_psi + right_psi + kappa_degree(kappa) != 2 * genus - 1:
-        return Fraction(0)
-    total = Fraction(0)
-    for coeff, exps in kappa_to_psi(2, (left_psi, right_psi), kappa):
-        total += coeff * psi_lambda_g_integral(genus, exps)
-    return total
-
-
-def _attach_monomial(chain: DecoratedChain, omega: PsiKappaMonomial) -> List[DecoratedChain]:
-    """Multiply omega into a chain: marking psi powers go to the outer
-    legs, kappa factors distribute over the vertices."""
-    vertices = list(chain.vertices)
-    first = vertices[0]
-    vertices[0] = ChainVertex(first.genus, first.left_psi + omega.d1, first.right_psi, first.kappa)
-    last = vertices[-1]
-    vertices[-1] = ChainVertex(last.genus, last.left_psi, last.right_psi + omega.d2, last.kappa)
+def _attach(chain: DecoratedChain, omega: DecoratedChain) -> List[DecoratedChain]:
+    """Multiply the decorations of omega into a chain refined at every node
+    of omega. Each vertex of omega decorates the run of chain vertices that
+    covers its genus: psi powers on the run's outer legs, kappa factors
+    distributed over the run."""
+    vertices = chain.vertices
+    left = [0] * len(vertices)
+    right = [0] * len(vertices)
+    distributions = []
+    j = 0
+    for deco in omega.vertices:
+        start, genus = j, 0
+        while genus < deco.genus:
+            genus += vertices[j].genus
+            j += 1
+        if genus != deco.genus:
+            raise AssertionError(f"no node at the end of a genus-{deco.genus} run")
+        left[start] += deco.left_psi
+        right[j - 1] += deco.right_psi
+        distributions.append(kappa_distributions(deco.kappa, j - start))
     out = []
-    for mult, parts in kappa_distributions(omega.kappa, len(vertices)):
-        decorated = []
-        for v, extra in zip(vertices, parts):
-            merged = dict(v.kappa)
-            for idx, c in extra:
-                merged[idx] = merged.get(idx, 0) + c
-            decorated.append(ChainVertex(v.genus, v.left_psi, v.right_psi, tuple(sorted(merged.items()))))
-        out.append(DecoratedChain(tuple(decorated), chain.coefficient * mult))
+    for choice in product(*distributions):
+        mult = 1
+        extras: tuple = ()
+        for m, parts in choice:
+            mult *= m
+            extras += parts
+        decorated = tuple(
+            ChainVertex(v.genus, v.left_psi + a, v.right_psi + b, kappa_map(v.kappa + extra))
+            for v, a, b, extra in zip(vertices, left, right, extras)
+        )
+        out.append(DecoratedChain(decorated, chain.coefficient * mult))
     return out
+
+
+def _pair(omega: DecoratedChain) -> Fraction:
+    """(1/g!) int D^g * omega: refine each chain of D^g at the nodes of
+    omega, attach omega's decorations and evaluate under the cap."""
+    g = omega.genus
+    nodes = list(accumulate(v.genus for v in omega.vertices[:-1]))
+    total = Fraction(0)
+    for chain in expand_divisor_power(g):
+        refined = [chain]
+        for h in nodes:
+            refined = [out for c in refined for out in multiply_by_divisor(c, ("delta", h))]
+        for c in refined:
+            for decorated in _attach(c, omega):
+                total += evaluate_chain(decorated)
+    return omega.coefficient * total / factorial(g)
 
 
 def pair_dr_side(g: int, omega: PsiKappaMonomial) -> Fraction:
@@ -212,11 +195,7 @@ def pair_dr_side(g: int, omega: PsiKappaMonomial) -> Fraction:
         raise ValueError("genus must be >= 1")
     if omega.codim != g - 1:
         raise ValueError(f"omega must have codim {g - 1}, got {omega.codim}")
-    total = Fraction(0)
-    for chain in expand_divisor_power(g):
-        for decorated in _attach_monomial(chain, omega):
-            total += evaluate_chain(decorated)
-    return total / factorial(g)
+    return _pair(DecoratedChain((ChainVertex(g, omega.d1, omega.d2, omega.kappa),)))
 
 
 def pair_dr_boundary(omega: DecoratedChain) -> Fraction:
@@ -225,51 +204,4 @@ def pair_dr_boundary(omega: DecoratedChain) -> Fraction:
     divisor, then lay omega's decorations around the resulting node."""
     if len(omega.vertices) != 2:
         raise ValueError("boundary test class must have exactly 2 vertices")
-    g = omega.genus
-    h = omega.vertices[0].genus
-    total = Fraction(0)
-    for chain in expand_divisor_power(g):
-        for refined in multiply_by_divisor(chain, ("delta", h)):
-            for decorated in _attach_boundary(refined, omega, h):
-                total += evaluate_chain(decorated)
-    return omega.coefficient * total / factorial(g)
-
-
-def _attach_boundary(chain: DecoratedChain, omega: DecoratedChain, h: int) -> List[DecoratedChain]:
-    """Attach the decorations of a two-vertex boundary class around the
-    node of `chain` sitting at cumulative genus h."""
-    vertices = list(chain.vertices)
-    node = _node_at(vertices, h)
-    left_deco, right_deco = omega.vertices
-
-    first = vertices[0]
-    vertices[0] = ChainVertex(first.genus, first.left_psi + left_deco.left_psi, first.right_psi, first.kappa)
-    v = vertices[node]
-    vertices[node] = ChainVertex(v.genus, v.left_psi, v.right_psi + left_deco.right_psi, v.kappa)
-    v = vertices[node + 1]
-    vertices[node + 1] = ChainVertex(v.genus, v.left_psi + right_deco.left_psi, v.right_psi, v.kappa)
-    last = vertices[-1]
-    vertices[-1] = ChainVertex(last.genus, last.left_psi, last.right_psi + right_deco.right_psi, last.kappa)
-
-    out = []
-    n_left = node + 1
-    n_right = len(vertices) - n_left
-    for mult_l, parts_l in kappa_distributions(left_deco.kappa, n_left):
-        for mult_r, parts_r in kappa_distributions(right_deco.kappa, n_right):
-            decorated = []
-            for v, extra in zip(vertices, parts_l + parts_r):
-                merged = dict(v.kappa)
-                for idx, c in extra:
-                    merged[idx] = merged.get(idx, 0) + c
-                decorated.append(ChainVertex(v.genus, v.left_psi, v.right_psi, tuple(sorted(merged.items()))))
-            out.append(DecoratedChain(tuple(decorated), chain.coefficient * mult_l * mult_r))
-    return out
-
-
-def _node_at(vertices: Sequence[ChainVertex], h: int) -> int:
-    cumulative = 0
-    for j, v in enumerate(vertices[:-1]):
-        cumulative += v.genus
-        if cumulative == h:
-            return j
-    raise ValueError(f"no node at cumulative genus {h}")
+    return _pair(omega)

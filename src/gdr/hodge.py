@@ -9,9 +9,9 @@ nonzero exactly when sum(k_i) = 2g-3+n, with the one-point constant
 
     b_g = int psi^(2g-2) lambda_g = (2^(2g-1)-1)/2^(2g-1) * |B_{2g}|/(2g)!.
 
-lambda_0 = 1 is folded in, so genus-0 vertices (which occur once kappa
-conversion has added markings) use the same entry point and reduce to the
-genus-0 correlator closed form.
+lambda_0 = 1 is folded in, so genus 0 uses the same entry point and
+reduces to the genus-0 correlator closed form. No chain vertex has genus
+0; only ``gdr hodge --genus 0`` and the tests reach that case.
 """
 from __future__ import annotations
 
@@ -58,21 +58,13 @@ def psi_lambda_g_integral(g: int, exponents: Iterable[int]) -> Fraction:
     """int psi^k1...psi^kn lambda_g over the n-pointed genus-g space.
 
     Dimension mismatch gives 0. For g = 0 this is the plain genus-0
-    psi integral (n-3)!/prod(k_i!) since lambda_0 = 1.
+    psi integral (n-3)!/prod(k_i!) = multinomial(k) since lambda_0 = 1.
     """
     exps = tuple(int(k) for k in exponents)
     if g < 0:
         raise ValueError("genus must be >= 0")
     if any(k < 0 for k in exps):
         raise ValueError("psi exponents must be >= 0")
-    n = len(exps)
-    if g == 0:
-        if n < 3 or sum(exps) != n - 3:
-            return Fraction(0)
-        value = Fraction(factorial(n - 3))
-        for k in exps:
-            value /= factorial(k)
-        return value
-    if n == 0 or sum(exps) != 2 * g - 3 + n:
+    if sum(exps) != 2 * g - 3 + len(exps):
         return Fraction(0)
-    return multinomial(exps) * lambda_g_constant(g)
+    return multinomial(exps) * (lambda_g_constant(g) if g else Fraction(1))

@@ -18,7 +18,8 @@ once. Both routes pin the published anchors
 int kappa_1^2 = 5 and int kappa_1^3 = 61 over the 5- and 6-pointed
 genus-0 spaces, and int kappa~_1^3 = 43/2880 over unmarked genus-2.
 
-The first is what the pipelines use; its correctness is gated by testing
+The first is what the pipelines use, through :func:`integrate`, the
+vertex integrator both share; its correctness is gated by testing
 agreement with the second. Both expansions are valid verbatim under a
 top-Chern cap because lambda classes pull back along forgetful maps.
 Equal kappa indices are treated as distinguishable factors, so repeated
@@ -27,8 +28,7 @@ partitions simply aggregate into the coefficient.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-from typing import Iterator, List, Sequence, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 from .core import KappaMap, kappa_factors, kappa_map
 
@@ -77,6 +77,16 @@ def kappa_to_psi(n: int, psi: Sequence[int], kappa: KappaMap | dict) -> List[Ter
     return _normalize(n, raw)
 
 
+def integrate(leaf: Callable, genus: int, psi: Sequence[int], kappa: KappaMap) -> Fraction:
+    """int of prod psi_i^psi[i] * kappa over the genus-g space with len(psi)
+    markings: the :func:`kappa_to_psi` terms summed through `leaf`, a pure
+    psi integral ``leaf(genus, exponents)``."""
+    total = Fraction(0)
+    for coeff, exps in kappa_to_psi(len(psi), psi, kappa):
+        total += coeff * leaf(genus, exps)
+    return total
+
+
 def iterated_pushforward(n: int, psi: Sequence[int], kappa: KappaMap | dict) -> List[Term]:
     """Reference expansion removing one kappa factor per forgetful map.
 
@@ -105,20 +115,3 @@ def iterated_pushforward(n: int, psi: Sequence[int], kappa: KappaMap | dict) -> 
                 yield sign * coeff, exps
 
     return _normalize(n, list(expand(base, factors)))
-
-
-def partition_coefficient_sum(m: int) -> Fraction:
-    """Moebius-weighted sum over all partitions of an m-set,
-    sum over sigma of prod over blocks of (-1)^(|B|-1)(|B|-1)!.
-
-    Equals 1 for m <= 1 and 0 for m >= 2 (log composed with exp - 1 is
-    the identity); a sanity check on the set-partition enumeration. At
-    m = 2 the two partition weights are +1 and -1, matching the
-    conversion coefficients, which drop the factorial."""
-    total = Fraction(0)
-    for partition in set_partitions(list(range(m))):
-        coeff = Fraction(1)
-        for block in partition:
-            coeff *= Fraction((-1) ** (len(block) - 1) * factorial(len(block) - 1))
-        total += coeff
-    return total

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from gdr.cli import (
     enumerate_omegas,
     main,
@@ -85,11 +87,12 @@ class TestReports:
         b = _strip_ms(json.loads(report_to_json(verify(2, include_kappa=True))))
         assert a == b
 
-    def test_internal_violation_aborts_record_with_diagnostic(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("error", [ValueError, AssertionError, IndexError], ids=lambda e: e.__name__)
+    def test_internal_violation_aborts_record_with_diagnostic(self, monkeypatch, capsys, error):
         import gdr.cli as cli_module
 
         def broken(g, omega):
-            raise ValueError("degree bookkeeping violated")
+            raise error("degree bookkeeping violated")
 
         monkeypatch.setattr(cli_module, "pair_bamboo_side", broken)
         report = verify(1)

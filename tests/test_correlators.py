@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from gdr.correlators import (
     CacheError,
-    CorrelatorKey,
     clear_memo,
     correlator,
     load_cache,
@@ -72,12 +72,26 @@ def test_negative_inputs_rejected():
 
 
 class TestCorrelatorKey:
+    """The memo key is (genus, sorted exponents), stored only for keys
+    inside the dimension constraint sum(k) = 3g - 3 + n."""
+
     def test_key_sorts_exponents(self):
-        assert CorrelatorKey.make(1, (2, 0)).exponents == (0, 2)
+        clear_memo()
+        assert correlator(1, (2, 0)) == correlator(1, (0, 2)) == Fraction(1, 24)
+        assert (1, (0, 2)) in memo_snapshot()
+        assert (1, (2, 0)) not in memo_snapshot()
 
     def test_dimension_flag(self):
-        assert CorrelatorKey.make(1, (0, 2)).dimension_ok
-        assert not CorrelatorKey.make(1, (0, 1)).dimension_ok
+        clear_memo()
+        assert correlator(1, (0, 1)) == 0
+        assert memo_snapshot() == {}
+        assert correlator(1, (0, 2)) != 0
+
+
+@pytest.mark.parametrize("genus", range(1, 7))
+def test_one_point_closed_form(genus):
+    # <tau_{3g-2}>_g = 1/(24^g g!)
+    assert correlator(genus, (3 * genus - 2,)) == Fraction(1, 24**genus * factorial(genus))
 
 
 # -- property suites over randomized keys (g <= 3, n <= 6) -----------------

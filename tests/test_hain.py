@@ -1,19 +1,19 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from gdr.bamboo import pair_bamboo_boundary, pair_bamboo_side
+from gdr.cli import enumerate_omegas
 from gdr.core import ChainVertex, DecoratedChain, PsiKappaMonomial, kappa_map
 from gdr.hain import (
-    coefficient_a_degree,
     evaluate_chain,
     expand_divisor_power,
     hain_divisor_terms,
     multiply_by_divisor,
     pair_dr_boundary,
     pair_dr_side,
-    weighted_divisor_candidates,
 )
 from gdr.hodge import psi_lambda_g_integral
 
@@ -22,6 +22,25 @@ HALF = Fraction(1, 2)
 
 def trivial_chain(g: int) -> DecoratedChain:
     return DecoratedChain((ChainVertex(g),))
+
+
+def weighted_divisor_candidates(g: int) -> list:
+    """Every degree-1 divisor candidate as (term, markings on the marked
+    side, weight), the weight a function of the ramification parameter a.
+
+    The ramification profile is (a, -a). psi_i weighs +1/2 (a_i)^2; a
+    boundary divisor weighs -1/2 (sum of a_i on one side)^2, so a divisor
+    keeping both markings on one side weighs -1/2 (a - a)^2 = 0.
+    """
+    ramification = {1: 1, 2: -1}
+
+    def weight(sign, markings):
+        return lambda a: sign * HALF * sum(ramification[i] * a for i in markings) ** 2
+
+    out = [(f"psi{i}", (i,), weight(1, (i,))) for i in (1, 2)]
+    out += [(("delta", h), (1,), weight(-1, (1,))) for h in range(1, g)]
+    out += [(("delta_both", h), (1, 2), weight(-1, (1, 2))) for h in range(0, g)]
+    return out
 
 
 class TestDivisorTerms:
@@ -38,25 +57,32 @@ class TestDivisorTerms:
 
     def test_dropped_candidates_have_zero_weight(self):
         # divisors keeping both markings on one side get (a - a)^2 = 0
-        for term, markings, weight, degree in weighted_divisor_candidates(3):
-            assert degree == 2
+        for term, markings, weight in weighted_divisor_candidates(3):
             if markings == (1, 2):
-                assert weight == 0
+                assert weight(1) == weight(5) == 0
             else:
-                assert weight != 0
+                assert weight(1) != 0
 
     def test_nonzero_candidates_match_divisor_terms(self):
+        # D is the coefficient of a^2: the candidates' weights at a = 1
         for g in (1, 2, 3, 4):
             nonzero = [
-                (term, weight)
-                for term, _, weight, _ in weighted_divisor_candidates(g)
-                if weight
+                (term, weight(1))
+                for term, _, weight in weighted_divisor_candidates(g)
+                if weight(1)
             ]
             assert nonzero == hain_divisor_terms(g)
 
     @pytest.mark.parametrize("g", [1, 2, 3, 4])
     def test_a_degree_is_exactly_2g(self, g):
-        assert coefficient_a_degree(g) == 2 * g
+        # every weight is homogeneous of degree 2 in a, so every g-fold
+        # product is homogeneous of degree exactly 2g: scaling a by 3
+        # scales it by 3^(2g), and no other power of a can arise
+        weights = [weight for _, _, weight in weighted_divisor_candidates(g)]
+        for weight in weights:
+            assert weight(3) == 9 * weight(1)
+        for factors in itertools.combinations_with_replacement(weights, g):
+            assert math.prod(w(3) for w in factors) == 3 ** (2 * g) * math.prod(w(1) for w in factors)
 
 
 class TestMultiplyByDivisor:
@@ -232,3 +258,22 @@ class TestBoundaryPairing:
     def test_wrong_vertex_count_rejected(self):
         with pytest.raises(ValueError):
             pair_dr_boundary(DecoratedChain((ChainVertex(2, 1, 1),)))
+
+    @pytest.mark.parametrize("g,count", [(3, 12), (4, 69)])
+    def test_factorizes_into_monomial_pairings(self, g, count):
+        # independent oracle for the divisor-side attach: D restricted to
+        # delta_h is D_left + D_right, so the pairing against
+        # delta_h[a | b] is pair(h, a) * pair(g - h, b), with the node
+        # branches playing the missing markings. A side whose decoration
+        # has the wrong codimension contributes 0.
+        def side(genus, vertex):
+            monomial = PsiKappaMonomial(vertex.left_psi, vertex.right_psi, vertex.kappa)
+            return pair_dr_side(genus, monomial) if monomial.codim == genus - 1 else 0
+
+        classes = [
+            t.boundary for t in enumerate_omegas(g, include_kappa=True, include_boundary=True) if t.boundary
+        ]
+        assert len(classes) == count
+        for omega in classes:
+            left, right = omega.vertices
+            assert pair_dr_boundary(omega) == side(left.genus, left) * side(right.genus, right)

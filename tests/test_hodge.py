@@ -1,10 +1,12 @@
 import itertools
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gdr.correlators import correlator
 from gdr.hodge import bernoulli, lambda_g_constant, psi_lambda_g_integral
 
 
@@ -91,6 +93,22 @@ class TestPsiLambdaIntegral:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             psi_lambda_g_integral(1, (-1, 2))
+
+    def test_genus_zero_closed_forms_written_out(self):
+        # both leaf evaluators share core.multinomial at genus 0; check
+        # them against (n-3)!/prod(k_i!) spelled out
+        checked = 0
+        for n in range(3, 8):
+            for exps in itertools.product(range(n - 2), repeat=n):
+                if sum(exps) != n - 3:
+                    continue
+                expected = Fraction(factorial(n - 3))
+                for k in exps:
+                    expected /= factorial(k)
+                assert psi_lambda_g_integral(0, exps) == expected
+                assert correlator(0, exps) == expected
+                checked += 1
+        assert checked == sum(comb(2 * n - 4, n - 3) for n in range(3, 8))
 
     @pytest.mark.parametrize("g,n", [(1, 2), (2, 2), (2, 3)])
     def test_multinomial_sum_identity(self, g, n):

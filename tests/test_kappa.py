@@ -1,15 +1,13 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from gdr.correlators import correlator
-from gdr.kappa import (
-    iterated_pushforward,
-    kappa_to_psi,
-    partition_coefficient_sum,
-    set_partitions,
-)
+from gdr.core import kappa_degree, kappa_map
+from gdr.hodge import psi_lambda_g_integral
+from gdr.kappa import integrate, iterated_pushforward, kappa_to_psi, set_partitions
 
 
 class TestSetPartitions:
@@ -91,9 +89,18 @@ class TestKappaToPsi:
 
 class TestPartitionCoefficientSum:
     def test_log_composition_identity(self):
-        assert partition_coefficient_sum(1) == 1
+        # sum over partitions of an m-set of prod over blocks of
+        # (-1)^(|B|-1) (|B|-1)! is 1 for m <= 1 and 0 for m >= 2 (log
+        # composed with exp - 1 is the identity): a check on set_partitions
+        def moebius_sum(m):
+            return sum(
+                math.prod((-1) ** (len(block) - 1) * math.factorial(len(block) - 1) for block in partition)
+                for partition in set_partitions(list(range(m)))
+            )
+
+        assert moebius_sum(0) == moebius_sum(1) == 1
         for m in range(2, 7):
-            assert partition_coefficient_sum(m) == 0
+            assert moebius_sum(m) == 0
 
     def test_two_factor_coefficients(self):
         coeffs = sorted(c for c, _ in kappa_to_psi(1, (0,), {1: 2}))
@@ -153,3 +160,40 @@ class TestPushforwardEquivalence:
             for coeff, exps in iterated_pushforward(1, (2,), {1: 2})
         )
         assert closed == brute != 0
+
+
+class TestIntegrate:
+    """integrate() is the vertex integrator both pipelines share, so it is
+    checked against the brute-force pushforward with each leaf integral."""
+
+    @pytest.mark.parametrize(
+        "leaf,dimension,max_genus",
+        [
+            (correlator, lambda g, n: 3 * g - 3 + n, 3),
+            (psi_lambda_g_integral, lambda g, n: 2 * g - 3 + n, 4),
+        ],
+        ids=["correlator", "psi_lambda_g_integral"],
+    )
+    def test_matches_iterated_pushforward(self, leaf, dimension, max_genus):
+        nonzero = 0
+        for psi in ((0,), (1, 0), (0, 2), (0, 0, 1)):
+            for counts in _kappa_cases():
+                kappa = kappa_map(counts)
+                degree = sum(psi) + kappa_degree(kappa)
+                for g in range(0, max_genus + 1):
+                    # each block adds one marking and one degree, so every
+                    # term of the expansion is in dimension or none is
+                    if degree != dimension(g, len(psi)):
+                        continue
+                    value = integrate(leaf, g, psi, kappa)
+                    brute = sum(
+                        coeff * leaf(g, exps)
+                        for coeff, exps in iterated_pushforward(len(psi), psi, kappa)
+                    )
+                    assert value == brute
+                    nonzero += value != 0
+        assert nonzero >= 50
+
+    def test_empty_kappa_is_the_leaf_itself(self):
+        assert integrate(correlator, 2, (1, 4), ()) == correlator(2, (1, 4))
+        assert integrate(psi_lambda_g_integral, 2, (3, 0), ()) == psi_lambda_g_integral(2, (3, 0))
