@@ -247,7 +247,7 @@ def _parse_exps(text: str) -> tuple:
     try:
         return tuple(int(p) for p in text.split(","))
     except ValueError as exc:
-        raise SystemExit(f"error: bad exponent list {text!r}: {exc}")
+        raise ValueError(f"bad exponent list {text!r}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,7 +15,9 @@ that recomputation would reproduce.
 """
 from __future__ import annotations
 
+import os
 import re
+import tempfile
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple
 
@@ -152,25 +154,38 @@ def _parse_line(line: str, lineno: int) -> tuple:
 def load_cache(path: str) -> Dict[Key, Fraction]:
     """Parse a cache file. Any malformed line rejects the whole file."""
     table: Dict[Key, Fraction] = {}
-    with open(path, "r", encoding="ascii") as handle:
-        for lineno, raw in enumerate(handle.read().splitlines(), start=1):
-            key, value = _parse_line(raw, lineno)
-            table[key] = value
+    try:
+        with open(path, "r", encoding="ascii") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise CacheError(f"not ASCII text: {exc}") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        key, value = _parse_line(raw, lineno)
+        table[key] = value
     return table
 
 
 def store_cache(path: str, table: Dict[Key, Fraction] | None = None) -> None:
-    """Write a cache file in canonical sorted order (bit-exact round trip)."""
+    """Write a cache file in canonical sorted order (bit-exact round trip).
+
+    The text goes to a temporary file in the target's directory, which
+    then replaces the target, so a failed write leaves any previous cache
+    as it was and no temporary file behind.
+    """
     if table is None:
         table = _memo
     lines = []
     for (genus, exps), value in sorted(table.items()):
         exps_text = ",".join(str(k) for k in exps)
-        lines.append(f"{genus};{exps_text};{format_rational(value)}")
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write("\n".join(lines))
-        if lines:
-            handle.write("\n")
+        lines.append(f"{genus};{exps_text};{format_rational(value)}\n")
+    fd, temporary = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="ascii") as handle:
+            handle.write("".join(lines))
+        os.replace(temporary, path)
+    except BaseException:
+        os.unlink(temporary)
+        raise
 
 
 def load_cache_into_memo(path: str) -> int:

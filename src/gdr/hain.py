@@ -1,6 +1,5 @@
-"""The Hain pipeline: expand the g-th power of the restricted
-double-ramification divisor in the tree strata algebra and evaluate
-against test classes under the top-Chern cap.
+"""The Hain pipeline: pair the g-th power of the restricted
+double-ramification divisor with test classes under the top-Chern cap.
 
 For the ramification profile (a, -a) every boundary divisor keeping both
 markings on one side carries weight (a - a)^2 = 0, so after factoring one
@@ -14,20 +13,34 @@ The cap vanishes outside compact type, so only chain strata ever appear;
 on a chain it distributes as the top lambda class of each vertex, which
 is what :func:`gdr.hodge.psi_lambda_g_integral` evaluates.
 
-Multiplication rules: psi_1 and psi_2 decorate the outer legs; delta_h
-either refines the chain by splitting the vertex containing cumulative
-genus h (kappa decorations distribute over the two halves) or, when a
-node already sits at h, contributes the excess terms -psi' - psi'' on the
-two node branches.
+Distinct delta_h meet transversally and the excess rule gives
+delta_h^m = delta_h (-psi' - psi'')^(m-1), so the multinomial expansion
+of (1/g!) D^g is a sum over chains of a product of local factors:
+
+    (1/2)^a/a! psi_1^a * (1/2)^b/b! psi_2^b
+        * prod_{nodes h} -(1/2)^m/m! C(m-1, i) delta_h psi'^i psi''^(m-1-i),
+
+with m >= 1 at every node. :func:`_pair` evaluates the pairing as a
+dynamic program along the chain built from these factors.
+
+:func:`expand_divisor_power` expands D^g explicitly in the tree strata
+algebra instead: psi_1 and psi_2 decorate the outer legs; delta_h either
+refines the chain by splitting the vertex containing cumulative genus h
+(kappa decorations distribute over the two halves) or, when a node
+already sits at h, contributes the excess terms -psi' - psi'' on the two
+node branches. With :func:`multiply_by_divisor` and
+:func:`evaluate_chain` it is the reference the dynamic program is tested
+against.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, product
-from math import factorial
+from functools import lru_cache
+from itertools import accumulate
+from math import comb, factorial
 from typing import List, Tuple, Union
 
-from .core import ChainVertex, DecoratedChain, PsiKappaMonomial, kappa_distributions, kappa_map
+from .core import ChainVertex, DecoratedChain, KappaMap, PsiKappaMonomial, kappa_degree, kappa_distributions
 from .hodge import psi_lambda_g_integral
 from .kappa import integrate
 
@@ -137,60 +150,86 @@ def evaluate_chain(chain: DecoratedChain) -> Fraction:
     return value
 
 
-def _attach(chain: DecoratedChain, omega: DecoratedChain) -> List[DecoratedChain]:
-    """Multiply the decorations of omega into a chain refined at every node
-    of omega. Each vertex of omega decorates the run of chain vertices that
-    covers its genus: psi powers on the run's outer legs, kappa factors
-    distributed over the run."""
-    vertices = chain.vertices
-    left = [0] * len(vertices)
-    right = [0] * len(vertices)
-    distributions = []
-    j = 0
-    for deco in omega.vertices:
-        start, genus = j, 0
-        while genus < deco.genus:
-            genus += vertices[j].genus
-            j += 1
-        if genus != deco.genus:
-            raise AssertionError(f"no node at the end of a genus-{deco.genus} run")
-        left[start] += deco.left_psi
-        right[j - 1] += deco.right_psi
-        distributions.append(kappa_distributions(deco.kappa, j - start))
-    out = []
-    for choice in product(*distributions):
-        mult = 1
-        extras: tuple = ()
-        for m, parts in choice:
-            mult *= m
-            extras += parts
-        decorated = tuple(
-            ChainVertex(v.genus, v.left_psi + a, v.right_psi + b, kappa_map(v.kappa + extra))
-            for v, a, b, extra in zip(vertices, left, right, extras)
-        )
-        out.append(DecoratedChain(decorated, chain.coefficient * mult))
-    return out
+@lru_cache(maxsize=None)
+def _vertex(genus: int, left: int, right: int, kappa: KappaMap) -> Fraction:
+    """Capped two-leg vertex integral, memoized for the whole process."""
+    return integrate(psi_lambda_g_integral, genus, (left, right), kappa)
+
+
+def _half_power(m: int) -> Fraction:
+    """(1/2)^m / m!, the weight of a power of one half-weighted divisor term."""
+    return Fraction(1, 2 ** m * factorial(m))
 
 
 def _pair(omega: DecoratedChain) -> Fraction:
-    """(1/g!) int D^g * omega: refine each chain of D^g at the nodes of
-    omega, attach omega's decorations and evaluate under the cap."""
+    """(1/g!) int D^g * omega as a dynamic program along the chain.
+
+    The product formula in the module docstring makes every term a
+    product of per-vertex and per-node factors, so the refined chain is
+    built left to right. The state is (run j of omega, cumulative genus,
+    psi power on the incoming leg, kappa of run j still to place); each
+    step picks the next vertex's genus and kappa share. The cap fixes
+    that vertex's outgoing leg power, which is then split by weight at
+    the node after it: a node of D, a node of omega, or marking 2.
+    """
     g = omega.genus
-    nodes = list(accumulate(v.genus for v in omega.vertices[:-1]))
-    total = Fraction(0)
-    for chain in expand_divisor_power(g):
-        refined = [chain]
-        for h in nodes:
-            refined = [out for c in refined for out in multiply_by_divisor(c, ("delta", h))]
-        for c in refined:
-            for decorated in _attach(c, omega):
-                total += evaluate_chain(decorated)
-    return omega.coefficient * total / factorial(g)
+    if omega.codim + omega.decoration_degree != g - 1:
+        # D^g pairs to 0 with it; the program never counts powers of D,
+        # since the cap's support fixes their total at g for this codim only
+        return Fraction(0)
+    runs = omega.vertices
+    ends = list(accumulate(v.genus for v in runs))
+
+    @lru_cache(maxsize=None)
+    def tail(j: int, start: int, left: int, kappa: KappaMap) -> Fraction:
+        """Sum over the chain right of cumulative genus `start`, inside run j."""
+        run, end = runs[j], ends[j]
+        splits = list(kappa_distributions(kappa, 2))
+        total = Fraction(0)
+        for genus in range(1, end - start + 1):
+            closes_run = start + genus == end
+            for mult, (share, rest) in splits:
+                if closes_run and rest:
+                    continue
+                # the cap's support fixes the outgoing leg power; i is D's part of it
+                outgoing = 2 * genus - 1 - left - kappa_degree(share)
+                i = outgoing - run.right_psi if closes_run else outgoing
+                if i < 0:
+                    continue
+                value = mult * _vertex(genus, left, outgoing, share)
+                if not value:
+                    continue
+                if not closes_run:
+                    # node of D: -(1/2)^m/m! C(m-1, i) psi'^i psi''^(m-1-i)
+                    after = start + genus
+                    value *= sum(
+                        -_half_power(i + 1 + nxt) * comb(i + nxt, i) * tail(j, after, nxt, rest)
+                        for nxt in range(2 * (end - after))
+                    )
+                elif j + 1 < len(runs):
+                    # node of omega: (1/2)^m/m! C(m, i) psi'^i psi''^(m-i)
+                    following = runs[j + 1]
+                    value *= sum(
+                        _half_power(i + nxt) * comb(i + nxt, i)
+                        * tail(j + 1, end, nxt + following.left_psi, following.kappa)
+                        for nxt in range(2 * following.genus)
+                    )
+                else:
+                    value *= _half_power(i)  # psi_2 of D
+                total += value
+        return total
+
+    first = runs[0]
+    total = sum(
+        _half_power(a) * tail(0, 0, a + first.left_psi, first.kappa)
+        for a in range(2 * first.genus)
+    )
+    return omega.coefficient * total
 
 
 def pair_dr_side(g: int, omega: PsiKappaMonomial) -> Fraction:
     """Coefficient of a^(2g) in the capped double-ramification pairing
-    against omega, computed entirely in the tree strata algebra."""
+    against omega, the one-vertex case of :func:`_pair`."""
     if g < 1:
         raise ValueError("genus must be >= 1")
     if omega.codim != g - 1:
@@ -199,9 +238,9 @@ def pair_dr_side(g: int, omega: PsiKappaMonomial) -> Fraction:
 
 
 def pair_dr_boundary(omega: DecoratedChain) -> Fraction:
-    """Pair against a decorated two-vertex boundary class by strata
-    refinement: multiply each expanded chain by the underlying separating
-    divisor, then lay omega's decorations around the resulting node."""
+    """Pair against a decorated two-vertex boundary class, the two-vertex
+    case of :func:`_pair`: omega's node carries the weights
+    (1/2)^m/m! C(m, i), since delta_h (-delta_h)^m = delta_h (psi' + psi'')^m."""
     if len(omega.vertices) != 2:
         raise ValueError("boundary test class must have exactly 2 vertices")
     return _pair(omega)

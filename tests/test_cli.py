@@ -177,6 +177,10 @@ class TestMain:
         assert "error" in capsys.readouterr().err
         assert main(["hodge", "--genus", "-1", "--exps", "0"]) == 2
         assert "error" in capsys.readouterr().err
+        assert main(["witten", "--genus", "2", "--exps", "a,b", "--cache", str(tmp_path / "c")]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert main(["hodge", "--genus", "2", "--exps", ""]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestCache:
@@ -190,14 +194,15 @@ class TestCache:
 
     def test_corrupted_cache_rejected_and_recovered(self, capsys, tmp_path):
         path = tmp_path / "cache.txt"
-        path.write_text("not;a;valid;line\n")
-        code = main(["verify", "--genus", "2", "--cache", str(path)])
-        out = capsys.readouterr()
-        assert code == 0
-        assert "rejected" in out.err
-        assert json.loads(out.out)["pass"] is True
-        # the rewritten cache is clean again
-        assert load_cache(str(path)) != {}
+        for corrupted in (b"not;a;valid;line\n", b"1;1;1/24\n\xff\n"):
+            path.write_bytes(corrupted)
+            code = main(["verify", "--genus", "2", "--cache", str(path)])
+            out = capsys.readouterr()
+            assert code == 0
+            assert "rejected" in out.err
+            assert json.loads(out.out)["pass"] is True
+            # the rewritten cache is clean again
+            assert load_cache(str(path)) != {}
 
     def test_resolve_cache_path_precedence(self, monkeypatch):
         monkeypatch.delenv("GDR_CACHE", raising=False)

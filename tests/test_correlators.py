@@ -1,4 +1,5 @@
 import itertools
+import os
 from fractions import Fraction
 from math import factorial
 
@@ -220,6 +221,54 @@ def test_malformed_line_rejects_whole_file(tmp_path, line):
     path.write_text("0;0,0,0;1/1\n" + line + "\n")
     with pytest.raises(CacheError):
         load_cache(str(path))
+
+
+def test_undecodable_bytes_reject_whole_file(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"1;1;1/24\n\xff\n")
+    with pytest.raises(CacheError):
+        load_cache(str(path))
+
+
+class _FailingHandle:
+    """A text handle that writes half of what it is given, then fails."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._handle.close()
+
+    def write(self, text):
+        self._handle.write(text[: len(text) // 2])
+        raise OSError("no space left on device")
+
+
+def _fail_mid_write(monkeypatch):
+    real_fdopen = os.fdopen
+    monkeypatch.setattr(os, "fdopen", lambda *args, **kwargs: _FailingHandle(real_fdopen(*args, **kwargs)))
+
+
+def _fail_on_replace(monkeypatch):
+    def refuse(src, dst):
+        raise OSError("read-only target")
+
+    monkeypatch.setattr(os, "replace", refuse)
+
+
+@pytest.mark.parametrize("fail", [_fail_mid_write, _fail_on_replace], ids=["write", "replace"])
+def test_failed_store_leaves_previous_cache(tmp_path, monkeypatch, fail):
+    path = tmp_path / "cache.txt"
+    store_cache(str(path), SAMPLE)
+    before = path.read_bytes()
+    fail(monkeypatch)
+    with pytest.raises(OSError):
+        store_cache(str(path), {**SAMPLE, (1, (0, 2)): Fraction(1, 24), (2, (4,)): Fraction(1, 1152)})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["cache.txt"]
 
 
 @given(

@@ -3,11 +3,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gdr.bamboo import pair_bamboo_boundary, pair_bamboo_side
 from gdr.cli import enumerate_omegas
-from gdr.core import ChainVertex, DecoratedChain, PsiKappaMonomial, kappa_map
+from gdr.core import ChainVertex, DecoratedChain, PsiKappaMonomial, kappa_distributions, kappa_map
 from gdr.hain import (
+    _pair,
     evaluate_chain,
     expand_divisor_power,
     hain_divisor_terms,
@@ -22,6 +25,57 @@ HALF = Fraction(1, 2)
 
 def trivial_chain(g: int) -> DecoratedChain:
     return DecoratedChain((ChainVertex(g),))
+
+
+def attach(chain: DecoratedChain, omega: DecoratedChain) -> list:
+    """Multiply the decorations of omega into a chain refined at every node
+    of omega. Each vertex of omega decorates the run of chain vertices that
+    covers its genus: psi powers on the run's outer legs, kappa factors
+    distributed over the run."""
+    vertices = chain.vertices
+    left = [0] * len(vertices)
+    right = [0] * len(vertices)
+    distributions = []
+    j = 0
+    for deco in omega.vertices:
+        start, genus = j, 0
+        while genus < deco.genus:
+            genus += vertices[j].genus
+            j += 1
+        assert genus == deco.genus, f"no node at the end of a genus-{deco.genus} run"
+        left[start] += deco.left_psi
+        right[j - 1] += deco.right_psi
+        distributions.append(kappa_distributions(deco.kappa, j - start))
+    out = []
+    for choice in itertools.product(*distributions):
+        mult = 1
+        extras: tuple = ()
+        for m, parts in choice:
+            mult *= m
+            extras += parts
+        decorated = tuple(
+            ChainVertex(v.genus, v.left_psi + a, v.right_psi + b, kappa_map(v.kappa + extra))
+            for v, a, b, extra in zip(vertices, left, right, extras)
+        )
+        out.append(DecoratedChain(decorated, chain.coefficient * mult))
+    return out
+
+
+def enumerated_pairing(omega: DecoratedChain) -> Fraction:
+    """(1/g!) int D^g * omega by explicit enumeration, the reference for
+    the dynamic program: expand D^g, refine each chain at the nodes of
+    omega, attach omega's decorations and evaluate under the cap."""
+    g = omega.genus
+    nodes = list(itertools.accumulate(v.genus for v in omega.vertices[:-1]))
+    total = Fraction(0)
+    for chain in expand_divisor_power(g):
+        refined = [chain]
+        for h in nodes:
+            refined = [out for c in refined for out in multiply_by_divisor(c, ("delta", h))]
+        for c in refined:
+            for decorated in attach(c, omega):
+                total += evaluate_chain(decorated)
+    return omega.coefficient * total / math.factorial(g)
 
 
 def weighted_divisor_candidates(g: int) -> list:
@@ -173,6 +227,44 @@ class TestExpansion:
                     assert acc == reference
 
 
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+    def test_product_formula_chain_for_chain(self, g):
+        # (1/g!) D^g = sum over chains of (1/2)^a/a! psi_1^a (1/2)^b/b! psi_2^b
+        # prod_nodes -(1/2)^m/m! C(m-1, i) delta_h psi'^i psi''^(m-1-i), m >= 1
+        def weight(m):
+            return Fraction(1, 2 ** m * math.factorial(m))
+
+        formula: dict = {}
+
+        def extend(vertices, coeff, budget, start, incoming):
+            # vertices so far, the last one still open on its right leg
+            for genus in range(1, g - start + 1):
+                if start + genus == g:
+                    for b in range(budget + 1):
+                        if budget - b == 0:
+                            done = vertices + ((genus, incoming, b),)
+                            key = tuple(ChainVertex(*v) for v in done)
+                            formula[key] = formula.get(key, 0) + coeff * weight(b)
+                    continue
+                for m in range(1, budget + 1):
+                    for i in range(m):
+                        extend(
+                            vertices + ((genus, incoming, i),),
+                            -coeff * weight(m) * math.comb(m - 1, i),
+                            budget - m,
+                            start + genus,
+                            m - 1 - i,
+                        )
+
+        for a in range(g + 1):
+            extend((), weight(a), g - a, 0, a)
+        expected = {
+            c.vertices: c.coefficient / math.factorial(g) for c in expand_divisor_power(g)
+        }
+        assert {k: c for k, c in formula.items() if c} == expected
+        assert len(expected) == [2, 7, 30, 136, 636][g - 1]
+
+
 class TestEvaluation:
     def test_genus_2_hand_pieces(self):
         # (psi_1 + psi_2)^2 psi_2 capped on the undegenerate stratum
@@ -230,6 +322,51 @@ class TestPairing:
                 assert pair_dr_side(g, PsiKappaMonomial(a, g - 1 - a)) == pair_dr_side(
                     g, PsiKappaMonomial(g - 1 - a, a)
                 )
+
+
+@st.composite
+def decorated_chains(draw):
+    """Decorated chains of genus <= 4 with 1 to 3 vertices, a coefficient
+    that need not be 1, and a decoration degree that three times in four
+    matches the codimension g - 1 and otherwise is arbitrary."""
+    k = draw(st.integers(1, 3))
+    g = draw(st.integers(k, 4))
+    cuts = sorted(draw(st.permutations(range(1, g)))[: k - 1])
+    genera = [b - a for a, b in zip([0] + cuts, cuts + [g])]
+    if draw(st.integers(0, 3)):
+        degree = g - k
+    else:
+        degree = draw(st.integers(0, 5))
+    psi = [[0, 0] for _ in genera]
+    kappa = [{} for _ in genera]
+    while degree:
+        v = draw(st.integers(0, k - 1))
+        slot = draw(st.sampled_from(("left", "right", "kappa")))
+        if slot == "kappa":
+            index = draw(st.integers(1, degree))
+            kappa[v][index] = kappa[v].get(index, 0) + 1
+            degree -= index
+        else:
+            psi[v][slot == "right"] += 1
+            degree -= 1
+    coefficient = draw(st.fractions(min_value=-3, max_value=3, max_denominator=6))
+    vertices = tuple(ChainVertex(h, l, r, kappa_map(kap)) for h, (l, r), kap in zip(genera, psi, kappa))
+    return DecoratedChain(vertices, coefficient)
+
+
+class TestDynamicProgram:
+    @settings(max_examples=150)
+    @given(omega=decorated_chains())
+    @example(omega=DecoratedChain((ChainVertex(1), ChainVertex(2, 0, 0, kappa_map({1: 1})), ChainVertex(1)), Fraction(3, 2)))
+    @example(omega=DecoratedChain((ChainVertex(4, 1, 0, kappa_map({1: 1, 2: 1})),), Fraction(-2)))
+    @example(omega=DecoratedChain((ChainVertex(1, 1, 0), ChainVertex(1, 0, 1), ChainVertex(1)), Fraction(5)))
+    @example(omega=DecoratedChain((ChainVertex(1), ChainVertex(2, 1, 0)), Fraction(2)))
+    def test_matches_enumeration(self, omega):
+        assert _pair(omega) == enumerated_pairing(omega)
+
+    def test_degree_mismatch_is_zero(self):
+        omega = DecoratedChain((ChainVertex(1, 1, 0), ChainVertex(2, 1, 1)), Fraction(7))
+        assert _pair(omega) == enumerated_pairing(omega) == 0
 
 
 class TestBoundaryPairing:
