@@ -1,5 +1,5 @@
-"""The bamboo pipeline: enumerate the signed chain terms of the degree-2g
-bamboo class and pair them against test classes.
+"""The bamboo pipeline: the signed chain terms of the degree-2g bamboo
+class, and their pairings with test classes.
 
 A genus-g bamboo term is an ordered tuple (g_1..g_k, d_1..d_k) with
 g_i >= 1, sum g_i = g, d_i >= 0, sum d_i + k - 1 = 2g, subject to the
@@ -7,14 +7,34 @@ prefix constraint d_1+..+d_l + l-1 <= 2(g_1+..+g_l) - 1 for l < k, and
 carries sign (-1)^(k-1).
 
 Pairing with a complementary-degree monomial omega splits edge-wise into
-a product of two-pointed vertex integrals: marking psi powers of omega
-pull back to the end legs, kappa factors distribute over vertices by the
-restriction rule, and each vertex integral is evaluated through kappa
-conversion and the Witten-Kontsevich correlator.
+a product of two-pointed vertex integrals: omega's psi_1 power sits on
+the first vertex's left leg and its psi_2 power on the last vertex's
+right leg, kappa factors distribute over vertices by the restriction
+rule, and each vertex integral is evaluated through kappa conversion
+and the Witten-Kontsevich correlator.
+
+A vertex integral is nonzero only when l_v + r_v + deg kappa_v =
+3g_v - 1, so each edge power is a function of the vertex's genus and
+kappa share:
+
+    d_v = 3g_v - 1 - l_v - deg kappa_v - [v = k] d_2,   l_v = [v = 1] d_1.
+
+Summed over the chain, the degree equation becomes codim omega = g - 1,
+which every pairing has. Summed over the first l < k vertices, with
+G_l = g_1+..+g_l and K_l the kappa degree on them, the prefix constraint
+
+    3G_l - l - d_1 - K_l + l - 1 <= 2G_l - 1
+
+reduces to G_l <= K_l + d_1. :func:`_pair` is therefore a dynamic
+program along the chain over (cumulative genus, kappa still to place):
+each step picks the next vertex's genus and kappa share, checks the
+reduced prefix bound, evaluates the vertex, and multiplies by -1 for the
+node after it. :func:`enumerate_bamboos` lists the terms explicitly.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, List
 
 from .core import (
@@ -80,19 +100,35 @@ def vertex_integral(genus: int, left_psi: int, right_psi: int, kappa: KappaMap) 
 
 
 def _pair(g: int, omega: PsiKappaMonomial) -> Fraction:
-    total = Fraction(0)
-    for bamboo in enumerate_bamboos(g):
-        k = len(bamboo.vertices)
-        for mult, kappa_parts in kappa_distributions(omega.kappa, k):
-            product = Fraction(1)
-            for v, (genus_v, d_v) in enumerate(bamboo.vertices):
-                left = omega.d1 if v == 0 else 0
-                right = d_v + (omega.d2 if v == k - 1 else 0)
-                product *= vertex_integral(genus_v, left, right, kappa_parts[v])
-                if not product:
-                    break
-            total += bamboo.sign * mult * product
-    return total
+    """int of the genus-g bamboo class times omega, as a dynamic program
+    along the chain (see the module docstring); 0 unless omega has codim
+    g - 1, as one side of an unbalanced boundary class has."""
+    if omega.codim != g - 1:
+        return Fraction(0)
+    d1, d2 = omega.d1, omega.d2
+    kappa_total = kappa_degree(omega.kappa)
+
+    @lru_cache(maxsize=None)
+    def tail(start: int, kappa: KappaMap) -> Fraction:
+        """Sum over the chain right of cumulative genus `start`."""
+        left = d1 if start == 0 else 0
+        total = Fraction(0)
+        for mult, (share, rest) in kappa_distributions(kappa, 2):
+            share_degree = kappa_degree(share)
+            for genus in range(1, g - start + 1):
+                after = start + genus
+                right = 3 * genus - 1 - left - share_degree  # d_v, plus d_2 at the end
+                if after == g:
+                    if rest or right < d2:
+                        continue
+                    total += mult * vertex_integral(genus, left, right, share)
+                elif right >= 0 and after <= kappa_total - kappa_degree(rest) + d1:  # G_l <= K_l + d_1
+                    value = vertex_integral(genus, left, right, share)
+                    if value:
+                        total -= mult * value * tail(after, rest)
+        return total
+
+    return tail(0, omega.kappa)
 
 
 def pair_bamboo_side(g: int, omega: PsiKappaMonomial) -> Fraction:

@@ -11,7 +11,8 @@ Subcommands:
     bamboos --genus G                  list the signed bamboo terms
 
 The omega grammar is whitespace-separated ``psi1^a psi2^b kappa1^c ...``
-(exponent 1 omissible, ``1`` for the unit). Correlator caching uses
+(exponent 1 omissible, ``1`` for the unit). Every subcommand rejects a
+genus above MAX_GENUS with exit code 2. Correlator caching uses
 --cache, else $GDR_CACHE, else ``.gdr_cache`` in the working directory.
 """
 from __future__ import annotations
@@ -34,6 +35,9 @@ from .hain import pair_dr_boundary, pair_dr_side
 from .hodge import psi_lambda_g_integral
 
 DEFAULT_CACHE_FILENAME = ".gdr_cache"
+# Largest genus any subcommand accepts, checked before any work starts;
+# 10 is the largest genus the benchmark drives (witten one-points).
+MAX_GENUS = 10
 
 
 @dataclass(frozen=True)
@@ -288,6 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.genus > MAX_GENUS:
+        print(f"error: genus {args.genus} exceeds the maximum {MAX_GENUS}", file=sys.stderr)
+        return 2
 
     if args.command == "bamboos":
         try:

@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gdr.bamboo import (
+    _pair,
     enumerate_bamboos,
     pair_bamboo_boundary,
     pair_bamboo_side,
@@ -18,6 +21,47 @@ from gdr.core import (
     kappa_map,
 )
 from gdr.correlators import correlator
+
+
+def enumerated_pairing(g: int, omega: PsiKappaMonomial) -> Fraction:
+    """The bamboo-side pairing by brute force: every bamboo term times
+    every distribution of omega's kappa factors over its vertices, with
+    omega's psi_1 on the first vertex's left leg and its psi_2 on the
+    last vertex's right leg."""
+    total = Fraction(0)
+    for bamboo in enumerate_bamboos(g):
+        k = len(bamboo.vertices)
+        for mult, kappa_parts in kappa_distributions(omega.kappa, k):
+            product = Fraction(1)
+            for v, (genus_v, d_v) in enumerate(bamboo.vertices):
+                left = omega.d1 if v == 0 else 0
+                right = d_v + (omega.d2 if v == k - 1 else 0)
+                product *= vertex_integral(genus_v, left, right, kappa_parts[v])
+                if not product:
+                    break
+            total += bamboo.sign * mult * product
+    return total
+
+
+@st.composite
+def genus_and_monomial(draw):
+    """A genus g <= 5 and a monomial whose codim three times in four is
+    g - 1 and otherwise is arbitrary, split in any way over psi_1, psi_2
+    and kappa factors."""
+    g = draw(st.integers(1, 5))
+    degree = g - 1 if draw(st.integers(0, 3)) else draw(st.integers(0, 5))
+    psi = [0, 0]
+    kappa: dict = {}
+    while degree:
+        slot = draw(st.sampled_from(("psi1", "psi2", "kappa")))
+        if slot == "kappa":
+            index = draw(st.integers(1, degree))
+            kappa[index] = kappa.get(index, 0) + 1
+            degree -= index
+        else:
+            psi[slot == "psi2"] += 1
+            degree -= 1
+    return g, PsiKappaMonomial(psi[0], psi[1], kappa_map(kappa))
 
 
 class TestEnumeration:
@@ -118,6 +162,34 @@ class TestPairing:
                         )
                         product *= vertex_integral(genus_v, left, right, parts[v])
                     assert (product != 0) == balanced
+
+
+class TestDynamicProgram:
+    # the examples are classes where the prefix bound G_l <= K_l + d_1
+    # binds: dropping it changes their value
+    @settings(max_examples=150)
+    @given(case=genus_and_monomial())
+    @example(case=(2, PsiKappaMonomial(0, 1)))
+    @example(case=(2, PsiKappaMonomial(0, 0, kappa_map({1: 1}))))
+    @example(case=(3, PsiKappaMonomial(1, 0, kappa_map({1: 1}))))
+    @example(case=(4, PsiKappaMonomial(0, 1, kappa_map({2: 1}))))
+    @example(case=(5, PsiKappaMonomial(0, 0, kappa_map({1: 2, 2: 1}))))
+    def test_matches_enumeration(self, case):
+        g, omega = case
+        assert _pair(g, omega) == enumerated_pairing(g, omega)
+
+    @pytest.mark.parametrize(
+        "g,omega",
+        [
+            (1, PsiKappaMonomial(1, 0)),
+            (2, PsiKappaMonomial()),
+            (3, PsiKappaMonomial(0, 1, kappa_map({1: 2}))),
+            (4, PsiKappaMonomial(1, 1)),
+        ],
+    )
+    def test_degree_mismatch_is_zero(self, g, omega):
+        assert omega.codim != g - 1
+        assert _pair(g, omega) == enumerated_pairing(g, omega) == 0
 
 
 class TestBoundaryPairing:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from gdr import cli
 from gdr.cli import (
     enumerate_omegas,
     main,
@@ -170,7 +171,7 @@ class TestMain:
         assert code == 2
         assert "codim" in capsys.readouterr().err
 
-    def test_invalid_inputs_are_errors_not_tracebacks(self, capsys, tmp_path):
+    def test_invalid_inputs_are_errors_not_tracebacks(self, capsys, monkeypatch, tmp_path):
         assert main(["bamboos", "--genus", "0"]) == 2
         assert "error" in capsys.readouterr().err
         assert main(["witten", "--genus", "1", "--exps=-1,2", "--cache", str(tmp_path / "c")]) == 2
@@ -181,6 +182,29 @@ class TestMain:
         assert "error:" in capsys.readouterr().err
         assert main(["hodge", "--genus", "2", "--exps", ""]) == 2
         assert "error:" in capsys.readouterr().err
+
+        # a genus above the maximum is rejected before any enumeration,
+        # recursion or cache load starts
+        def no_work(*args, **kwargs):
+            raise AssertionError("started work on a genus above the maximum")
+
+        for name in (
+            "correlator", "enumerate_bamboos", "verify", "pair_bamboo_side", "pair_dr_side",
+            "psi_lambda_g_integral", "_load_cache_tolerant",
+        ):
+            monkeypatch.setattr(cli, name, no_work)
+        cache = str(tmp_path / "big")
+        for argv in (
+            ["witten", "--genus", "16", "--exps", "46", "--cache", cache],
+            ["bamboos", "--genus", "40"],
+            ["verify", "--genus", "11", "--cache", cache],
+            ["bside", "--genus", "11", "--omega", "1", "--cache", cache],
+            ["drside", "--genus", "11", "--omega", "1"],
+            ["hodge", "--genus", "11", "--exps", "0"],
+        ):
+            assert main(argv) == 2, argv
+            assert f"error: genus {argv[2]} exceeds the maximum {cli.MAX_GENUS}" in capsys.readouterr().err
+        assert not os.path.exists(cache)
 
 
 class TestCache:

@@ -1,3 +1,5 @@
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -207,3 +209,57 @@ class TestCombinatorics:
 
     def test_kappa_distribution_empty(self):
         assert list(kappa_distributions((), 3)) == [(1, ((), (), ()))]
+
+
+# every kappa map of up to 4 factors with indices 1..3
+SMALL_KAPPA_MAPS = [
+    kappa_map(Counter(factors))
+    for size in range(5)
+    for factors in itertools.combinations_with_replacement((1, 2, 3), size)
+]
+
+
+def brute_force_distributions(kappa, parts: int) -> Counter:
+    """Assign each kappa factor to a vertex independently and count the
+    assignments by the tuple of per-vertex kappa maps they produce."""
+    factors = kappa_factors(kappa)
+    out: Counter = Counter()
+    for assignment in itertools.product(range(parts), repeat=len(factors)):
+        per_vertex = [Counter() for _ in range(parts)]
+        for factor, vertex in zip(factors, assignment):
+            per_vertex[vertex][factor] += 1
+        out[tuple(kappa_map(m) for m in per_vertex)] += 1
+    return out
+
+
+def iterated_two_way(kappa, parts: int) -> Counter:
+    """Distribute over `parts` vertices one vertex at a time: a two-way
+    split into the first vertex's share and the rest, then recurse."""
+    if parts == 1:
+        return Counter({(kappa,): 1})
+    out: Counter = Counter()
+    for mult, (share, rest) in kappa_distributions(kappa, 2):
+        for tail, tail_mult in iterated_two_way(rest, parts - 1).items():
+            out[(share,) + tail] += mult * tail_mult
+    return out
+
+
+class TestKappaDistributionOracle:
+    """Both pipelines fan kappa out through kappa_distributions, so a bug
+    there could cancel between the sides; these oracles share nothing
+    with it but kappa_map."""
+
+    @pytest.mark.parametrize("parts", [1, 2, 3, 4])
+    def test_matches_independent_factor_assignment(self, parts):
+        assert len(SMALL_KAPPA_MAPS) == 35
+        for kappa in SMALL_KAPPA_MAPS:
+            dist = list(kappa_distributions(kappa, parts))
+            counted = Counter({maps: mult for mult, maps in dist})
+            assert len(counted) == len(dist), kappa  # each tuple of maps once
+            assert counted == brute_force_distributions(kappa, parts), kappa
+
+    @pytest.mark.parametrize("parts", [1, 2, 3, 4])
+    def test_iterated_two_way_split_gives_k_way_multiplicities(self, parts):
+        for kappa in SMALL_KAPPA_MAPS:
+            expected = Counter({maps: mult for mult, maps in kappa_distributions(kappa, parts)})
+            assert iterated_two_way(kappa, parts) == expected, kappa
