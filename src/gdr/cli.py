@@ -12,7 +12,8 @@ Subcommands:
 
 The omega grammar is whitespace-separated ``psi1^a psi2^b kappa1^c ...``
 (exponent 1 omissible, ``1`` for the unit). Every subcommand rejects a
-genus above MAX_GENUS with exit code 2. Correlator caching uses
+genus above MAX_GENUS, and witten/hodge an exponent list longer than
+MAX_POINTS, with exit code 2. Correlator caching uses
 --cache, else $GDR_CACHE, else ``.gdr_cache`` in the working directory.
 """
 from __future__ import annotations
@@ -38,6 +39,10 @@ DEFAULT_CACHE_FILENAME = ".gdr_cache"
 # Largest genus any subcommand accepts, checked before any work starts;
 # 10 is the largest genus the benchmark drives (witten one-points).
 MAX_GENUS = 10
+# Longest --exps list witten and hodge accept, checked before any recursion.
+# At genus MAX_GENUS the slowest list of this length found takes about 13 s
+# and 40 MB (2-vCPU VM, Python 3.11); 3000 points overflowed the stack.
+MAX_POINTS = 3 * MAX_GENUS
 
 
 @dataclass(frozen=True)
@@ -248,8 +253,11 @@ def _store_cache_tolerant(path: str) -> None:
 
 
 def _parse_exps(text: str) -> tuple:
+    parts = text.split(",")
+    if len(parts) > MAX_POINTS:
+        raise ValueError(f"{len(parts)} exponents exceed the maximum {MAX_POINTS}")
     try:
-        return tuple(int(p) for p in text.split(","))
+        return tuple(int(p) for p in parts)
     except ValueError as exc:
         raise ValueError(f"bad exponent list {text!r}: {exc}") from exc
 
@@ -318,9 +326,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     cache_path = resolve_cache_path(args.cache)
 
     if args.command == "witten":
+        try:
+            exps = _parse_exps(args.exps)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         _load_cache_tolerant(cache_path)
         try:
-            value = correlator(args.genus, _parse_exps(args.exps))
+            value = correlator(args.genus, exps)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -7,6 +7,17 @@ string equation, dilaton equation, then the Dijkgraaf-Verlinde-Verlinde
 recursion on the largest exponent. The two initial conditions are
 <tau_0^3>_0 = 1 (inside the closed form) and <tau_1>_1 = 1/24.
 
+The DVV split term sums <tau_a L>_{g1} <tau_b R>_{g-g1} over the ways to
+share the remaining points between two factors. A factor is nonzero only
+inside its dimension, sum(L) + a = 3 g1 - 2 + |L|, so each sharing fixes
+g1 = (sum(L) + a - |L| + 2) / 3 and is skipped unless that is an integer;
+the other factor is then in dimension too. Every exponent is >= 2 at this
+point, so both genera come out >= 1, both factors are stable and neither
+is ever zero. Points with equal exponents are interchangeable: a sharing
+takes c of the n points of each exponent value and stands for prod C(n, c)
+subsets, and the joining term likewise counts each value once with its
+multiplicity. Recursive calls go through the module-level `correlator`.
+
 All values are memoized; the memo persists through a line-oriented text
 cache (`g;k1,...,kn;num/den`, exponents sorted ascending). Memo writes
 are idempotent (a key always maps to the same value), so concurrent
@@ -18,7 +29,10 @@ from __future__ import annotations
 import os
 import re
 import tempfile
+from collections import Counter
 from fractions import Fraction
+from itertools import product
+from math import comb
 from typing import Dict, Iterable, Tuple
 
 from .core import format_rational, multinomial, parse_rational
@@ -93,31 +107,34 @@ def _dvv(genus: int, exps: tuple) -> Fraction:
     """Virasoro recursion on the largest exponent (all exponents >= 2)."""
     k = exps[-1]
     rest = exps[:-1]
-    m = len(rest)
+    counts = sorted(Counter(rest).items())
     acc = Fraction(0)
-    for j, kj in enumerate(rest):
-        joined = rest[:j] + (k + kj - 1,) + rest[j + 1:]
-        acc += Fraction(
+    for kj, multiplicity in counts:
+        j = rest.index(kj)
+        joined = rest[:j] + rest[j + 1:] + (k + kj - 1,)
+        acc += multiplicity * Fraction(
             _odd_double_factorial(2 * (k + kj) - 1),
             _odd_double_factorial(2 * kj - 1),
         ) * correlator(genus, joined)
-    half = Fraction(1, 2)
+    splits = Fraction(0)
     for a in range(k - 1):
         b = k - 2 - a
-        weight = _odd_double_factorial(2 * a + 1) * _odd_double_factorial(2 * b + 1)
-        acc += half * weight * correlator(genus - 1, rest + (a, b))
-        for g1 in range(genus + 1):
-            g2 = genus - g1
-            for mask in range(1 << m):
-                left = tuple(rest[i] for i in range(m) if mask >> i & 1)
-                right = tuple(rest[i] for i in range(m) if not mask >> i & 1)
-                acc += (
-                    half
-                    * weight
-                    * correlator(g1, (a,) + left)
-                    * correlator(g2, (b,) + right)
-                )
-    return acc / _odd_double_factorial(2 * k + 1)
+        term = correlator(genus - 1, rest + (a, b))
+        for taken in product(*(range(n + 1) for _, n in counts)):
+            size = sum(taken)
+            degree = sum(kj * c for (kj, _), c in zip(counts, taken))
+            # the only genus at which <tau_a left>_{g1} is in dimension
+            g1, remainder = divmod(degree + a - size + 2, 3)
+            if remainder:
+                continue
+            left, right, weight = (a,), (b,), 1
+            for (kj, n), c in zip(counts, taken):
+                left += (kj,) * c
+                right += (kj,) * (n - c)
+                weight *= comb(n, c)
+            term += weight * correlator(g1, left) * correlator(genus - g1, right)
+        splits += _odd_double_factorial(2 * a + 1) * _odd_double_factorial(2 * b + 1) * term
+    return (acc + splits / 2) / _odd_double_factorial(2 * k + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,18 @@ class TestMain:
             assert f"error: genus {argv[2]} exceeds the maximum {cli.MAX_GENUS}" in capsys.readouterr().err
         assert not os.path.exists(cache)
 
+        # so is an exponent list longer than MAX_POINTS; 3000 zeros used to
+        # end in a RecursionError traceback
+        zeros = ",".join(["0"] * 3000)
+        for argv in (
+            ["witten", "--genus", "10", "--exps", zeros + ",3028", "--cache", cache],
+            ["hodge", "--genus", "10", "--exps", zeros + ",3018"],
+        ):
+            assert main(argv) == 2, argv[:3]
+            assert f"error: 3001 exponents exceed the maximum {cli.MAX_POINTS}" in capsys.readouterr().err
+        assert not os.path.exists(cache)
+        assert len(cli._parse_exps(",".join(["0"] * cli.MAX_POINTS))) == cli.MAX_POINTS
+
 
 class TestCache:
     def test_cache_file_written_and_reusable(self, capsys, tmp_path):

@@ -1,12 +1,16 @@
 import itertools
 import os
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gdr import correlators
+from gdr.bamboo import pair_bamboo_side
+from gdr.cli import enumerate_omegas
+from gdr.core import kappa_degree
 from gdr.correlators import (
     CacheError,
     clear_memo,
@@ -165,6 +169,172 @@ def test_genus_zero_closed_form_matches_string_recursion():
             if n > 3:
                 assert lhs == rhs
             assert lhs > 0
+
+
+# -- reference recursion ----------------------------------------------------
+#
+# The DVV recursion with an unreduced split term: every g1 in 0..g times
+# every subset of the remaining points, with its own memo and its own
+# genus-0 closed form. Out-of-dimension factors return 0, so the reference
+# pays for each dead split but cannot miscount one.
+
+_reference_memo: dict = {}
+
+
+def _reference_odd_double_factorial(m):
+    result = 1
+    for j in range(1, m + 1, 2):
+        result *= j
+    return result
+
+
+def reference(genus, exps):
+    exps = tuple(sorted(exps))
+    n = len(exps)
+    if n == 0 or sum(exps) != 3 * genus - 3 + n:
+        return Fraction(0)
+    if genus == 0:
+        return Fraction(factorial(n - 3), prod(factorial(k) for k in exps))
+    key = (genus, exps)
+    if key not in _reference_memo:
+        _reference_memo[key] = _reference_evaluate(genus, exps)
+    return _reference_memo[key]
+
+
+def _reference_evaluate(genus, exps):
+    n = len(exps)
+    if (genus, n) == (1, 1):
+        return Fraction(1, 24)
+    if exps[0] == 0:
+        rest = exps[1:]
+        return sum(
+            (reference(genus, rest[:j] + (kj - 1,) + rest[j + 1:]) for j, kj in enumerate(rest) if kj >= 1),
+            Fraction(0),
+        )
+    if exps[0] == 1:
+        return (2 * genus - 2 + (n - 1)) * reference(genus, exps[1:])
+    dfact = _reference_odd_double_factorial
+    k = exps[-1]
+    rest = exps[:-1]
+    m = len(rest)
+    acc = Fraction(0)
+    for j, kj in enumerate(rest):
+        joined = rest[:j] + (k + kj - 1,) + rest[j + 1:]
+        acc += Fraction(dfact(2 * (k + kj) - 1), dfact(2 * kj - 1)) * reference(genus, joined)
+    half = Fraction(1, 2)
+    for a in range(k - 1):
+        b = k - 2 - a
+        weight = dfact(2 * a + 1) * dfact(2 * b + 1)
+        acc += half * weight * reference(genus - 1, rest + (a, b))
+        for g1 in range(genus + 1):
+            for mask in range(1 << m):
+                left = tuple(rest[i] for i in range(m) if mask >> i & 1)
+                right = tuple(rest[i] for i in range(m) if not mask >> i & 1)
+                acc += half * weight * reference(g1, (a,) + left) * reference(genus - g1, (b,) + right)
+    return acc / dfact(2 * k + 1)
+
+
+def in_dimension_keys(max_genus, max_points):
+    for genus in range(max_genus + 1):
+        for n in range(1, max_points + 1):
+            total = 3 * genus - 3 + n
+            if total < 0:
+                continue
+            for exps in itertools.combinations_with_replacement(range(total + 1), n):
+                if sum(exps) == total:
+                    yield genus, exps
+
+
+def _bside_g6_kappa_keys():
+    """The memo that the bamboo-side pairings of the 19 genus-6 classes of
+    kappa degree <= 2 (the bside-g6-kappa benchmark workload) leave behind."""
+    classes = [
+        c.monomial
+        for c in enumerate_omegas(6, include_kappa=True)
+        if kappa_degree(c.monomial.kappa) <= 2
+    ]
+    assert len(classes) == 19
+    clear_memo()
+    for omega in classes:
+        pair_bamboo_side(6, omega)
+    return memo_snapshot()
+
+
+class TestReferenceRecursion:
+    def test_every_small_key(self):
+        clear_memo()
+        _reference_memo.clear()
+        keys = list(in_dimension_keys(max_genus=4, max_points=6))
+        assert len(keys) > 300
+        for key in keys:
+            assert correlator(*key) == reference(*key), key
+        assert memo_snapshot() == _reference_memo
+
+    def test_bside_g6_kappa_keys(self):
+        reached = _bside_g6_kappa_keys()
+        assert len(reached) == 224
+        _reference_memo.clear()
+        assert {key: reference(*key) for key in reached} == reached
+        assert _reference_memo == reached
+
+
+def test_recursion_work_is_bounded(monkeypatch):
+    # <tau_3^3 tau_2^9>_6 from an empty memo: an unreduced split term (every
+    # genus times every subset, as in `reference`) makes 599,113 calls; with
+    # g1 fixed by dimension and sub-multiset sharings it takes about 5,000.
+    asked = []
+    real = correlators.correlator
+
+    def counting(genus, exponents):
+        exponents = tuple(exponents)
+        asked.append((genus, exponents))
+        return real(genus, exponents)
+
+    monkeypatch.setattr(correlators, "correlator", counting)
+    clear_memo()
+    assert correlators.correlator(6, (3, 3, 3) + (2,) * 9) == Fraction(12330710541947, 4608)
+    assert len(asked) < 20_000
+    # no dead split: every key the recursion asks for is inside the dimension
+    out_of_dimension = [(g, ks) for g, ks in asked if sum(ks) != 3 * g - 3 + len(ks)]
+    assert out_of_dimension == []
+
+
+def _odd_double_factorial_by_factorials(m):
+    # (2n-1)!! = (2n)! / (2^n n!), with (-1)!! = 1
+    n = (m + 1) // 2
+    return factorial(2 * n) // (2**n * factorial(n))
+
+
+@given(key=valid_key(max_genus=4))
+def test_virasoro_at_every_insertion(key):
+    # (2k+1)!! <tau_k X>_g = sum_j (2k+2k_j-1)!!/(2k_j-1)!! <tau_{k+k_j-1} X\j>_g
+    #   + 1/2 sum_{a+b=k-2} (2a+1)!!(2b+1)!! (<tau_a tau_b X>_{g-1}
+    #       + sum_{g1+g2=g, I+J=X} <tau_a I>_{g1} <tau_b J>_{g2})
+    # for every insertion tau_k with k >= 2, not only the largest.
+    genus, exps = key
+    dfact = _odd_double_factorial_by_factorials
+    for i, k in enumerate(exps):
+        if k < 2:
+            continue
+        others = exps[:i] + exps[i + 1:]
+        m = len(others)
+        joining = sum(
+            Fraction(dfact(2 * (k + kj) - 1), dfact(2 * kj - 1))
+            * correlator(genus, others[:j] + [k + kj - 1] + others[j + 1:])
+            for j, kj in enumerate(others)
+        )
+        splitting = Fraction(0)
+        for a in range(k - 1):
+            b = k - 2 - a
+            term = correlator(genus - 1, others + [a, b]) if genus >= 1 else Fraction(0)
+            for size in range(m + 1):
+                for chosen in itertools.combinations(range(m), size):
+                    left = [a] + [others[t] for t in chosen]
+                    right = [b] + [others[t] for t in range(m) if t not in chosen]
+                    for g1 in range(genus + 1):
+                        term += correlator(g1, left) * correlator(genus - g1, right)
+            splitting += dfact(2 * a + 1) * dfact(2 * b + 1) * term
+        assert dfact(2 * k + 1) * correlator(genus, exps) == joining + splitting / 2, (i, k)
 
 
 # -- persistent cache -------------------------------------------------------
