@@ -4,17 +4,18 @@ classes, compare exactly, and emit JSON or CSV reports.
 Subcommands:
     verify  --genus G [--kappa] [--boundary] [--cache PATH]
             [--out PATH --format json|csv]
-    bside   --genus G --omega SPEC     one bamboo-side pairing
-    drside  --genus G --omega SPEC     one divisor-side pairing
-    witten  --genus G --exps K1,K2,... one psi correlator
+    bside   --genus G --omega SPEC [--cache PATH]     one bamboo-side pairing
+    drside  --genus G --omega SPEC                    one divisor-side pairing
+    witten  --genus G --exps K1,K2,... [--cache PATH] one psi correlator
     hodge   --genus G --exps K1,K2,... one capped psi integral
     bamboos --genus G                  list the signed bamboo terms
 
 The omega grammar is whitespace-separated ``psi1^a psi2^b kappa1^c ...``
 (exponent 1 omissible, ``1`` for the unit). Every subcommand rejects a
 genus above MAX_GENUS, and witten/hodge an exponent list longer than
-MAX_POINTS, with exit code 2. Correlator caching uses
---cache, else $GDR_CACHE, else ``.gdr_cache`` in the working directory.
+MAX_POINTS, with exit code 2. The subcommands that evaluate correlators
+(verify, bside, witten) cache them in --cache, else $GDR_CACHE, else
+``.gdr_cache`` in the working directory.
 """
 from __future__ import annotations
 
@@ -281,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--genus", type=int, required=True)
         p.add_argument("--omega", required=True)
-        p.add_argument("--cache", default=None)
+        if name == "bside":
+            p.add_argument("--cache", default=None)
 
     p_witten = sub.add_parser("witten", help="one psi correlator")
     p_witten.add_argument("--genus", type=int, required=True)
@@ -323,14 +325,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(format_rational(value))
         return 0
 
-    cache_path = resolve_cache_path(args.cache)
-
     if args.command == "witten":
         try:
             exps = _parse_exps(args.exps)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        cache_path = resolve_cache_path(args.cache)
         _load_cache_tolerant(cache_path)
         try:
             value = correlator(args.genus, exps)
@@ -349,6 +350,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
         try:
             if args.command == "bside":
+                cache_path = resolve_cache_path(args.cache)
                 _load_cache_tolerant(cache_path)
                 value = pair_bamboo_side(args.genus, omega)
                 _store_cache_tolerant(cache_path)
@@ -361,6 +363,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     # verify
+    cache_path = resolve_cache_path(args.cache)
     _load_cache_tolerant(cache_path)
     try:
         report = verify(args.genus, include_kappa=args.kappa, include_boundary=args.boundary)

@@ -20,8 +20,28 @@ of (1/g!) D^g is a sum over chains of a product of local factors:
     (1/2)^a/a! psi_1^a * (1/2)^b/b! psi_2^b
         * prod_{nodes h} -(1/2)^m/m! C(m-1, i) delta_h psi'^i psi''^(m-1-i),
 
-with m >= 1 at every node. :func:`_pair` evaluates the pairing as a
-dynamic program along the chain built from these factors.
+with m >= 1 at every node. :func:`_pair` evaluates the pairing against a
+decorated chain omega from these factors. Every node of omega is a node
+of each refined chain, so D refines each vertex ("run") of omega on its
+own, and the pairing is glued from one vector per run:
+
+- :func:`_run` sums, over every way D splits a run into vertices and
+  shares out its kappa, the capped vertex integrals times the weights of
+  D's nodes inside the run. It depends on the run alone (genus, incoming
+  psi power, kappa, omega's psi power on its right leg) and returns
+  {i: weight}, i being D's part of the psi power on the run's outgoing
+  leg.
+- :func:`_transfer` is the node of D after a vertex with outgoing power
+  i: the weights -(1/2)^m/m! C(m-1, i) times the vector of the rest of
+  the run, summed over the power entering the next vertex.
+- At a node of omega, delta_h (-delta_h)^m = delta_h (psi' + psi'')^m
+  gives the weights (1/2)^m/m! C(m, i) (:func:`_node`) that glue
+  neighbouring runs. Marking 1 opens the first run with the psi_1
+  weights (:func:`_open`) and marking 2 closes the last with the psi_2
+  weights (:func:`_close`).
+
+These are memoized for the whole process, so every class of a `verify`
+run reuses the runs that earlier classes computed.
 
 :func:`expand_divisor_power` expands D^g explicitly in the tree strata
 algebra instead: psi_1 and psi_2 decorate the outer legs; delta_h either
@@ -36,7 +56,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from math import comb, factorial
 from typing import List, Tuple, Union
 
@@ -150,79 +169,131 @@ def evaluate_chain(chain: DecoratedChain) -> Fraction:
     return value
 
 
+Vector = tuple  # tuple[tuple[int, Fraction], ...]: sorted (i, weight), no zero weight
+
+
 @lru_cache(maxsize=None)
 def _vertex(genus: int, left: int, right: int, kappa: KappaMap) -> Fraction:
     """Capped two-leg vertex integral, memoized for the whole process."""
     return integrate(psi_lambda_g_integral, genus, (left, right), kappa)
 
 
+@lru_cache(maxsize=None)
 def _half_power(m: int) -> Fraction:
     """(1/2)^m / m!, the weight of a power of one half-weighted divisor term."""
     return Fraction(1, 2 ** m * factorial(m))
 
 
+@lru_cache(maxsize=None)
+def _splits(kappa: KappaMap) -> tuple:
+    """The ways to split a kappa map between a vertex and the rest of its
+    run, as (multiplicity, share, rest, degree of share)."""
+    return tuple(
+        (mult, share, rest, kappa_degree(share)) for mult, (share, rest) in kappa_distributions(kappa, 2)
+    )
+
+
+def _combine(terms) -> Vector:
+    """The vector sum of weight * vector over (weight, vector) pairs."""
+    out: dict = {}
+    for weight, vector in terms:
+        for i, w in vector:
+            out[i] = out.get(i, 0) + weight * w
+    return tuple((i, w) for i, w in sorted(out.items()) if w)
+
+
+@lru_cache(maxsize=None)
+def _run(genus: int, incoming: int, kappa: KappaMap, right_psi: int) -> Vector:
+    """One run of omega, refined by D in every way, as the vector of (i, weight).
+
+    The run has genus `genus`, psi power `incoming` on the left leg of its
+    first vertex, the kappa decoration `kappa` and omega's psi power
+    `right_psi` on the right leg of its last vertex. The weight sums, over
+    the ways D splits the run into vertices and shares out its kappa, the
+    capped vertex integrals times the weights of D's nodes inside the run;
+    i is D's part of the psi power on the run's outgoing leg.
+    """
+    terms = []
+    for first in range(1, genus + 1):
+        closes_run = first == genus
+        for mult, share, rest, share_degree in _splits(kappa):
+            if closes_run and rest:
+                continue
+            # the cap's support fixes the outgoing leg power; i is D's part of it
+            outgoing = 2 * first - 1 - incoming - share_degree
+            i = outgoing - right_psi if closes_run else outgoing
+            if i < 0:
+                continue
+            value = mult * _vertex(first, incoming, outgoing, share)
+            if not value:
+                continue
+            # the run ends at this vertex, or a node of D follows it
+            after = ((i, 1),) if closes_run else _transfer(i, genus - first, rest, right_psi)
+            terms.append((value, after))
+    return _combine(terms)
+
+
+@lru_cache(maxsize=None)
+def _transfer(i: int, genus: int, kappa: KappaMap, right_psi: int) -> Vector:
+    """A node of D inside a run, with psi'^i on its left branch, glued to
+    the rest of the run: the node weights -(1/2)^m/m! C(m-1, i) psi''^(m-1-i)
+    times the vector of the rest."""
+    return _combine(
+        (-_half_power(i + 1 + nxt) * comb(i + nxt, i), _run(genus, nxt, kappa, right_psi))
+        for nxt in range(2 * genus)
+    )
+
+
+@lru_cache(maxsize=None)
+def _node(i: int, nxt: int) -> Fraction:
+    """Weight (1/2)^m/m! C(m, i) of psi'^i psi''^(m-i), m = i + nxt, at a
+    node of omega, since delta_h (-delta_h)^m = delta_h (psi' + psi'')^m."""
+    return _half_power(i + nxt) * comb(i + nxt, i)
+
+
+@lru_cache(maxsize=None)
+def _open(genus: int, left_psi: int, kappa: KappaMap, right_psi: int) -> Vector:
+    """omega's first run with D's psi_1^a, weight (1/2)^a/a!, on marking 1."""
+    return _combine((_half_power(a), _run(genus, a + left_psi, kappa, right_psi)) for a in range(2 * genus))
+
+
+@lru_cache(maxsize=None)
+def _close(genus: int, incoming: int, kappa: KappaMap, right_psi: int) -> Fraction:
+    """omega's last run with D's psi_2^i, weight (1/2)^i/i!, on marking 2."""
+    return sum((_half_power(i) * w for i, w in _run(genus, incoming, kappa, right_psi)), Fraction(0))
+
+
 def _pair(omega: DecoratedChain) -> Fraction:
-    """(1/g!) int D^g * omega as a dynamic program along the chain.
+    """(1/g!) int D^g * omega, glued from per-run vectors.
 
     The product formula in the module docstring makes every term a
-    product of per-vertex and per-node factors, so the refined chain is
-    built left to right. The state is (run j of omega, cumulative genus,
-    psi power on the incoming leg, kappa of run j still to place); each
-    step picks the next vertex's genus and kappa share. The cap fixes
-    that vertex's outgoing leg power, which is then split by weight at
-    the node after it: a node of D, a node of omega, or marking 2.
+    product of per-vertex and per-node factors. D refines each run
+    (vertex) of omega independently, so each run contributes the vector
+    :func:`_run`, which depends on the run alone and is shared by every
+    class of the process. The runs are glued at omega's nodes with
+    :func:`_node`; the first run is opened with D's psi_1 weights and
+    the last closed with its psi_2 weights.
     """
     g = omega.genus
     if omega.codim + omega.decoration_degree != g - 1:
         # D^g pairs to 0 with it; the program never counts powers of D,
         # since the cap's support fixes their total at g for this codim only
         return Fraction(0)
-    runs = omega.vertices
-    ends = list(accumulate(v.genus for v in runs))
-
-    @lru_cache(maxsize=None)
-    def tail(j: int, start: int, left: int, kappa: KappaMap) -> Fraction:
-        """Sum over the chain right of cumulative genus `start`, inside run j."""
-        run, end = runs[j], ends[j]
-        splits = list(kappa_distributions(kappa, 2))
-        total = Fraction(0)
-        for genus in range(1, end - start + 1):
-            closes_run = start + genus == end
-            for mult, (share, rest) in splits:
-                if closes_run and rest:
-                    continue
-                # the cap's support fixes the outgoing leg power; i is D's part of it
-                outgoing = 2 * genus - 1 - left - kappa_degree(share)
-                i = outgoing - run.right_psi if closes_run else outgoing
-                if i < 0:
-                    continue
-                value = mult * _vertex(genus, left, outgoing, share)
-                if not value:
-                    continue
-                if not closes_run:
-                    # node of D: -(1/2)^m/m! C(m-1, i) psi'^i psi''^(m-1-i)
-                    after = start + genus
-                    value *= sum(
-                        -_half_power(i + 1 + nxt) * comb(i + nxt, i) * tail(j, after, nxt, rest)
-                        for nxt in range(2 * (end - after))
-                    )
-                elif j + 1 < len(runs):
-                    # node of omega: (1/2)^m/m! C(m, i) psi'^i psi''^(m-i)
-                    following = runs[j + 1]
-                    value *= sum(
-                        _half_power(i + nxt) * comb(i + nxt, i)
-                        * tail(j + 1, end, nxt + following.left_psi, following.kappa)
-                        for nxt in range(2 * following.genus)
-                    )
-                else:
-                    value *= _half_power(i)  # psi_2 of D
-                total += value
-        return total
-
-    first = runs[0]
+    first, *rest = omega.vertices
+    ends = _open(first.genus, first.left_psi, first.kappa, first.right_psi)
+    if not rest:
+        return omega.coefficient * sum(w * _half_power(i) for i, w in ends)
+    *middle, last = rest
+    for run in middle:
+        ends = _combine(
+            (w * _node(i, nxt), _run(run.genus, nxt + run.left_psi, run.kappa, run.right_psi))
+            for i, w in ends
+            for nxt in range(2 * run.genus)
+        )
     total = sum(
-        _half_power(a) * tail(0, 0, a + first.left_psi, first.kappa)
-        for a in range(2 * first.genus)
+        w * _node(i, nxt) * _close(last.genus, nxt + last.left_psi, last.kappa, last.right_psi)
+        for i, w in ends
+        for nxt in range(2 * last.genus)
     )
     return omega.coefficient * total
 

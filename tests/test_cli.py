@@ -141,6 +141,15 @@ class TestMain:
         assert main(["drside", "--genus", "2", "--omega", "psi1"]) == 0
         assert capsys.readouterr().out.strip() == "1/1152"
 
+    def test_drside_takes_no_cache(self, capsys, tmp_path):
+        # the divisor side evaluates no correlator, so there is nothing to cache
+        cache = tmp_path / "c"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["drside", "--genus", "2", "--omega", "psi1", "--cache", str(cache)])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --cache" in capsys.readouterr().err
+        assert not cache.exists()
+
     def test_omega_exponent_shorthand(self, capsys, tmp_path):
         assert main(["drside", "--genus", "3", "--omega", "kappa1^2"]) == 0
         assert capsys.readouterr().out.strip() == "1/630"

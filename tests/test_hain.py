@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gdr.bamboo import pair_bamboo_boundary, pair_bamboo_side
 from gdr.cli import enumerate_omegas
+from gdr import hain
 from gdr.core import ChainVertex, DecoratedChain, PsiKappaMonomial, kappa_distributions, kappa_map
 from gdr.hain import (
     _pair,
@@ -414,3 +415,42 @@ class TestBoundaryPairing:
         for omega in classes:
             left, right = omega.vertices
             assert pair_dr_boundary(omega) == side(left.genus, left) * side(right.genus, right)
+
+
+def clear_hain_memos():
+    """Empty every process-wide memo of the divisor side."""
+    memos = [f for f in vars(hain).values() if hasattr(f, "cache_clear")]
+    assert hain._run in memos and hain._transfer in memos
+    for memo in memos:
+        memo.cache_clear()
+
+
+def divisor_values(g, classes):
+    return [test_class.dr_value(g) for test_class in classes]
+
+
+class TestSharedMemos:
+    def test_sharing_cannot_change_a_value(self):
+        # the per-run memos are shared by every class of the process, so a
+        # key that missed part of what a run depends on would let one class
+        # see another's run: the order of the classes, and whether any class
+        # ran before, must not matter
+        classes = enumerate_omegas(5, include_kappa=True, include_boundary=True)
+        clear_hain_memos()
+        forward = divisor_values(5, classes)
+        clear_hain_memos()
+        backward = divisor_values(5, classes[::-1])[::-1]
+        isolated = []
+        for test_class in classes:
+            clear_hain_memos()
+            isolated.append(test_class.dr_value(5))
+        assert len(classes) == 306
+        assert forward == backward == isolated
+
+    def test_run_vectors_are_bounded(self):
+        # a run's vector depends on the run alone; a key that also carried
+        # omega's following runs (as the memo before per-run vectors did)
+        # fills 15,097 entries here, against 2,015
+        clear_hain_memos()
+        divisor_values(6, enumerate_omegas(6, include_kappa=True, include_boundary=True))
+        assert hain._run.cache_info().currsize <= 5000
