@@ -29,16 +29,9 @@ from .correlators import (
     load_cache_into_memo,
     store_cache,
 )
-from .hain import (
-    evaluate_chain,
-    expand_divisor_power,
-    hain_divisor_terms,
-    multiply_by_divisor,
-    pair_dr_boundary,
-    pair_dr_side,
-)
+from .hain import pair_dr_boundary, pair_dr_side
 from .hodge import bernoulli, lambda_g_constant, psi_lambda_g_integral
-from .kappa import iterated_pushforward, kappa_to_psi
+from .kappa import kappa_to_psi
 
 __version__ = "0.1.0"
 
@@ -56,17 +49,12 @@ __all__ = [
     "correlator",
     "enumerate_bamboos",
     "enumerate_omegas",
-    "evaluate_chain",
-    "expand_divisor_power",
     "format_rational",
-    "hain_divisor_terms",
-    "iterated_pushforward",
     "kappa_map",
     "kappa_to_psi",
     "lambda_g_constant",
     "load_cache",
     "load_cache_into_memo",
-    "multiply_by_divisor",
     "pair_bamboo_boundary",
     "pair_bamboo_side",
     "pair_dr_boundary",

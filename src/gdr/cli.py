@@ -28,6 +28,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import List, Optional
 
 from .bamboo import enumerate_bamboos, pair_bamboo_boundary, pair_bamboo_side
@@ -305,74 +306,43 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.genus > MAX_GENUS:
         print(f"error: genus {args.genus} exceeds the maximum {MAX_GENUS}", file=sys.stderr)
         return 2
-
-    if args.command == "bamboos":
-        try:
-            bamboos = enumerate_bamboos(args.genus)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        for bamboo in bamboos:
-            print(bamboo)
-        return 0
-
-    if args.command == "hodge":
-        try:
-            value = psi_lambda_g_integral(args.genus, _parse_exps(args.exps))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(format_rational(value))
-        return 0
-
-    if args.command == "witten":
-        try:
-            exps = _parse_exps(args.exps)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        cache_path = resolve_cache_path(args.cache)
-        _load_cache_tolerant(cache_path)
-        try:
-            value = correlator(args.genus, exps)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        _store_cache_tolerant(cache_path)
-        print(format_rational(value))
-        return 0
-
-    if args.command in ("bside", "drside"):
-        try:
-            omega = PsiKappaMonomial.parse(args.omega)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        try:
-            if args.command == "bside":
-                cache_path = resolve_cache_path(args.cache)
-                _load_cache_tolerant(cache_path)
-                value = pair_bamboo_side(args.genus, omega)
-                _store_cache_tolerant(cache_path)
-            else:
-                value = pair_dr_side(args.genus, omega)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(format_rational(value))
-        return 0
-
-    # verify
-    cache_path = resolve_cache_path(args.cache)
-    _load_cache_tolerant(cache_path)
     try:
-        report = verify(args.genus, include_kappa=args.kappa, include_boundary=args.boundary)
+        return _run_command(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _store_cache_tolerant(cache_path)
 
-    rendered = report_to_json(report) if args.format == "json" else report_to_csv(report)
+
+def _run_command(args: argparse.Namespace) -> int:
+    """Run one subcommand; a ValueError means bad input and reaches main."""
+    if args.command == "bamboos":
+        for bamboo in enumerate_bamboos(args.genus):
+            print(bamboo)
+        return 0
+    if args.command == "hodge":
+        print(format_rational(psi_lambda_g_integral(args.genus, _parse_exps(args.exps))))
+        return 0
+    if args.command == "drside":
+        print(format_rational(pair_dr_side(args.genus, PsiKappaMonomial.parse(args.omega))))
+        return 0
+
+    # witten, bside and verify evaluate correlators: parse the input before
+    # the cache is loaded, and store the cache only after a result
+    if args.command == "witten":
+        compute = partial(correlator, args.genus, _parse_exps(args.exps))
+    elif args.command == "bside":
+        compute = partial(pair_bamboo_side, args.genus, PsiKappaMonomial.parse(args.omega))
+    else:
+        compute = partial(verify, args.genus, include_kappa=args.kappa, include_boundary=args.boundary)
+    cache_path = resolve_cache_path(args.cache)
+    _load_cache_tolerant(cache_path)
+    result = compute()
+    _store_cache_tolerant(cache_path)
+    if args.command != "verify":
+        print(format_rational(result))
+        return 0
+
+    rendered = report_to_json(result) if args.format == "json" else report_to_csv(result)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(rendered)
@@ -381,8 +351,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         print(rendered)
     print(
-        f"{'PASS' if report.passed else 'FAIL'}: {report.equal_count}/{report.total} "
-        f"test classes equal at genus {report.genus}",
+        f"{'PASS' if result.passed else 'FAIL'}: {result.equal_count}/{result.total} "
+        f"test classes equal at genus {result.genus}",
         file=sys.stderr,
     )
-    return 0 if report.passed else 1
+    return 0 if result.passed else 1

@@ -23,7 +23,13 @@ of (1/g!) D^g is a sum over chains of a product of local factors:
 with m >= 1 at every node. :func:`_pair` evaluates the pairing against a
 decorated chain omega from these factors. Every node of omega is a node
 of each refined chain, so D refines each vertex ("run") of omega on its
-own, and the pairing is glued from one vector per run:
+own. At a node of omega, delta_h (-delta_h)^m = delta_h (psi' + psi'')^m
+gives psi'^i psi''^j the weight
+
+    (1/2)^m/m! C(m, i) = (1/2)^i/i! * (1/2)^j/j!,    m = i + j,
+
+the weights of D's psi_2^i and psi_1^j on the markings: D restricted to
+delta_h is D_left + D_right. So the pairing is a product over the runs:
 
 - :func:`_run` sums, over every way D splits a run into vertices and
   shares out its kappa, the capped vertex integrals times the weights of
@@ -34,11 +40,9 @@ own, and the pairing is glued from one vector per run:
 - :func:`_transfer` is the node of D after a vertex with outgoing power
   i: the weights -(1/2)^m/m! C(m-1, i) times the vector of the rest of
   the run, summed over the power entering the next vertex.
-- At a node of omega, delta_h (-delta_h)^m = delta_h (psi' + psi'')^m
-  gives the weights (1/2)^m/m! C(m, i) (:func:`_node`) that glue
-  neighbouring runs. Marking 1 opens the first run with the psi_1
-  weights (:func:`_open`) and marking 2 closes the last with the psi_2
-  weights (:func:`_close`).
+- :func:`_capped_run` sums a run's vectors against the weights
+  (1/2)^a/a! of D's psi power a on its left leg and (1/2)^i/i! of i on
+  its right leg, whether the leg is a marking or a node of omega.
 
 These are memoized for the whole process, so every class of a `verify`
 run reuses the runs that earlier classes computed.
@@ -245,57 +249,42 @@ def _transfer(i: int, genus: int, kappa: KappaMap, right_psi: int) -> Vector:
 
 
 @lru_cache(maxsize=None)
-def _node(i: int, nxt: int) -> Fraction:
-    """Weight (1/2)^m/m! C(m, i) of psi'^i psi''^(m-i), m = i + nxt, at a
-    node of omega, since delta_h (-delta_h)^m = delta_h (psi' + psi'')^m."""
-    return _half_power(i + nxt) * comb(i + nxt, i)
-
-
-@lru_cache(maxsize=None)
-def _open(genus: int, left_psi: int, kappa: KappaMap, right_psi: int) -> Vector:
-    """omega's first run with D's psi_1^a, weight (1/2)^a/a!, on marking 1."""
-    return _combine((_half_power(a), _run(genus, a + left_psi, kappa, right_psi)) for a in range(2 * genus))
-
-
-@lru_cache(maxsize=None)
-def _close(genus: int, incoming: int, kappa: KappaMap, right_psi: int) -> Fraction:
-    """omega's last run with D's psi_2^i, weight (1/2)^i/i!, on marking 2."""
-    return sum((_half_power(i) * w for i, w in _run(genus, incoming, kappa, right_psi)), Fraction(0))
+def _capped_run(genus: int, left_psi: int, kappa: KappaMap, right_psi: int) -> Fraction:
+    """One vertex of omega, refined by D in every way, with D's psi powers
+    on both of its outer legs summed out: the weights (1/2)^a/a! of
+    psi^a on the left leg and (1/2)^i/i! of psi^i on the right leg times
+    the vector of :func:`_run`."""
+    return sum(
+        (
+            _half_power(a) * _half_power(i) * w
+            for a in range(2 * genus)
+            for i, w in _run(genus, a + left_psi, kappa, right_psi)
+        ),
+        Fraction(0),
+    )
 
 
 def _pair(omega: DecoratedChain) -> Fraction:
-    """(1/g!) int D^g * omega, glued from per-run vectors.
+    """(1/g!) int D^g * omega, a product of one factor per vertex of omega.
 
-    The product formula in the module docstring makes every term a
-    product of per-vertex and per-node factors. D refines each run
-    (vertex) of omega independently, so each run contributes the vector
-    :func:`_run`, which depends on the run alone and is shared by every
-    class of the process. The runs are glued at omega's nodes with
-    :func:`_node`; the first run is opened with D's psi_1 weights and
-    the last closed with its psi_2 weights.
+    Every node of omega is a node of each refined chain, so D refines each
+    vertex (run) of omega on its own. At a node of omega the weight of
+    psi'^i psi''^j is (1/2)^m/m! C(m, i) = (1/2)^i/i! * (1/2)^j/j!,
+    m = i + j, the same weights as D's psi_2 and psi_1 on the markings:
+    D restricted to delta_h is D_left + D_right. So no state crosses
+    omega's nodes, and each vertex contributes :func:`_capped_run`, which
+    depends on the vertex alone and is shared by every class of the
+    process.
     """
     g = omega.genus
     if omega.codim + omega.decoration_degree != g - 1:
         # D^g pairs to 0 with it; the program never counts powers of D,
         # since the cap's support fixes their total at g for this codim only
         return Fraction(0)
-    first, *rest = omega.vertices
-    ends = _open(first.genus, first.left_psi, first.kappa, first.right_psi)
-    if not rest:
-        return omega.coefficient * sum(w * _half_power(i) for i, w in ends)
-    *middle, last = rest
-    for run in middle:
-        ends = _combine(
-            (w * _node(i, nxt), _run(run.genus, nxt + run.left_psi, run.kappa, run.right_psi))
-            for i, w in ends
-            for nxt in range(2 * run.genus)
-        )
-    total = sum(
-        w * _node(i, nxt) * _close(last.genus, nxt + last.left_psi, last.kappa, last.right_psi)
-        for i, w in ends
-        for nxt in range(2 * last.genus)
-    )
-    return omega.coefficient * total
+    value = omega.coefficient
+    for v in omega.vertices:
+        value *= _capped_run(v.genus, v.left_psi, v.kappa, v.right_psi)
+    return value
 
 
 def pair_dr_side(g: int, omega: PsiKappaMonomial) -> Fraction:
@@ -310,8 +299,9 @@ def pair_dr_side(g: int, omega: PsiKappaMonomial) -> Fraction:
 
 def pair_dr_boundary(omega: DecoratedChain) -> Fraction:
     """Pair against a decorated two-vertex boundary class, the two-vertex
-    case of :func:`_pair`: omega's node carries the weights
-    (1/2)^m/m! C(m, i), since delta_h (-delta_h)^m = delta_h (psi' + psi'')^m."""
+    case of :func:`_pair`: the product of the two vertices' factors, since
+    omega's node weights (1/2)^m/m! C(m, i) = (1/2)^i/i! (1/2)^(m-i)/(m-i)!
+    make D restricted to delta_h equal to D_left + D_right."""
     if len(omega.vertices) != 2:
         raise ValueError("boundary test class must have exactly 2 vertices")
     return _pair(omega)

@@ -25,7 +25,8 @@ from gdr.correlators import (
 )
 from gdr.hain import hain_divisor_terms, multiply_by_divisor
 from gdr.hodge import lambda_g_constant, psi_lambda_g_integral
-from gdr.kappa import iterated_pushforward, kappa_to_psi
+from gdr.kappa import kappa_to_psi
+from kappa_oracle import iterated_pushforward
 
 
 def _passed(number: int, message: str) -> None:

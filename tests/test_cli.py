@@ -179,6 +179,8 @@ class TestMain:
         code = main(["bside", "--genus", "2", "--omega", "psi1^3", "--cache", str(tmp_path / "c")])
         assert code == 2
         assert "codim" in capsys.readouterr().err
+        # the cache is stored only after a result
+        assert not (tmp_path / "c").exists()
 
     def test_invalid_inputs_are_errors_not_tracebacks(self, capsys, monkeypatch, tmp_path):
         assert main(["bamboos", "--genus", "0"]) == 2

@@ -362,6 +362,10 @@ class TestDynamicProgram:
     @example(omega=DecoratedChain((ChainVertex(4, 1, 0, kappa_map({1: 1, 2: 1})),), Fraction(-2)))
     @example(omega=DecoratedChain((ChainVertex(1, 1, 0), ChainVertex(1, 0, 1), ChainVertex(1)), Fraction(5)))
     @example(omega=DecoratedChain((ChainVertex(1), ChainVertex(2, 1, 0)), Fraction(2)))
+    # an inner run with psi on its node leg and a kappa: 1/1105920
+    @example(omega=DecoratedChain((ChainVertex(1), ChainVertex(3, 1, 0, kappa_map({1: 1})), ChainVertex(1)), Fraction(3)))
+    # each run off its own degree, the total balanced: 0
+    @example(omega=DecoratedChain((ChainVertex(1, 1, 0), ChainVertex(2), ChainVertex(1))))
     def test_matches_enumeration(self, omega):
         assert _pair(omega) == enumerated_pairing(omega)
 
@@ -399,11 +403,13 @@ class TestBoundaryPairing:
 
     @pytest.mark.parametrize("g,count", [(3, 12), (4, 69)])
     def test_factorizes_into_monomial_pairings(self, g, count):
-        # independent oracle for the divisor-side attach: D restricted to
-        # delta_h is D_left + D_right, so the pairing against
-        # delta_h[a | b] is pair(h, a) * pair(g - h, b), with the node
-        # branches playing the missing markings. A side whose decoration
-        # has the wrong codimension contributes 0.
+        # D restricted to delta_h is D_left + D_right, so the pairing
+        # against delta_h[a | b] is pair(h, a) * pair(g - h, b), with the
+        # node branches playing the missing markings. _pair is built on this
+        # product, so it is not an independent check here: the D^g
+        # enumeration in test_matches_enumeration is. This pins the
+        # two-vertex API on the classes `verify` enumerates. A side whose
+        # decoration has the wrong codimension contributes 0.
         def side(genus, vertex):
             monomial = PsiKappaMonomial(vertex.left_psi, vertex.right_psi, vertex.kappa)
             return pair_dr_side(genus, monomial) if monomial.codim == genus - 1 else 0

@@ -7,7 +7,8 @@ import pytest
 from gdr.correlators import correlator
 from gdr.core import kappa_degree, kappa_map
 from gdr.hodge import psi_lambda_g_integral
-from gdr.kappa import integrate, iterated_pushforward, kappa_to_psi, set_partitions
+from gdr.kappa import integrate, kappa_to_psi, set_partitions
+from kappa_oracle import iterated_pushforward
 
 
 class TestSetPartitions:
