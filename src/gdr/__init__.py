@@ -21,14 +21,7 @@ from .core import (
     kappa_map,
     parse_rational,
 )
-from .correlators import (
-    CacheError,
-    clear_memo,
-    correlator,
-    load_cache,
-    load_cache_into_memo,
-    store_cache,
-)
+from .correlators import clear_memo, correlator
 from .hain import pair_dr_boundary, pair_dr_side
 from .hodge import bernoulli, lambda_g_constant, psi_lambda_g_integral
 from .kappa import kappa_to_psi
@@ -37,7 +30,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bamboo",
-    "CacheError",
     "ChainVertex",
     "DecoratedChain",
     "KappaMap",
@@ -53,15 +45,12 @@ __all__ = [
     "kappa_map",
     "kappa_to_psi",
     "lambda_g_constant",
-    "load_cache",
-    "load_cache_into_memo",
     "pair_bamboo_boundary",
     "pair_bamboo_side",
     "pair_dr_boundary",
     "pair_dr_side",
     "parse_rational",
     "psi_lambda_g_integral",
-    "store_cache",
     "verify",
     "vertex_integral",
 ]

@@ -30,6 +30,12 @@ program along the chain over (cumulative genus, kappa still to place):
 each step picks the next vertex's genus and kappa share, checks the
 reduced prefix bound, evaluates the vertex, and multiplies by -1 for the
 node after it. :func:`enumerate_bamboos` lists the terms explicitly.
+
+:func:`vertex_integral` and :func:`_pair` are memoized for the whole
+process, as the divisor side's vertex factors are: every class of a
+`verify` run reuses the vertex integrals that earlier classes evaluated,
+and a boundary class reuses the lower-genus pairings of its two sides.
+The chain program inside one :func:`_pair` call has its own memo.
 """
 from __future__ import annotations
 
@@ -92,6 +98,7 @@ def _prefix_constrained(genera: tuple, d_total: int) -> Iterator[tuple]:
         yield from rec(0, 0, 0, ())
 
 
+@lru_cache(maxsize=None)
 def vertex_integral(genus: int, left_psi: int, right_psi: int, kappa: KappaMap) -> Fraction:
     """int over the two-pointed genus-g space of psi_l^a psi_r^b * kappa."""
     if left_psi + right_psi + kappa_degree(kappa) != 3 * genus - 1:
@@ -99,6 +106,7 @@ def vertex_integral(genus: int, left_psi: int, right_psi: int, kappa: KappaMap) 
     return integrate(correlator, genus, (left_psi, right_psi), kappa)
 
 
+@lru_cache(maxsize=None)
 def _pair(g: int, omega: PsiKappaMonomial) -> Fraction:
     """int of the genus-g bamboo class times omega, as a dynamic program
     along the chain (see the module docstring); 0 unless omega has codim

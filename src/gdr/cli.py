@@ -2,20 +2,18 @@
 classes, compare exactly, and emit JSON or CSV reports.
 
 Subcommands:
-    verify  --genus G [--kappa] [--boundary] [--cache PATH]
-            [--out PATH --format json|csv]
-    bside   --genus G --omega SPEC [--cache PATH]     one bamboo-side pairing
-    drside  --genus G --omega SPEC                    one divisor-side pairing
-    witten  --genus G --exps K1,K2,... [--cache PATH] one psi correlator
-    hodge   --genus G --exps K1,K2,... one capped psi integral
-    bamboos --genus G                  list the signed bamboo terms
+    verify  --genus G [--kappa] [--boundary] [--out PATH --format json|csv]
+    bside   --genus G --omega SPEC         one bamboo-side pairing
+    drside  --genus G --omega SPEC         one divisor-side pairing
+    witten  --genus G --exps K1,K2,...     one psi correlator
+    hodge   --genus G --exps K1,K2,...     one capped psi integral
+    bamboos --genus G                      list the signed bamboo terms
 
 The omega grammar is whitespace-separated ``psi1^a psi2^b kappa1^c ...``
 (exponent 1 omissible, ``1`` for the unit). Every subcommand rejects a
 genus above MAX_GENUS, and witten/hodge an exponent list longer than
-MAX_POINTS, with exit code 2. The subcommands that evaluate correlators
-(verify, bside, witten) cache them in --cache, else $GDR_CACHE, else
-``.gdr_cache`` in the working directory.
+MAX_POINTS, with exit code 2. A call reads and writes no file other than
+verify's --out; its memos live only as long as the process.
 """
 from __future__ import annotations
 
@@ -23,21 +21,19 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cache
 from typing import List, Optional
 
 from .bamboo import enumerate_bamboos, pair_bamboo_boundary, pair_bamboo_side
 from .core import ChainVertex, DecoratedChain, PsiKappaMonomial, format_rational, kappa_map
-from .correlators import CacheError, correlator, load_cache_into_memo, store_cache
+from .correlators import correlator
 from .hain import pair_dr_boundary, pair_dr_side
 from .hodge import psi_lambda_g_integral
 
-DEFAULT_CACHE_FILENAME = ".gdr_cache"
 # Largest genus any subcommand accepts, checked before any work starts;
 # 10 is the largest genus the benchmark drives (witten one-points).
 MAX_GENUS = 10
@@ -229,31 +225,6 @@ def report_to_csv(report: VerificationReport) -> str:
     return buffer.getvalue()
 
 
-def resolve_cache_path(cli_value: Optional[str]) -> str:
-    if cli_value:
-        return cli_value
-    env_value = os.environ.get("GDR_CACHE")
-    if env_value:
-        return env_value
-    return DEFAULT_CACHE_FILENAME
-
-
-def _load_cache_tolerant(path: str) -> None:
-    if not os.path.exists(path):
-        return
-    try:
-        load_cache_into_memo(path)
-    except CacheError as exc:
-        print(f"warning: cache {path} rejected ({exc}); recomputing", file=sys.stderr)
-
-
-def _store_cache_tolerant(path: str) -> None:
-    try:
-        store_cache(path)
-    except OSError as exc:
-        print(f"warning: could not write cache {path}: {exc}", file=sys.stderr)
-
-
 def _parse_exps(text: str) -> tuple:
     parts = text.split(",")
     if len(parts) > MAX_POINTS:
@@ -264,7 +235,9 @@ def _parse_exps(text: str) -> tuple:
         raise ValueError(f"bad exponent list {text!r}: {exc}") from exc
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it."""
     parser = argparse.ArgumentParser(prog="gdr", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -272,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--genus", type=int, required=True)
     p_verify.add_argument("--kappa", action="store_true", help="include kappa-bearing monomials")
     p_verify.add_argument("--boundary", action="store_true", help="include two-vertex boundary classes")
-    p_verify.add_argument("--cache", default=None, help="correlator cache file")
     p_verify.add_argument("--out", default=None, help="write the report here instead of stdout")
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -283,13 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--genus", type=int, required=True)
         p.add_argument("--omega", required=True)
-        if name == "bside":
-            p.add_argument("--cache", default=None)
 
     p_witten = sub.add_parser("witten", help="one psi correlator")
     p_witten.add_argument("--genus", type=int, required=True)
     p_witten.add_argument("--exps", required=True)
-    p_witten.add_argument("--cache", default=None)
 
     p_hodge = sub.add_parser("hodge", help="one capped psi integral")
     p_hodge.add_argument("--genus", type=int, required=True)
@@ -322,26 +291,17 @@ def _run_command(args: argparse.Namespace) -> int:
     if args.command == "hodge":
         print(format_rational(psi_lambda_g_integral(args.genus, _parse_exps(args.exps))))
         return 0
+    if args.command == "witten":
+        print(format_rational(correlator(args.genus, _parse_exps(args.exps))))
+        return 0
+    if args.command == "bside":
+        print(format_rational(pair_bamboo_side(args.genus, PsiKappaMonomial.parse(args.omega))))
+        return 0
     if args.command == "drside":
         print(format_rational(pair_dr_side(args.genus, PsiKappaMonomial.parse(args.omega))))
         return 0
 
-    # witten, bside and verify evaluate correlators: parse the input before
-    # the cache is loaded, and store the cache only after a result
-    if args.command == "witten":
-        compute = partial(correlator, args.genus, _parse_exps(args.exps))
-    elif args.command == "bside":
-        compute = partial(pair_bamboo_side, args.genus, PsiKappaMonomial.parse(args.omega))
-    else:
-        compute = partial(verify, args.genus, include_kappa=args.kappa, include_boundary=args.boundary)
-    cache_path = resolve_cache_path(args.cache)
-    _load_cache_tolerant(cache_path)
-    result = compute()
-    _store_cache_tolerant(cache_path)
-    if args.command != "verify":
-        print(format_rational(result))
-        return 0
-
+    result = verify(args.genus, include_kappa=args.kappa, include_boundary=args.boundary)
     rendered = report_to_json(result) if args.format == "json" else report_to_csv(result)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

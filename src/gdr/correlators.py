@@ -18,11 +18,15 @@ takes c of the n points of each exponent value and stands for prod C(n, c)
 subsets, and the joining term likewise counts each value once with its
 multiplicity. Recursive calls go through the module-level `correlator`.
 
-All values are memoized; the memo persists through a line-oriented text
-cache (`g;k1,...,kn;num/den`, exponents sorted ascending). Memo writes
-are idempotent (a key always maps to the same value), so concurrent
-recomputation is harmless; loading a cache can only pre-populate values
-that recomputation would reproduce.
+All values are memoized for the life of the process. Memo writes are
+idempotent (a key always maps to the same value), so recomputation is
+harmless. :func:`load_cache` and :func:`store_cache` read and write a
+line-oriented text file of memo entries (`g;k1,...,kn;num/den`,
+exponents sorted ascending), and :func:`load_cache_into_memo` merges such
+a file into the memo. Nothing in gdr calls them; they remain only
+because the benchmark uses them: its traced run (perfbench/tracing.py)
+spans the first two, and perfbench/make_goldens.py seeds the memo with
+the third.
 """
 from __future__ import annotations
 

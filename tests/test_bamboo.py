@@ -20,7 +20,9 @@ from gdr.core import (
     kappa_distributions,
     kappa_map,
 )
+from gdr.cli import enumerate_omegas
 from gdr.correlators import correlator
+from memos import clear_memos
 
 
 def enumerated_pairing(g: int, omega: PsiKappaMonomial) -> Fraction:
@@ -207,3 +209,26 @@ class TestBoundaryPairing:
     def test_wrong_vertex_count_rejected(self):
         with pytest.raises(ValueError):
             pair_bamboo_boundary(DecoratedChain((ChainVertex(3, 1, 1),)))
+
+
+def bamboo_values(g, classes):
+    return [test_class.bamboo_value(g) for test_class in classes]
+
+
+class TestSharedMemos:
+    def test_sharing_cannot_change_a_value(self):
+        # vertex_integral and _pair are shared by every class of the
+        # process, so a key that missed part of what a value depends on
+        # would let one class see another's value: the order of the classes,
+        # and whether any class ran before, must not matter
+        classes = enumerate_omegas(5, include_kappa=True, include_boundary=True)
+        clear_memos()
+        forward = bamboo_values(5, classes)
+        clear_memos()
+        backward = bamboo_values(5, classes[::-1])[::-1]
+        isolated = []
+        for test_class in classes:
+            clear_memos()
+            isolated.append(test_class.bamboo_value(5))
+        assert len(classes) == 306
+        assert forward == backward == isolated

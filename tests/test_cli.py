@@ -6,15 +6,17 @@ import sys
 import pytest
 
 from gdr import cli
+from gdr.bamboo import pair_bamboo_side
 from gdr.cli import (
     enumerate_omegas,
     main,
     report_to_csv,
     report_to_json,
-    resolve_cache_path,
     verify,
 )
-from gdr.correlators import load_cache
+from gdr.core import PsiKappaMonomial, format_rational
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _strip_ms(payload: dict) -> dict:
@@ -105,8 +107,8 @@ class TestReports:
 
 
 class TestMain:
-    def test_verify_genus_1(self, capsys, tmp_path):
-        code = main(["verify", "--genus", "1", "--cache", str(tmp_path / "c.txt")])
+    def test_verify_genus_1(self, capsys):
+        code = main(["verify", "--genus", "1"])
         out = capsys.readouterr()
         assert code == 0
         payload = json.loads(out.out)
@@ -126,8 +128,6 @@ class TestMain:
                 "csv",
                 "--out",
                 str(out_path),
-                "--cache",
-                str(tmp_path / "c.txt"),
             ]
         )
         assert code == 0
@@ -135,8 +135,8 @@ class TestMain:
         assert lines[0] == "genus,omega,bamboo,dr,equal,ms"
         assert len(lines) == 4  # psi1, psi2, kappa1
 
-    def test_bside_and_drside(self, capsys, tmp_path):
-        assert main(["bside", "--genus", "2", "--omega", "psi2", "--cache", str(tmp_path / "c")]) == 0
+    def test_bside_and_drside(self, capsys):
+        assert main(["bside", "--genus", "2", "--omega", "psi2"]) == 0
         assert capsys.readouterr().out.strip() == "1/1152"
         assert main(["drside", "--genus", "2", "--omega", "psi1"]) == 0
         assert capsys.readouterr().out.strip() == "1/1152"
@@ -150,12 +150,12 @@ class TestMain:
         assert "unrecognized arguments: --cache" in capsys.readouterr().err
         assert not cache.exists()
 
-    def test_omega_exponent_shorthand(self, capsys, tmp_path):
+    def test_omega_exponent_shorthand(self, capsys):
         assert main(["drside", "--genus", "3", "--omega", "kappa1^2"]) == 0
         assert capsys.readouterr().out.strip() == "1/630"
 
-    def test_witten(self, capsys, tmp_path):
-        assert main(["witten", "--genus", "2", "--exps", "1,4", "--cache", str(tmp_path / "c")]) == 0
+    def test_witten(self, capsys):
+        assert main(["witten", "--genus", "2", "--exps", "1,4"]) == 0
         assert capsys.readouterr().out.strip() == "1/384"
 
     def test_hodge(self, capsys):
@@ -170,107 +170,117 @@ class TestMain:
             "-1 1:1|1:2",
         ]
 
-    def test_bad_omega_is_an_error(self, capsys, tmp_path):
-        code = main(["bside", "--genus", "2", "--omega", "tau3", "--cache", str(tmp_path / "c")])
+    def test_bad_omega_is_an_error(self, capsys):
+        code = main(["bside", "--genus", "2", "--omega", "tau3"])
         assert code == 2
         assert "error" in capsys.readouterr().err
 
-    def test_degree_mismatch_is_an_error(self, capsys, tmp_path):
-        code = main(["bside", "--genus", "2", "--omega", "psi1^3", "--cache", str(tmp_path / "c")])
+    def test_degree_mismatch_is_an_error(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        code = main(["bside", "--genus", "2", "--omega", "psi1^3"])
         assert code == 2
         assert "codim" in capsys.readouterr().err
-        # the cache is stored only after a result
-        assert not (tmp_path / "c").exists()
+        assert os.listdir(tmp_path) == []
 
     def test_invalid_inputs_are_errors_not_tracebacks(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
         assert main(["bamboos", "--genus", "0"]) == 2
         assert "error" in capsys.readouterr().err
-        assert main(["witten", "--genus", "1", "--exps=-1,2", "--cache", str(tmp_path / "c")]) == 2
+        assert main(["witten", "--genus", "1", "--exps=-1,2"]) == 2
         assert "error" in capsys.readouterr().err
         assert main(["hodge", "--genus", "-1", "--exps", "0"]) == 2
         assert "error" in capsys.readouterr().err
-        assert main(["witten", "--genus", "2", "--exps", "a,b", "--cache", str(tmp_path / "c")]) == 2
+        assert main(["witten", "--genus", "2", "--exps", "a,b"]) == 2
         assert "error:" in capsys.readouterr().err
         assert main(["hodge", "--genus", "2", "--exps", ""]) == 2
         assert "error:" in capsys.readouterr().err
 
-        # a genus above the maximum is rejected before any enumeration,
-        # recursion or cache load starts
+        # a genus above the maximum is rejected before any enumeration or
+        # recursion starts
         def no_work(*args, **kwargs):
             raise AssertionError("started work on a genus above the maximum")
 
         for name in (
             "correlator", "enumerate_bamboos", "verify", "pair_bamboo_side", "pair_dr_side",
-            "psi_lambda_g_integral", "_load_cache_tolerant",
+            "psi_lambda_g_integral",
         ):
             monkeypatch.setattr(cli, name, no_work)
-        cache = str(tmp_path / "big")
         for argv in (
-            ["witten", "--genus", "16", "--exps", "46", "--cache", cache],
+            ["witten", "--genus", "16", "--exps", "46"],
             ["bamboos", "--genus", "40"],
-            ["verify", "--genus", "11", "--cache", cache],
-            ["bside", "--genus", "11", "--omega", "1", "--cache", cache],
+            ["verify", "--genus", "11"],
+            ["bside", "--genus", "11", "--omega", "1"],
             ["drside", "--genus", "11", "--omega", "1"],
             ["hodge", "--genus", "11", "--exps", "0"],
         ):
             assert main(argv) == 2, argv
             assert f"error: genus {argv[2]} exceeds the maximum {cli.MAX_GENUS}" in capsys.readouterr().err
-        assert not os.path.exists(cache)
+        assert os.listdir(tmp_path) == []
 
         # so is an exponent list longer than MAX_POINTS; 3000 zeros used to
         # end in a RecursionError traceback
         zeros = ",".join(["0"] * 3000)
         for argv in (
-            ["witten", "--genus", "10", "--exps", zeros + ",3028", "--cache", cache],
+            ["witten", "--genus", "10", "--exps", zeros + ",3028"],
             ["hodge", "--genus", "10", "--exps", zeros + ",3018"],
         ):
             assert main(argv) == 2, argv[:3]
             assert f"error: 3001 exponents exceed the maximum {cli.MAX_POINTS}" in capsys.readouterr().err
-        assert not os.path.exists(cache)
+        assert os.listdir(tmp_path) == []
         assert len(cli._parse_exps(",".join(["0"] * cli.MAX_POINTS))) == cli.MAX_POINTS
 
 
 class TestCache:
-    def test_cache_file_written_and_reusable(self, capsys, tmp_path):
-        path = tmp_path / "cache.txt"
-        assert main(["verify", "--genus", "2", "--cache", str(path)]) == 0
-        capsys.readouterr()
-        table = load_cache(str(path))
-        assert table  # correlators were persisted
-        assert main(["verify", "--genus", "2", "--cache", str(path)]) == 0
+    """A call keeps its correlators in memory only: no option, environment
+    variable or working directory makes it read or write a cache file."""
 
-    def test_corrupted_cache_rejected_and_recovered(self, capsys, tmp_path):
-        path = tmp_path / "cache.txt"
-        for corrupted in (b"not;a;valid;line\n", b"1;1;1/24\n\xff\n"):
-            path.write_bytes(corrupted)
-            code = main(["verify", "--genus", "2", "--cache", str(path)])
-            out = capsys.readouterr()
-            assert code == 0
-            assert "rejected" in out.err
-            assert json.loads(out.out)["pass"] is True
-            # the rewritten cache is clean again
-            assert load_cache(str(path)) != {}
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--genus", "2"],
+            ["bside", "--genus", "2", "--omega", "psi2"],
+            ["witten", "--genus", "2", "--exps", "1,4"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_cache_option_is_rejected(self, capsys, tmp_path, argv):
+        cache = tmp_path / "X"
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--cache", str(cache)])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --cache" in capsys.readouterr().err
+        assert not cache.exists()
 
-    def test_resolve_cache_path_precedence(self, monkeypatch):
-        monkeypatch.delenv("GDR_CACHE", raising=False)
-        assert resolve_cache_path(None) == ".gdr_cache"
-        monkeypatch.setenv("GDR_CACHE", "/tmp/env_cache")
-        assert resolve_cache_path(None) == "/tmp/env_cache"
-        assert resolve_cache_path("explicit") == "explicit"
+    def test_gdr_cache_env_is_ignored(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=SRC, GDR_CACHE=str(tmp_path / "env_cache.txt"))
+        result = subprocess.run(
+            [sys.executable, "-m", "gdr", "bside", "--genus", "3", "--omega", "psi1 kappa1"],
+            capture_output=True,
+            text=True,
+            cwd=str(tmp_path),
+            env=env,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == format_rational(pair_bamboo_side(3, PsiKappaMonomial.parse("psi1 kappa1")))
+        assert os.listdir(tmp_path) == []
 
-    def test_gdr_cache_env_is_used(self, capsys, tmp_path, monkeypatch):
-        path = tmp_path / "env_cache.txt"
-        monkeypatch.setenv("GDR_CACHE", str(path))
-        assert main(["witten", "--genus", "1", "--exps", "0,2"]) == 0
-        assert capsys.readouterr().out.strip() == "1/24"
-        assert path.exists()
+
+class TestParser:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_reused_parser_keeps_no_state_between_calls(self, capsys):
+        # the second call leaves out --kappa: a Namespace left over from the
+        # first would still carry it and report the kappa class too
+        assert main(["verify", "--genus", "2", "--kappa"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["records"]) == 3
+        assert main(["verify", "--genus", "2"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["records"]) == 2
 
 
 def test_module_entry_point(tmp_path):
-    env = dict(os.environ)
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env["PYTHONPATH"] = os.path.join(root, "src")
-    env["GDR_CACHE"] = str(tmp_path / "cache.txt")
+    env = dict(os.environ, PYTHONPATH=SRC)
     result = subprocess.run(
         [sys.executable, "-m", "gdr", "verify", "--genus", "1"],
         capture_output=True,

@@ -13,13 +13,13 @@ from gdr.cli import enumerate_omegas
 from gdr.core import kappa_degree
 from gdr.correlators import (
     CacheError,
-    clear_memo,
     correlator,
     load_cache,
     load_cache_into_memo,
     memo_snapshot,
     store_cache,
 )
+from memos import clear_memos
 
 # Golden values. The genus-0 and genus-1 ones are classical normalizations;
 # the genus-2 values follow by string/dilaton from <tau_4>_2; the genus-2/3
@@ -81,13 +81,13 @@ class TestCorrelatorKey:
     inside the dimension constraint sum(k) = 3g - 3 + n."""
 
     def test_key_sorts_exponents(self):
-        clear_memo()
+        clear_memos()
         assert correlator(1, (2, 0)) == correlator(1, (0, 2)) == Fraction(1, 24)
         assert (1, (0, 2)) in memo_snapshot()
         assert (1, (2, 0)) not in memo_snapshot()
 
     def test_dimension_flag(self):
-        clear_memo()
+        clear_memos()
         assert correlator(1, (0, 1)) == 0
         assert memo_snapshot() == {}
         assert correlator(1, (0, 2)) != 0
@@ -254,7 +254,7 @@ def _bside_g6_kappa_keys():
         if kappa_degree(c.monomial.kappa) <= 2
     ]
     assert len(classes) == 19
-    clear_memo()
+    clear_memos()
     for omega in classes:
         pair_bamboo_side(6, omega)
     return memo_snapshot()
@@ -262,7 +262,7 @@ def _bside_g6_kappa_keys():
 
 class TestReferenceRecursion:
     def test_every_small_key(self):
-        clear_memo()
+        clear_memos()
         _reference_memo.clear()
         keys = list(in_dimension_keys(max_genus=4, max_points=6))
         assert len(keys) > 300
@@ -291,7 +291,7 @@ def test_recursion_work_is_bounded(monkeypatch):
         return real(genus, exponents)
 
     monkeypatch.setattr(correlators, "correlator", counting)
-    clear_memo()
+    clear_memos()
     assert correlators.correlator(6, (3, 3, 3) + (2,) * 9) == Fraction(12330710541947, 4608)
     assert len(asked) < 20_000
     # no dead split: every key the recursion asks for is inside the dimension
@@ -458,11 +458,11 @@ def test_cache_round_trip_property(tmp_path_factory, table):
 
 
 def test_warm_cache_matches_recomputation(tmp_path):
-    clear_memo()
+    clear_memos()
     cold = {key: correlator(*key) for key in GOLDEN}
     path = tmp_path / "warm.txt"
     store_cache(str(path), memo_snapshot())
-    clear_memo()
+    clear_memos()
     assert load_cache_into_memo(str(path)) > 0
     warm = {key: correlator(*key) for key in GOLDEN}
     assert warm == cold

@@ -20,6 +20,7 @@ from gdr.hain import (
     pair_dr_side,
 )
 from gdr.hodge import psi_lambda_g_integral
+from memos import clear_memos
 
 HALF = Fraction(1, 2)
 
@@ -423,14 +424,6 @@ class TestBoundaryPairing:
             assert pair_dr_boundary(omega) == side(left.genus, left) * side(right.genus, right)
 
 
-def clear_hain_memos():
-    """Empty every process-wide memo of the divisor side."""
-    memos = [f for f in vars(hain).values() if hasattr(f, "cache_clear")]
-    assert hain._run in memos and hain._transfer in memos
-    for memo in memos:
-        memo.cache_clear()
-
-
 def divisor_values(g, classes):
     return [test_class.dr_value(g) for test_class in classes]
 
@@ -442,13 +435,13 @@ class TestSharedMemos:
         # see another's run: the order of the classes, and whether any class
         # ran before, must not matter
         classes = enumerate_omegas(5, include_kappa=True, include_boundary=True)
-        clear_hain_memos()
+        clear_memos()
         forward = divisor_values(5, classes)
-        clear_hain_memos()
+        clear_memos()
         backward = divisor_values(5, classes[::-1])[::-1]
         isolated = []
         for test_class in classes:
-            clear_hain_memos()
+            clear_memos()
             isolated.append(test_class.dr_value(5))
         assert len(classes) == 306
         assert forward == backward == isolated
@@ -457,6 +450,6 @@ class TestSharedMemos:
         # a run's vector depends on the run alone; a key that also carried
         # omega's following runs (as the memo before per-run vectors did)
         # fills 15,097 entries here, against 2,015
-        clear_hain_memos()
+        clear_memos()
         divisor_values(6, enumerate_omegas(6, include_kappa=True, include_boundary=True))
         assert hain._run.cache_info().currsize <= 5000
