@@ -38,8 +38,9 @@ from .hodge import psi_lambda_g_integral
 # 10 is the largest genus the benchmark drives (witten one-points).
 MAX_GENUS = 10
 # Longest --exps list witten and hodge accept, checked before any recursion.
-# At genus MAX_GENUS the slowest list of this length found takes about 13 s
-# and 40 MB (2-vCPU VM, Python 3.11); 3000 points overflowed the stack.
+# At genus MAX_GENUS the slowest list of this length found, 0^17 2^3 3^3
+# 4^2 5^2 6 8 10, takes about 3 s and 34 MB (2-vCPU VM, Python 3.11);
+# 3000 points overflowed the stack.
 MAX_POINTS = 3 * MAX_GENUS
 
 

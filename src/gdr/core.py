@@ -1,8 +1,10 @@
 """Exact arithmetic and the shared data model.
 
-Every number in this package is an exact rational (`fractions.Fraction`
-over Python's arbitrary-precision integers); there is no floating point
-anywhere. The types here are immutable values, safe to share freely:
+Every number in this package is exact: a rational (`fractions.Fraction`
+over Python's arbitrary-precision integers), or, inside the correlator
+recursion, an integer that stands for a rational times a fixed scale
+(see gdr.correlators). There is no floating point anywhere. The types
+here are immutable values, safe to share freely:
 
 - :class:`PsiKappaMonomial` -- a product psi1^d1 psi2^d2 prod kappa_i^c_i,
   the test classes paired against both pipelines and the per-vertex

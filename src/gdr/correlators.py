@@ -15,13 +15,33 @@ the other factor is then in dimension too. Every exponent is >= 2 at this
 point, so both genera come out >= 1, both factors are stable and neither
 is ever zero. Points with equal exponents are interchangeable: a sharing
 takes c of the n points of each exponent value and stands for prod C(n, c)
-subsets, and the joining term likewise counts each value once with its
-multiplicity. Recursive calls go through the module-level `correlator`.
+subsets, and the joining and string terms likewise count each value once
+with its multiplicity. The lowered-genus and split terms of a and of
+b = k-2-a are equal (swap the two factors), so each pair a <= b is
+evaluated once and counted twice when a < b.
 
-All values are memoized for the life of the process. Memo writes are
-idempotent (a key always maps to the same value), so recomputation is
-harmless. :func:`load_cache` and :func:`store_cache` read and write a
-line-oriented text file of memo entries (`g;k1,...,kn;num/den`,
+The recursion runs in integers, on the scaled correlator
+
+    M_g(k) = 2^(4g-1) prod_i (2k_i+1)!! <tau_k>_g        (g >= 1).
+
+Multiplying the string, dilaton and DVV equations through by the scale
+of their left-hand side leaves only integer weights: string 2k_j+1 per
+lowered point, dilaton 3(2g-2+n), the joining term 2k_j+1 (the ratio
+(2k+2k_j-1)!!/(2k_j-1)!! with (2k+2k_j-1)!! absorbed into the joined
+point's scale), the lowered-genus term 2^(4g-1-1-(4g-5)) = 8 and the
+split term 2^(4g-1-1-(4g1-1)-(4g2-1)) = 1, since g1 + g2 = g. The
+recursion never leaves genus >= 1: string and dilaton keep the genus,
+DVV runs only at g >= 2 (at genus 1 the dimension, sum(k) = n, forces an
+exponent <= 1) and both split genera are >= 1. So by induction from
+M_1(1) = 8 * 3 * (1/24) = 1, every M_g(k) is an integer, and 2^(4g-1) is
+enough. :func:`correlator` divides by the scale once, at the end.
+
+The memo maps each key, (genus, sorted exponents) in dimension with
+genus >= 1, to its scaled integer, for the life of the process. Memo
+writes are idempotent (a key always maps to the same value), so
+recomputation is harmless. :func:`memo_snapshot` gives the unscaled
+rationals. :func:`load_cache` and :func:`store_cache` read and write a
+line-oriented text file of correlator values (`g;k1,...,kn;num/den`,
 exponents sorted ascending), and :func:`load_cache_into_memo` merges such
 a file into the memo. Nothing in gdr calls them; they remain only
 because the benchmark uses them: its traced run (perfbench/tracing.py)
@@ -43,9 +63,7 @@ from .core import format_rational, multinomial, parse_rational
 
 Key = Tuple[int, Tuple[int, ...]]
 
-_memo: Dict[Key, Fraction] = {}
-
-_GENUS_1_ONE_POINT = Fraction(1, 24)
+_memo: Dict[Key, int] = {}
 
 
 def clear_memo() -> None:
@@ -53,7 +71,7 @@ def clear_memo() -> None:
 
 
 def memo_snapshot() -> Dict[Key, Fraction]:
-    return dict(_memo)
+    return {key: Fraction(value, _scale(*key)) for key, value in _memo.items()}
 
 
 def _odd_double_factorial(m: int) -> int:
@@ -61,6 +79,14 @@ def _odd_double_factorial(m: int) -> int:
     result = 1
     for j in range(1, m + 1, 2):
         result *= j
+    return result
+
+
+def _scale(genus: int, exps: tuple) -> int:
+    """2^max(4g-1, 0) prod_i (2k_i+1)!!, which turns <tau_k>_g into an integer."""
+    result = 1 << max(4 * genus - 1, 0)
+    for k in exps:
+        result *= _odd_double_factorial(2 * k + 1)
     return result
 
 
@@ -80,50 +106,51 @@ def correlator(genus: int, exponents: Iterable[int]) -> Fraction:
         return Fraction(0)
     if genus == 0:
         return Fraction(multinomial(exps))
+    return Fraction(_scaled(genus, exps), _scale(genus, exps))
+
+
+def _scaled(genus: int, exps: tuple) -> int:
+    """M_g(k) for sorted, in-dimension exponents at genus >= 1, memoized."""
     key = (genus, exps)
-    cached = _memo.get(key)
-    if cached is not None:
-        return cached
-    value = _evaluate(genus, exps)
-    _memo[key] = value
+    value = _memo.get(key)
+    if value is None:
+        value = _memo[key] = _evaluate(genus, exps)
     return value
 
 
-def _evaluate(genus: int, exps: tuple) -> Fraction:
+def _evaluate(genus: int, exps: tuple) -> int:
     n = len(exps)
     if (genus, n) == (1, 1):
-        return _GENUS_1_ONE_POINT
+        return 1
     if exps[0] == 0:
-        # string equation: remove one tau_0, lower each remaining exponent
+        # string equation: remove one tau_0, lower each remaining exponent;
+        # lowering the first of equal exponents keeps the tuple sorted
         rest = exps[1:]
-        total = Fraction(0)
-        for j, kj in enumerate(rest):
+        total = 0
+        for kj, multiplicity in Counter(rest).items():
             if kj >= 1:
-                total += correlator(genus, rest[:j] + (kj - 1,) + rest[j + 1:])
+                j = rest.index(kj)
+                total += multiplicity * (2 * kj + 1) * _scaled(genus, rest[:j] + (kj - 1,) + rest[j + 1:])
         return total
     if exps[0] == 1:
         # dilaton equation; n >= 2 here since (1,1) was handled above
-        return (2 * genus - 2 + (n - 1)) * correlator(genus, exps[1:])
+        return 3 * (2 * genus - 2 + (n - 1)) * _scaled(genus, exps[1:])
     return _dvv(genus, exps)
 
 
-def _dvv(genus: int, exps: tuple) -> Fraction:
-    """Virasoro recursion on the largest exponent (all exponents >= 2)."""
+def _dvv(genus: int, exps: tuple) -> int:
+    """Virasoro recursion on the largest exponent (all exponents >= 2, so
+    genus >= 2)."""
     k = exps[-1]
     rest = exps[:-1]
     counts = sorted(Counter(rest).items())
-    acc = Fraction(0)
+    total = 0
     for kj, multiplicity in counts:
         j = rest.index(kj)
-        joined = rest[:j] + rest[j + 1:] + (k + kj - 1,)
-        acc += multiplicity * Fraction(
-            _odd_double_factorial(2 * (k + kj) - 1),
-            _odd_double_factorial(2 * kj - 1),
-        ) * correlator(genus, joined)
-    splits = Fraction(0)
-    for a in range(k - 1):
+        total += multiplicity * (2 * kj + 1) * _scaled(genus, rest[:j] + rest[j + 1:] + (k + kj - 1,))
+    for a in range(k // 2):
         b = k - 2 - a
-        term = correlator(genus - 1, rest + (a, b))
+        term = 8 * _scaled(genus - 1, tuple(sorted(rest + (a, b))))
         for taken in product(*(range(n + 1) for _, n in counts)):
             size = sum(taken)
             degree = sum(kj * c for (kj, _), c in zip(counts, taken))
@@ -136,9 +163,9 @@ def _dvv(genus: int, exps: tuple) -> Fraction:
                 left += (kj,) * c
                 right += (kj,) * (n - c)
                 weight *= comb(n, c)
-            term += weight * correlator(g1, left) * correlator(genus - g1, right)
-        splits += _odd_double_factorial(2 * a + 1) * _odd_double_factorial(2 * b + 1) * term
-    return (acc + splits / 2) / _odd_double_factorial(2 * k + 1)
+            term += weight * _scaled(g1, tuple(sorted(left))) * _scaled(genus - g1, tuple(sorted(right)))
+        total += (1 if a == b else 2) * term
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +221,7 @@ def store_cache(path: str, table: Dict[Key, Fraction] | None = None) -> None:
     as it was and no temporary file behind.
     """
     if table is None:
-        table = _memo
+        table = memo_snapshot()
     lines = []
     for (genus, exps), value in sorted(table.items()):
         exps_text = ",".join(str(k) for k in exps)
@@ -210,7 +237,17 @@ def store_cache(path: str, table: Dict[Key, Fraction] | None = None) -> None:
 
 
 def load_cache_into_memo(path: str) -> int:
-    """Merge a cache file into the live memo; returns the number of entries."""
-    table = load_cache(path)
-    _memo.update(table)
-    return len(table)
+    """Merge a cache file into the live memo; returns the number of entries.
+
+    Each value is stored as its scaled integer. A value that does not
+    scale to an integer cannot be a correlator: it rejects the whole
+    file, and the memo is left as it was.
+    """
+    scaled = {}
+    for key, value in load_cache(path).items():
+        scaled_value = value * _scale(*key)
+        if scaled_value.denominator != 1:
+            raise CacheError(f"{key}: {format_rational(value)} does not scale to an integer")
+        scaled[key] = scaled_value.numerator
+    _memo.update(scaled)
+    return len(scaled)

@@ -93,7 +93,7 @@ class TestCorrelatorKey:
         assert correlator(1, (0, 2)) != 0
 
 
-@pytest.mark.parametrize("genus", range(1, 7))
+@pytest.mark.parametrize("genus", range(1, 11))
 def test_one_point_closed_form(genus):
     # <tau_{3g-2}>_g = 1/(24^g g!)
     assert correlator(genus, (3 * genus - 2,)) == Fraction(1, 24**genus * factorial(genus))
@@ -281,16 +281,17 @@ class TestReferenceRecursion:
 def test_recursion_work_is_bounded(monkeypatch):
     # <tau_3^3 tau_2^9>_6 from an empty memo: an unreduced split term (every
     # genus times every subset, as in `reference`) makes 599,113 calls; with
-    # g1 fixed by dimension and sub-multiset sharings it takes about 5,000.
+    # g1 fixed by dimension and sub-multiset sharings it took about 5,000,
+    # and with the DVV terms of a and k-2-a shared it takes about 2,900.
+    # The recursion calls the private `_scaled`, so that is what is counted.
     asked = []
-    real = correlators.correlator
+    real = correlators._scaled
 
     def counting(genus, exponents):
-        exponents = tuple(exponents)
         asked.append((genus, exponents))
         return real(genus, exponents)
 
-    monkeypatch.setattr(correlators, "correlator", counting)
+    monkeypatch.setattr(correlators, "_scaled", counting)
     clear_memos()
     assert correlators.correlator(6, (3, 3, 3) + (2,) * 9) == Fraction(12330710541947, 4608)
     assert len(asked) < 20_000
@@ -466,3 +467,36 @@ def test_warm_cache_matches_recomputation(tmp_path):
     assert load_cache_into_memo(str(path)) > 0
     warm = {key: correlator(*key) for key in GOLDEN}
     assert warm == cold
+
+
+def test_store_cache_defaults_to_the_memo_values(tmp_path):
+    # the memo holds scaled integers; the file must get the correlators
+    clear_memos()
+    correlator(2, (4,))
+    path = tmp_path / "memo.txt"
+    store_cache(str(path))
+    assert load_cache(str(path)) == memo_snapshot()
+    assert load_cache(str(path))[(2, (4,))] == Fraction(1, 1152)
+
+
+def test_loaded_values_are_served_as_they_are(tmp_path):
+    # a deliberately wrong value that scales to an integer: the memo must
+    # return exactly it, not a value rescaled twice or recomputed
+    path = tmp_path / "cache.txt"
+    store_cache(str(path), {(2, (4,)): Fraction(5, 1152), (1, (0, 2)): Fraction(1, 24)})
+    clear_memos()
+    assert load_cache_into_memo(str(path)) == 2
+    assert correlator(2, (4,)) == Fraction(5, 1152)
+    assert memo_snapshot() == load_cache(str(path))
+
+
+def test_value_that_does_not_scale_to_an_integer_is_rejected(tmp_path):
+    # 2^3 * 3!! * 1/48 = 1/2; the valid first line must not be merged either
+    path = tmp_path / "cache.txt"
+    path.write_text("1;0,2;1/24\n1;1;1/48\n")
+    clear_memos()
+    correlator(2, (4,))
+    before = memo_snapshot()
+    with pytest.raises(CacheError):
+        load_cache_into_memo(str(path))
+    assert memo_snapshot() == before

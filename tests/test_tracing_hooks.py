@@ -2,12 +2,14 @@
 by module attribute. Check that every one it names still exists, so a
 change to gdr cannot silently drop a per-layer metric, and that every gdr
 name the other benchmark scripts use exists, so a change to gdr cannot
-break a script that no test runs (``perfbench/make_goldens.py``)."""
+break a script that no test runs (``perfbench/make_goldens.py``), or
+change the memo seeding behind its witten-deep pool unseen."""
 import ast
 import glob
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 
 import pytest
@@ -65,3 +67,17 @@ def test_every_gdr_name_the_benchmark_uses_exists():
     assert ("gdr.correlators", "load_cache_into_memo") in used
     missing = sorted(f"{m}.{attr}" for m, attr in used if not hasattr(importlib.import_module(m), attr))
     assert missing == []
+
+
+def test_make_goldens_reproduces_the_quick_witten_pool(monkeypatch):
+    # witten_pool seeds the memo with store_cache and load_cache_into_memo
+    golden = os.path.join(PERFBENCH, "golden", "quick", "witten-deep.json")
+    if not os.path.exists(golden):
+        pytest.skip("perfbench/ is not part of this checkout")
+    monkeypatch.syspath_prepend(PERFBENCH)
+    make_goldens = importlib.import_module("make_goldens")
+    workloads = importlib.import_module("workloads")
+    with open(golden, encoding="utf-8") as handle:
+        expected = json.load(handle)["pool"]
+    assert len(expected) == 50
+    assert make_goldens.witten_pool(workloads.SIZES["quick"])["pool"] == expected
