@@ -2,8 +2,9 @@
 
 Every number in this package is exact: a rational (`fractions.Fraction`
 over Python's arbitrary-precision integers), or, inside the correlator
-recursion, an integer that stands for a rational times a fixed scale
-(see gdr.correlators). There is no floating point anywhere. The types
+recursion and the divisor side's per-run dynamic program, an integer
+that stands for a rational times a known scale (see gdr.correlators and
+gdr.hain). There is no floating point anywhere. The types
 here are immutable values, safe to share freely:
 
 - :class:`PsiKappaMonomial` -- a product psi1^d1 psi2^d2 prod kappa_i^c_i,

@@ -11,7 +11,8 @@ with delta_h the separating divisor whose marking-1 side has genus h, and
 the coefficient of a^(2g) in the capped cycle pairs as (1/g!) int D^g ....
 The cap vanishes outside compact type, so only chain strata ever appear;
 on a chain it distributes as the top lambda class of each vertex, which
-is what :func:`gdr.hodge.psi_lambda_g_integral` evaluates.
+is what :func:`gdr.hodge.psi_lambda_g_integral` evaluates:
+multinomial(exps) b_g in dimension.
 
 Distinct delta_h meet transversally and the excess rule gives
 delta_h^m = delta_h (-psi' - psi'')^(m-1), so the multinomial expansion
@@ -36,7 +37,7 @@ delta_h is D_left + D_right. So the pairing is a product over the runs:
   D's nodes inside the run. It depends on the run alone (genus, incoming
   psi power, kappa, omega's psi power on its right leg) and returns
   {i: weight}, i being D's part of the psi power on the run's outgoing
-  leg.
+  leg, each weight scaled to an integer as below.
 - :func:`_transfer` is the node of D after a vertex with outgoing power
   i: the weights -(1/2)^m/m! C(m-1, i) times the vector of the rest of
   the run, summed over the power entering the next vertex.
@@ -46,6 +47,24 @@ delta_h is D_left + D_right. So the pairing is a product over the runs:
 
 These are memoized for the whole process, so every class of a `verify`
 run reuses the runs that earlier classes computed.
+
+The run vectors hold integers. The cap's support fixes D's total power
+in a run: its vertices have degrees 2g_v - 1, so a run of genus h and
+kappa degree K, with psi power `incoming` on its left leg, omega's
+`right_psi` and D's i on its right leg, has D's power
+
+    s = 2h - 1 - K - right_psi - incoming - i
+
+at its internal nodes, whichever way D splits it. Each node weight
+(1/2)^m/m! has denominator 2^m m!, and the m of the run's nodes sum to
+s, so 2^s s! clears them all (s!/prod m! is a multinomial). The vertex
+integrals are b_(g_v) times an integer, and beta_h, the lcm of den(b_h)
+and den(b_f) beta_(h-f) over 1 <= f < h, clears every prod b_(g_v) over
+the ways to split h. So the vector stores W_i = beta_h 2^s s! w_i, an
+integer. A vertex contributes beta_h b_f / beta_(h-f) times its integral
+over b_f, and a node of D -C(m-1, i) C(s, m). :func:`_capped_run` builds
+the one Fraction: with Q = a + i + s, D's whole power on omega's
+vertex, it divides sum Q!/(a! i! s!) W_i by beta_h 2^Q Q!.
 
 :func:`expand_divisor_power` expands D^g explicitly in the tree strata
 algebra instead: psi_1 and psi_2 decorate the outer legs; delta_h either
@@ -60,11 +79,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import List, Tuple, Union
 
-from .core import ChainVertex, DecoratedChain, KappaMap, PsiKappaMonomial, kappa_degree, kappa_distributions
-from .hodge import psi_lambda_g_integral
+from .core import (
+    ChainVertex,
+    DecoratedChain,
+    KappaMap,
+    PsiKappaMonomial,
+    kappa_degree,
+    kappa_distributions,
+    multinomial,
+)
+from .hodge import lambda_g_constant, psi_lambda_g_integral
 from .kappa import integrate
 
 DivisorTerm = Union[str, Tuple[str, int]]  # "psi1" | "psi2" | ("delta", h)
@@ -173,19 +200,37 @@ def evaluate_chain(chain: DecoratedChain) -> Fraction:
     return value
 
 
-Vector = tuple  # tuple[tuple[int, Fraction], ...]: sorted (i, weight), no zero weight
+Vector = tuple  # tuple[tuple[int, int], ...]: sorted (i, scaled weight), no zero weight
 
 
 @lru_cache(maxsize=None)
-def _vertex(genus: int, left: int, right: int, kappa: KappaMap) -> Fraction:
-    """Capped two-leg vertex integral, memoized for the whole process."""
-    return integrate(psi_lambda_g_integral, genus, (left, right), kappa)
+def _scale(genus: int) -> int:
+    """beta_genus, a common denominator of prod b_(g_v) over every way to
+    split `genus` into vertex genera g_v >= 1, memoized for the whole process."""
+    if genus == 0:
+        return 1
+    return lcm(*(lambda_g_constant(f).denominator * _scale(genus - f) for f in range(1, genus + 1)))
 
 
 @lru_cache(maxsize=None)
-def _half_power(m: int) -> Fraction:
-    """(1/2)^m / m!, the weight of a power of one half-weighted divisor term."""
-    return Fraction(1, 2 ** m * factorial(m))
+def _vertex_weight(genus: int, first: int) -> int:
+    """beta_genus * b_first / beta_(genus - first): the factor a run of genus
+    `genus` gives its first vertex, of genus `first`. An integer, since
+    beta_genus is a multiple of den(b_first) * beta_(genus - first)."""
+    b = lambda_g_constant(first)
+    return _scale(genus) // (b.denominator * _scale(genus - first)) * b.numerator
+
+
+def _capped_unit(genus: int, exps: tuple) -> int:
+    """int psi^exps lambda_genus / b_genus: multinomial(exps) in dimension, else 0."""
+    return multinomial(exps) if sum(exps) == 2 * genus - 3 + len(exps) else 0
+
+
+@lru_cache(maxsize=None)
+def _vertex(genus: int, left: int, right: int, kappa: KappaMap) -> int:
+    """Capped two-leg vertex integral over b_genus, an integer, memoized for
+    the whole process."""
+    return integrate(_capped_unit, genus, (left, right), kappa)
 
 
 @lru_cache(maxsize=None)
@@ -197,29 +242,28 @@ def _splits(kappa: KappaMap) -> tuple:
     )
 
 
-def _combine(terms) -> Vector:
-    """The vector sum of weight * vector over (weight, vector) pairs."""
-    out: dict = {}
-    for weight, vector in terms:
-        for i, w in vector:
-            out[i] = out.get(i, 0) + weight * w
+def _vector(out: dict) -> Vector:
+    """A {i: weight} dict as a Vector: sorted by i, zero weights dropped."""
     return tuple((i, w) for i, w in sorted(out.items()) if w)
 
 
 @lru_cache(maxsize=None)
 def _run(genus: int, incoming: int, kappa: KappaMap, right_psi: int) -> Vector:
-    """One run of omega, refined by D in every way, as the vector of (i, weight).
+    """One run of omega, refined by D in every way, as the vector of (i, W_i).
 
     The run has genus `genus`, psi power `incoming` on the left leg of its
     first vertex, the kappa decoration `kappa` and omega's psi power
-    `right_psi` on the right leg of its last vertex. The weight sums, over
-    the ways D splits the run into vertices and shares out its kappa, the
-    capped vertex integrals times the weights of D's nodes inside the run;
-    i is D's part of the psi power on the run's outgoing leg.
+    `right_psi` on the right leg of its last vertex. The weight w_i sums,
+    over the ways D splits the run into vertices and shares out its kappa,
+    the capped vertex integrals times the weights of D's nodes inside the
+    run; i is D's part of the psi power on the run's outgoing leg. The
+    vector holds the integer W_i = beta_genus 2^s s! w_i, s being D's
+    power inside the run.
     """
-    terms = []
+    out: dict = {}
     for first in range(1, genus + 1):
         closes_run = first == genus
+        weight = _vertex_weight(genus, first)
         for mult, share, rest, share_degree in _splits(kappa):
             if closes_run and rest:
                 continue
@@ -231,21 +275,34 @@ def _run(genus: int, incoming: int, kappa: KappaMap, right_psi: int) -> Vector:
             value = mult * _vertex(first, incoming, outgoing, share)
             if not value:
                 continue
-            # the run ends at this vertex, or a node of D follows it
-            after = ((i, 1),) if closes_run else _transfer(i, genus - first, rest, right_psi)
-            terms.append((value, after))
-    return _combine(terms)
+            value *= weight
+            if closes_run:
+                # s = 0: D has no node inside a one-vertex run
+                out[i] = out.get(i, 0) + value
+                continue
+            # a node of D follows; s is the same for the run and its transfer
+            for j, w in _transfer(i, genus - first, rest, right_psi):
+                out[j] = out.get(j, 0) + value * w
+    return _vector(out)
 
 
 @lru_cache(maxsize=None)
 def _transfer(i: int, genus: int, kappa: KappaMap, right_psi: int) -> Vector:
     """A node of D inside a run, with psi'^i on its left branch, glued to
     the rest of the run: the node weights -(1/2)^m/m! C(m-1, i) psi''^(m-1-i)
-    times the vector of the rest."""
-    return _combine(
-        (-_half_power(i + 1 + nxt) * comb(i + nxt, i), _run(genus, nxt, kappa, right_psi))
-        for nxt in range(2 * genus)
-    )
+    times the vector of the rest, as integers on the scale beta_genus 2^s s!
+    with s = m + s', s' being D's power inside the rest. Rescaling the
+    rest's entries from 2^s' s'! turns the node weight into
+    -C(m-1, i) C(s, m)."""
+    # the rest's s' = top - nxt - j is >= 0, and s = s' + m = top + i + 1 - j
+    top = 2 * genus - 1 - kappa_degree(kappa) - right_psi
+    out: dict = {}
+    for nxt in range(top + 1):
+        m = i + 1 + nxt
+        node = -comb(m - 1, i)
+        for j, w in _run(genus, nxt, kappa, right_psi):
+            out[j] = out.get(j, 0) + node * comb(top + i + 1 - j, m) * w
+    return _vector(out)
 
 
 @lru_cache(maxsize=None)
@@ -253,15 +310,17 @@ def _capped_run(genus: int, left_psi: int, kappa: KappaMap, right_psi: int) -> F
     """One vertex of omega, refined by D in every way, with D's psi powers
     on both of its outer legs summed out: the weights (1/2)^a/a! of
     psi^a on the left leg and (1/2)^i/i! of psi^i on the right leg times
-    the vector of :func:`_run`."""
-    return sum(
-        (
-            _half_power(a) * _half_power(i) * w
-            for a in range(2 * genus)
-            for i, w in _run(genus, a + left_psi, kappa, right_psi)
-        ),
-        Fraction(0),
-    )
+    the vector of :func:`_run`. D's whole power on the vertex is
+    Q = a + i + s, so each term is Q!/(a! i! s!) W_i over the one
+    denominator beta_genus 2^Q Q!."""
+    top = 2 * genus - 1 - kappa_degree(kappa) - left_psi - right_psi
+    if top < 0:
+        return Fraction(0)
+    total = 0
+    for a in range(top + 1):
+        for i, w in _run(genus, a + left_psi, kappa, right_psi):
+            total += comb(top, a) * comb(top - a, i) * w
+    return Fraction(total, _scale(genus) * 2 ** top * factorial(top))
 
 
 def _pair(omega: DecoratedChain) -> Fraction:

@@ -16,6 +16,7 @@ reduces to the genus-0 correlator closed form. No chain vertex has genus
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from typing import Dict, Iterable
 
@@ -46,8 +47,10 @@ def bernoulli(m: int) -> Fraction:
     return _bernoulli_memo[m]
 
 
+@lru_cache(maxsize=None)
 def lambda_g_constant(g: int) -> Fraction:
-    """One-point constant b_g = (2^(2g-1)-1)/2^(2g-1) * |B_{2g}|/(2g)!."""
+    """One-point constant b_g = (2^(2g-1)-1)/2^(2g-1) * |B_{2g}|/(2g)!,
+    memoized for the whole process."""
     if g < 1:
         raise ValueError("genus must be >= 1")
     power = 2 ** (2 * g - 1)

@@ -4,7 +4,7 @@ Both leaf evaluators understand only psi exponents, so a vertex integral
 carrying kappa_b = pi_*(psi^(b+1)) factors is rewritten on a space with
 extra markings by :func:`kappa_to_psi`, the closed-form set-partition
 expansion: one new marking tau_{(sum of block indices)+1} per block, with
-coefficient prod over blocks of (-1)^(|B|-1).
+the integer coefficient prod over blocks of (-1)^(|B|-1).
 
 The block coefficient carries no (|B|-1)! factor: each block is created
 in a single conversion step (a subset of surviving factors merging into
@@ -23,12 +23,11 @@ partitions simply aggregate into the coefficient.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Iterator, List, Sequence, Tuple
 
 from .core import KappaMap, kappa_factors, kappa_map
 
-Term = Tuple[Fraction, tuple]
+Term = Tuple[int, tuple]
 
 
 def set_partitions(items: Sequence) -> Iterator[list]:
@@ -48,7 +47,7 @@ def _normalize(n: int, raw: list) -> List[Term]:
     acc: dict = {}
     for coeff, exps in raw:
         key = tuple(exps[:n]) + tuple(sorted(exps[n:]))
-        acc[key] = acc.get(key, Fraction(0)) + coeff
+        acc[key] = acc.get(key, 0) + coeff
     return [(coeff, exps) for exps, coeff in sorted(acc.items(), key=lambda kv: kv[0]) if coeff]
 
 
@@ -64,20 +63,21 @@ def kappa_to_psi(n: int, psi: Sequence[int], kappa: KappaMap | dict) -> List[Ter
     base = tuple(int(k) for k in psi)
     factors = kappa_factors(kappa_map(kappa) if not isinstance(kappa, tuple) else kappa)
     if not factors:
-        return [(Fraction(1), base)]
+        return [(1, base)]
     raw = []
     for partition in set_partitions(list(range(len(factors)))):
-        coeff = Fraction((-1) ** (len(factors) - len(partition)))
+        coeff = (-1) ** (len(factors) - len(partition))
         extension = [sum(factors[i] for i in block) + 1 for block in partition]
         raw.append((coeff, base + tuple(extension)))
     return _normalize(n, raw)
 
 
-def integrate(leaf: Callable, genus: int, psi: Sequence[int], kappa: KappaMap) -> Fraction:
+def integrate(leaf: Callable, genus: int, psi: Sequence[int], kappa: KappaMap):
     """int of prod psi_i^psi[i] * kappa over the genus-g space with len(psi)
     markings: the :func:`kappa_to_psi` terms summed through `leaf`, a pure
-    psi integral ``leaf(genus, exponents)``."""
-    total = Fraction(0)
+    psi integral ``leaf(genus, exponents)``. The coefficients are integers,
+    so an integer leaf gives an integer."""
+    total = 0
     for coeff, exps in kappa_to_psi(len(psi), psi, kappa):
         total += coeff * leaf(genus, exps)
     return total

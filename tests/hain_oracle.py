@@ -1,0 +1,79 @@
+"""Reference per-run dynamic program of the divisor side in Fractions, the
+oracle that the scaled-integer :func:`gdr.hain._capped_run` is tested
+against. It carries every weight as an exact rational, (1/2)^m/m! at a
+node of D and the capped vertex integral itself at a vertex, so it needs
+none of the scales beta_h 2^s s! of gdr.hain; it shares only the vertex
+integrator and the closed form of the capped integral with it.
+"""
+from fractions import Fraction
+from functools import lru_cache
+from math import comb, factorial
+
+from gdr.core import KappaMap, kappa_degree, kappa_distributions
+from gdr.hodge import psi_lambda_g_integral
+from gdr.kappa import integrate
+
+
+@lru_cache(maxsize=None)
+def _vertex(genus: int, left: int, right: int, kappa: KappaMap) -> Fraction:
+    return integrate(psi_lambda_g_integral, genus, (left, right), kappa)
+
+
+def _half_power(m: int) -> Fraction:
+    """(1/2)^m / m!, the weight of a power of one half-weighted divisor term."""
+    return Fraction(1, 2 ** m * factorial(m))
+
+
+def _combine(terms) -> tuple:
+    """The vector sum of weight * vector over (weight, vector) pairs."""
+    out: dict = {}
+    for weight, vector in terms:
+        for i, w in vector:
+            out[i] = out.get(i, 0) + weight * w
+    return tuple((i, w) for i, w in sorted(out.items()) if w)
+
+
+@lru_cache(maxsize=None)
+def run(genus: int, incoming: int, kappa: KappaMap, right_psi: int) -> tuple:
+    """The vector ((i, w_i), ...) of one run of omega refined by D, each
+    w_i the unscaled rational weight."""
+    terms = []
+    for first in range(1, genus + 1):
+        closes_run = first == genus
+        for mult, (share, rest) in kappa_distributions(kappa, 2):
+            if closes_run and rest:
+                continue
+            outgoing = 2 * first - 1 - incoming - kappa_degree(share)
+            i = outgoing - right_psi if closes_run else outgoing
+            if i < 0:
+                continue
+            value = mult * _vertex(first, incoming, outgoing, share)
+            if not value:
+                continue
+            after = ((i, 1),) if closes_run else transfer(i, genus - first, rest, right_psi)
+            terms.append((value, after))
+    return _combine(terms)
+
+
+@lru_cache(maxsize=None)
+def transfer(i: int, genus: int, kappa: KappaMap, right_psi: int) -> tuple:
+    """A node of D with psi'^i on its left branch glued to the rest of the
+    run: the weights -(1/2)^m/m! C(m-1, i) times the rest's vectors."""
+    return _combine(
+        (-_half_power(i + 1 + nxt) * comb(i + nxt, i), run(genus, nxt, kappa, right_psi))
+        for nxt in range(2 * genus)
+    )
+
+
+@lru_cache(maxsize=None)
+def capped_run(genus: int, left_psi: int, kappa: KappaMap, right_psi: int) -> Fraction:
+    """One vertex of omega with D's psi powers on its outer legs summed out
+    against the weights (1/2)^a/a! and (1/2)^i/i!."""
+    return sum(
+        (
+            _half_power(a) * _half_power(i) * w
+            for a in range(2 * genus)
+            for i, w in run(genus, a + left_psi, kappa, right_psi)
+        ),
+        Fraction(0),
+    )

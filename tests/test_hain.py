@@ -20,6 +20,7 @@ from gdr.hain import (
     pair_dr_side,
 )
 from gdr.hodge import psi_lambda_g_integral
+import hain_oracle
 from memos import clear_memos
 
 HALF = Fraction(1, 2)
@@ -453,3 +454,66 @@ class TestSharedMemos:
         clear_memos()
         divisor_values(6, enumerate_omegas(6, include_kappa=True, include_boundary=True))
         assert hain._run.cache_info().currsize <= 5000
+
+
+def vertex_keys(g):
+    """The (genus, left_psi, kappa, right_psi) key of every vertex of every
+    class `verify --kappa --boundary` pairs at genus g."""
+    keys = set()
+    for test_class in enumerate_omegas(g, include_kappa=True, include_boundary=True):
+        if test_class.monomial is not None:
+            m = test_class.monomial
+            keys.add((g, m.d1, m.kappa, m.d2))
+        else:
+            keys.update((v.genus, v.left_psi, v.kappa, v.right_psi) for v in test_class.boundary.vertices)
+    return sorted(keys)
+
+
+class TestScaledIntegers:
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6])
+    def test_capped_run_matches_fraction_oracle(self, g):
+        # the integer program against the Fraction program it replaced,
+        # from cold memos, on every vertex that verify pairs
+        clear_memos()
+        keys = vertex_keys(g)
+        nonzero = 0
+        for key in keys:
+            value = hain._capped_run(*key)
+            assert value == hain_oracle.capped_run(*key), key
+            nonzero += value != 0
+        assert 0 < len(keys) <= 2 * nonzero
+
+    def test_run_vectors_hold_only_integers(self, monkeypatch):
+        # every vector the memo caches passes through the module's _run, so
+        # a recorder in its place sees each one as it is filled
+        seen = {}
+        cached = hain._run
+
+        def record(*key):
+            seen[key] = cached(*key)
+            return seen[key]
+
+        clear_memos()
+        monkeypatch.setattr(hain, "_run", record)
+        divisor_values(5, enumerate_omegas(5, include_kappa=True, include_boundary=True))
+        assert len(seen) == cached.cache_info().currsize > 100
+        for key, vector in seen.items():
+            assert all(type(i) is int and type(w) is int and w for i, w in vector), key
+
+    def test_capped_run_builds_one_fraction(self, monkeypatch):
+        # the sum stays an integer and the one Fraction, built from two
+        # integers, is the value itself: no Fraction arithmetic follows it
+        built = []
+
+        def fraction(*args):
+            assert all(type(arg) is int for arg in args)
+            built.append(Fraction(*args))
+            return built[-1]
+
+        clear_memos()
+        monkeypatch.setattr(hain, "Fraction", fraction)
+        for key in vertex_keys(4):
+            built.clear()
+            value = hain._capped_run(*key)
+            assert len(built) == 1 and value is built[0], key
+            assert value == hain_oracle.capped_run(*key)

@@ -6,7 +6,8 @@ import pytest
 
 from gdr.correlators import correlator
 from gdr.core import kappa_degree, kappa_map
-from gdr.hodge import psi_lambda_g_integral
+from gdr.hain import _capped_unit
+from gdr.hodge import lambda_g_constant, psi_lambda_g_integral
 from gdr.kappa import integrate, kappa_to_psi, set_partitions
 from kappa_oracle import iterated_pushforward
 
@@ -86,6 +87,14 @@ class TestKappaToPsi:
     def test_wrong_marking_count_rejected(self):
         with pytest.raises(ValueError):
             kappa_to_psi(3, (0, 0), {})
+
+    def test_coefficients_are_integers(self):
+        # the signs (-1)^(|B|-1) stay plain ints, so an integer leaf
+        # integrates to an integer with no Fraction arithmetic
+        for psi in ((0,), (2, 1)):
+            for kappa in _kappa_cases():
+                terms = kappa_to_psi(len(psi), psi, kappa)
+                assert terms and all(type(coeff) is int for coeff, _ in terms)
 
 
 class TestPartitionCoefficientSum:
@@ -172,8 +181,9 @@ class TestIntegrate:
         [
             (correlator, lambda g, n: 3 * g - 3 + n, 3),
             (psi_lambda_g_integral, lambda g, n: 2 * g - 3 + n, 4),
+            (_capped_unit, lambda g, n: 2 * g - 3 + n, 4),
         ],
-        ids=["correlator", "psi_lambda_g_integral"],
+        ids=["correlator", "psi_lambda_g_integral", "capped_unit"],
     )
     def test_matches_iterated_pushforward(self, leaf, dimension, max_genus):
         nonzero = 0
@@ -192,9 +202,13 @@ class TestIntegrate:
                         for coeff, exps in iterated_pushforward(len(psi), psi, kappa)
                     )
                     assert value == brute
+                    if leaf is _capped_unit:
+                        # the divisor side's integer leaf stays integral
+                        assert type(value) is int
                     nonzero += value != 0
         assert nonzero >= 50
 
     def test_empty_kappa_is_the_leaf_itself(self):
         assert integrate(correlator, 2, (1, 4), ()) == correlator(2, (1, 4))
         assert integrate(psi_lambda_g_integral, 2, (3, 0), ()) == psi_lambda_g_integral(2, (3, 0))
+        assert integrate(_capped_unit, 2, (3, 0), ()) == psi_lambda_g_integral(2, (3, 0)) / lambda_g_constant(2)
