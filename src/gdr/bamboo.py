@@ -25,22 +25,51 @@ G_l = g_1+..+g_l and K_l the kappa degree on them, the prefix constraint
 
     3G_l - l - d_1 - K_l + l - 1 <= 2G_l - 1
 
-reduces to G_l <= K_l + d_1. :func:`_pair` is therefore a dynamic
-program along the chain over (cumulative genus, kappa still to place):
-each step picks the next vertex's genus and kappa share, checks the
-reduced prefix bound, evaluates the vertex, and multiplies by -1 for the
-node after it. :func:`enumerate_bamboos` lists the terms explicitly.
+reduces to G_l <= K_l + d_1. In terms of what is left to place after
+the vertex, genus H' and kappa degree K', this reads H' >= 1 + d_2 + K':
+the condition no longer mentions the genus or psi_1 power of omega.
+:func:`_tail` is therefore a dynamic program along the chain over
+(genus still to place, kappa still to place): each step picks the next
+vertex's genus and kappa share, checks the prefix bound, evaluates the
+vertex, and multiplies by -1 for the node after it. :func:`_pair` is
+its top call. :func:`enumerate_bamboos` lists the terms explicitly.
 
-:func:`vertex_integral` and :func:`_pair` are memoized for the whole
-process, as the divisor side's vertex factors are: every class of a
-`verify` run reuses the vertex integrals that earlier classes evaluated,
-and a boundary class reuses the lower-genus pairings of its two sides.
-The chain program inside one :func:`_pair` call has its own memo.
+The program runs in integers. A vertex of genus h evaluates, through
+:func:`gdr.kappa.integrate` with integer coefficients, to an integer
+combination of correlators <tau_k>_h. The string and dilaton equations
+have integer coefficients and keep the genus, so each of these is an
+integer combination of correlators whose exponents are all >= 2, or of
+<tau_1>_1 = 1/24 at genus 1. Such a key has sum(k_i - 1) = 3h - 3, and
+gdr.correlators shows that 2^(4h-1) prod (2k_i+1)!! <tau_k>_h is an
+integer. So, with P(w) the lcm of prod (2k_i+1)!! over the tuples with
+every k_i >= 2 and sum(k_i - 1) = w,
+
+    B_1 = 24,    B_h = 2^(4h-1) P(3h-3)   (h >= 2),
+
+P(0) = 1,    P(w) = lcm over 1 <= a <= w of (2a+3)!! P(w-a),
+
+clears the denominator of every vertex integral of genus h. B_f B_(h-f)
+divides B_h. The powers of 2 add up to 4h - 2. The odd parts multiply
+to at most 9 P(3f-3) P(3h-3f-3) (B_1 = 2^3 * 3 P(0)), which divides
+9 P(3h-6) (join the tuples), and P(3h-3) is a multiple of 15^3 P(3h-6),
+since P(w+1) is a multiple of 15 P(w) (the a = 1 term).
+
+:func:`_tail` stores the sum over the chains of genus h as its value
+times B_h. A vertex of genus f then contributes its integral times B_f,
+and the node after it the factor -B_h / (B_f B_(h-f)). :func:`_pair`
+builds the one Fraction, by dividing by B_g.
+
+:func:`vertex_integral`, :func:`_tail` and :func:`_pair` are memoized for
+the whole process, as the divisor side's vertex factors are: every class
+of a `verify` run reuses the vertex integrals and chain tails that
+earlier classes evaluated, and a boundary class reuses the lower-genus
+pairings of its two sides.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm, prod
 from typing import Iterator, List
 
 from .core import (
@@ -49,7 +78,8 @@ from .core import (
     KappaMap,
     PsiKappaMonomial,
     kappa_degree,
-    kappa_distributions,
+    kappa_map,
+    kappa_splits,
 )
 from .correlators import correlator
 from .kappa import integrate
@@ -101,42 +131,77 @@ def _prefix_constrained(genera: tuple, d_total: int) -> Iterator[tuple]:
 @lru_cache(maxsize=None)
 def vertex_integral(genus: int, left_psi: int, right_psi: int, kappa: KappaMap) -> Fraction:
     """int over the two-pointed genus-g space of psi_l^a psi_r^b * kappa."""
-    if left_psi + right_psi + kappa_degree(kappa) != 3 * genus - 1:
+    if left_psi + right_psi + kappa_degree(kappa_map(kappa)) != 3 * genus - 1:
         return Fraction(0)
     return integrate(correlator, genus, (left_psi, right_psi), kappa)
 
 
 @lru_cache(maxsize=None)
+def _odd_scale(weight: int) -> int:
+    """P(weight): the lcm of prod (2k_i+1)!! over the exponent tuples with
+    every k_i >= 2 and sum(k_i - 1) = weight (see the module docstring)."""
+    if weight == 0:
+        return 1
+    return lcm(*(prod(range(1, 2 * a + 4, 2)) * _odd_scale(weight - a) for a in range(1, weight + 1)))
+
+
+@lru_cache(maxsize=None)
+def _scale(genus: int) -> int:
+    """B_genus, which clears the denominator of every vertex integral of
+    genus `genus`, with B_f B_(genus-f) dividing it."""
+    if genus == 1:
+        return 24
+    return 2 ** (4 * genus - 1) * _odd_scale(3 * genus - 3)
+
+
+@lru_cache(maxsize=None)
+def _node(genus: int, first: int) -> int:
+    """-B_genus / (B_first B_(genus-first)): the node after a vertex of genus
+    `first` that opens a chain of genus `genus`."""
+    return -(_scale(genus) // (_scale(first) * _scale(genus - first)))
+
+
+@lru_cache(maxsize=None)
+def _scaled_vertex(genus: int, left: int, right: int, kappa: KappaMap) -> int:
+    """B_genus times :func:`vertex_integral`, an integer."""
+    value = vertex_integral(genus, left, right, kappa)
+    scaled, remainder = divmod(value.numerator * _scale(genus), value.denominator)
+    if remainder:
+        raise ArithmeticError(f"B_{genus} does not clear vertex integral {value}")
+    return scaled
+
+
+@lru_cache(maxsize=None)
+def _tail(genus: int, left: int, right_psi: int, kappa: KappaMap) -> int:
+    """B_genus times the signed sum over the chains of total genus `genus`,
+    with psi^left on the left leg of the first vertex, psi^right_psi on the
+    right leg of the last one and `kappa` shared out over the vertices,
+    each vertex placed by the dimension constraint and every prefix by the
+    bound of the module docstring."""
+    degree = kappa_degree(kappa)
+    total = 0
+    for mult, share, rest, share_degree in kappa_splits(kappa):
+        rest_degree = degree - share_degree
+        for first in range(1, genus + 1):
+            right = 3 * first - 1 - left - share_degree  # d_v, plus d_2 at the end
+            if first == genus:
+                if not rest and right >= right_psi:
+                    total += mult * _scaled_vertex(first, left, right, share)
+            elif right >= 0 and genus - first >= 1 + right_psi + rest_degree:
+                value = _scaled_vertex(first, left, right, share)
+                if value:
+                    total += mult * value * _node(genus, first) * _tail(genus - first, 0, right_psi, rest)
+    return total
+
+
+@lru_cache(maxsize=None)
 def _pair(g: int, omega: PsiKappaMonomial) -> Fraction:
-    """int of the genus-g bamboo class times omega, as a dynamic program
-    along the chain (see the module docstring); 0 unless omega has codim
-    g - 1, as one side of an unbalanced boundary class has."""
+    """int of the genus-g bamboo class times omega, the top call of
+    :func:`_tail`; 0 unless omega has codim g - 1, as one side of an
+    unbalanced boundary class has."""
     if omega.codim != g - 1:
         return Fraction(0)
-    d1, d2 = omega.d1, omega.d2
-    kappa_total = kappa_degree(omega.kappa)
-
-    @lru_cache(maxsize=None)
-    def tail(start: int, kappa: KappaMap) -> Fraction:
-        """Sum over the chain right of cumulative genus `start`."""
-        left = d1 if start == 0 else 0
-        total = Fraction(0)
-        for mult, (share, rest) in kappa_distributions(kappa, 2):
-            share_degree = kappa_degree(share)
-            for genus in range(1, g - start + 1):
-                after = start + genus
-                right = 3 * genus - 1 - left - share_degree  # d_v, plus d_2 at the end
-                if after == g:
-                    if rest or right < d2:
-                        continue
-                    total += mult * vertex_integral(genus, left, right, share)
-                elif right >= 0 and after <= kappa_total - kappa_degree(rest) + d1:  # G_l <= K_l + d_1
-                    value = vertex_integral(genus, left, right, share)
-                    if value:
-                        total -= mult * value * tail(after, rest)
-        return total
-
-    return tail(0, omega.kappa)
+    return Fraction(_tail(g, omega.d1, omega.d2, omega.kappa), _scale(g))
 
 
 def pair_bamboo_side(g: int, omega: PsiKappaMonomial) -> Fraction:

@@ -2,9 +2,9 @@
 
 Every number in this package is exact: a rational (`fractions.Fraction`
 over Python's arbitrary-precision integers), or, inside the correlator
-recursion and the divisor side's per-run dynamic program, an integer
-that stands for a rational times a known scale (see gdr.correlators and
-gdr.hain). There is no floating point anywhere. The types
+recursion and the chain programs of both pipelines, an integer that
+stands for a rational times a known scale (see gdr.correlators,
+gdr.bamboo and gdr.hain). There is no floating point anywhere. The types
 here are immutable values, safe to share freely:
 
 - :class:`PsiKappaMonomial` -- a product psi1^d1 psi2^d2 prod kappa_i^c_i,
@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Iterable, Iterator
 
@@ -304,3 +305,14 @@ def kappa_distributions(kappa: KappaMap, parts: int) -> Iterator[tuple]:
             yield from rec(pos + 1, mult * multinomial(split), nxt)
 
     yield from rec(0, 1, [{} for _ in range(parts)])
+
+
+@lru_cache(maxsize=None)
+def kappa_splits(kappa: KappaMap) -> tuple:
+    """The ways to split a kappa map between one vertex and the rest of a
+    chain, as (multiplicity, share, rest, degree of share): the two-part
+    :func:`kappa_distributions`, memoized for the whole process. The chain
+    programs of both pipelines place one vertex at a time through it."""
+    return tuple(
+        (mult, share, rest, kappa_degree(share)) for mult, (share, rest) in kappa_distributions(kappa, 2)
+    )

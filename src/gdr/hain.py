@@ -89,6 +89,7 @@ from .core import (
     PsiKappaMonomial,
     kappa_degree,
     kappa_distributions,
+    kappa_splits,
     multinomial,
 )
 from .hodge import lambda_g_constant, psi_lambda_g_integral
@@ -233,15 +234,6 @@ def _vertex(genus: int, left: int, right: int, kappa: KappaMap) -> int:
     return integrate(_capped_unit, genus, (left, right), kappa)
 
 
-@lru_cache(maxsize=None)
-def _splits(kappa: KappaMap) -> tuple:
-    """The ways to split a kappa map between a vertex and the rest of its
-    run, as (multiplicity, share, rest, degree of share)."""
-    return tuple(
-        (mult, share, rest, kappa_degree(share)) for mult, (share, rest) in kappa_distributions(kappa, 2)
-    )
-
-
 def _vector(out: dict) -> Vector:
     """A {i: weight} dict as a Vector: sorted by i, zero weights dropped."""
     return tuple((i, w) for i, w in sorted(out.items()) if w)
@@ -264,7 +256,7 @@ def _run(genus: int, incoming: int, kappa: KappaMap, right_psi: int) -> Vector:
     for first in range(1, genus + 1):
         closes_run = first == genus
         weight = _vertex_weight(genus, first)
-        for mult, share, rest, share_degree in _splits(kappa):
+        for mult, share, rest, share_degree in kappa_splits(kappa):
             if closes_run and rest:
                 continue
             # the cap's support fixes the outgoing leg power; i is D's part of it

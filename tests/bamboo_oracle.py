@@ -1,0 +1,44 @@
+"""Reference chain program of the bamboo side in Fractions, the oracle that
+the scaled-integer :func:`gdr.bamboo._pair` is tested against. It carries
+every vertex integral as an exact rational, walks the chain by cumulative
+genus with the prefix bound G_l <= K_l + d_1 as the bamboo terms state
+it, and splits kappa with :func:`gdr.core.kappa_distributions` itself, so
+it needs none of the scales B_h of gdr.bamboo; it shares only the vertex
+integrals with it.
+"""
+from fractions import Fraction
+from functools import lru_cache
+
+from gdr.bamboo import vertex_integral
+from gdr.core import KappaMap, PsiKappaMonomial, kappa_degree, kappa_distributions
+
+
+def pair(g: int, omega: PsiKappaMonomial) -> Fraction:
+    """int of the genus-g bamboo class times omega; 0 unless omega has
+    codim g - 1."""
+    if omega.codim != g - 1:
+        return Fraction(0)
+    d1, d2 = omega.d1, omega.d2
+    kappa_total = kappa_degree(omega.kappa)
+
+    @lru_cache(maxsize=None)
+    def tail(start: int, kappa: KappaMap) -> Fraction:
+        """Sum over the chain right of cumulative genus `start`."""
+        left = d1 if start == 0 else 0
+        total = Fraction(0)
+        for mult, (share, rest) in kappa_distributions(kappa, 2):
+            share_degree = kappa_degree(share)
+            for genus in range(1, g - start + 1):
+                after = start + genus
+                right = 3 * genus - 1 - left - share_degree  # d_v, plus d_2 at the end
+                if after == g:
+                    if rest or right < d2:
+                        continue
+                    total += mult * vertex_integral(genus, left, right, share)
+                elif right >= 0 and after <= kappa_total - kappa_degree(rest) + d1:  # G_l <= K_l + d_1
+                    value = vertex_integral(genus, left, right, share)
+                    if value:
+                        total -= mult * value * tail(after, rest)
+        return total
+
+    return tail(0, omega.kappa)

@@ -1,7 +1,10 @@
-"""Reference expansion of kappa decorations, the oracle that
+"""Reference expansions of kappa decorations, the oracles that
 :func:`gdr.kappa.kappa_to_psi` (and through it the vertex integrator both
-pipelines share) is tested against. It shares no code with gdr.kappa: it
-removes one kappa factor per forgetful map and aggregates its own terms.
+pipelines share) is tested against. They share no code with gdr.kappa:
+:func:`iterated_pushforward` removes one kappa factor per forgetful map,
+and :func:`set_partition_expansion` sums the closed form over the set
+partitions of the factors, as gdr.kappa did before it enumerated
+multiset partitions. Both aggregate their own terms.
 """
 from collections import defaultdict
 from fractions import Fraction
@@ -19,6 +22,40 @@ def _aggregate(n: int, terms) -> List[Term]:
     return [(totals[exps], exps) for exps in sorted(totals) if totals[exps]]
 
 
+def set_partitions(items: Sequence) -> Iterator[list]:
+    """All partitions of `items` into non-empty blocks (lists of lists)."""
+    if not items:
+        yield []
+        return
+    rest, last = items[:-1], items[-1]
+    for partition in set_partitions(rest):
+        for i in range(len(partition)):
+            yield partition[:i] + [partition[i] + [last]] + partition[i + 1:]
+        yield partition + [[last]]
+
+
+def _factors(kappa) -> list:
+    """The kappa indices as a flat list, from a dict or (index, count) pairs."""
+    pairs = kappa.items() if isinstance(kappa, dict) else kappa
+    return [b for b, count in sorted(pairs) for _ in range(count)]
+
+
+def set_partition_expansion(n: int, psi: Sequence[int], kappa) -> List[Term]:
+    """The closed form summed over set partitions of the kappa factors, equal
+    indices kept distinguishable: each partition appends one exponent
+    (sum of the block's indices) + 1 per block, with the coefficient
+    prod over blocks of (-1)^(|B|-1)."""
+    base = tuple(int(k) for k in psi)
+    factors = _factors(kappa)
+    return _aggregate(
+        n,
+        (
+            (Fraction((-1) ** (len(factors) - len(partition))), base + tuple(sum(block) + 1 for block in partition))
+            for partition in set_partitions(factors)
+        ),
+    )
+
+
 def iterated_pushforward(n: int, psi: Sequence[int], kappa) -> List[Term]:
     """Expand psi^psi * kappa into pure psi insertions, one forgetful map
     per kappa factor.
@@ -33,8 +70,7 @@ def iterated_pushforward(n: int, psi: Sequence[int], kappa) -> List[Term]:
     """
     if len(psi) != n:
         raise ValueError(f"expected {n} psi exponents, got {len(psi)}")
-    pairs = kappa.items() if isinstance(kappa, dict) else kappa
-    factors = [b for b, count in sorted(pairs) for _ in range(count)]
+    factors = _factors(kappa)
 
     def expand(prefix: tuple, remaining: list) -> Iterator[Term]:
         if not remaining:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gdr import bamboo
 from gdr.bamboo import (
     _pair,
     enumerate_bamboos,
@@ -22,6 +23,7 @@ from gdr.core import (
 )
 from gdr.cli import enumerate_omegas
 from gdr.correlators import correlator
+import bamboo_oracle
 from memos import clear_memos
 
 
@@ -232,3 +234,77 @@ class TestSharedMemos:
             isolated.append(test_class.bamboo_value(5))
         assert len(classes) == 306
         assert forward == backward == isolated
+
+
+def monomial_keys(g):
+    """The (genus, monomial) of every bamboo pairing that `verify --kappa
+    --boundary` makes at genus g: its monomials, and the two sides of each
+    boundary class."""
+    keys = set()
+    for test_class in enumerate_omegas(g, include_kappa=True, include_boundary=True):
+        if test_class.monomial is not None:
+            keys.add((g, test_class.monomial))
+        else:
+            keys.update(
+                (v.genus, PsiKappaMonomial(v.left_psi, v.right_psi, v.kappa)) for v in test_class.boundary.vertices
+            )
+    return sorted(keys, key=lambda key: (key[0], key[1].d1, key[1].d2, key[1].kappa))
+
+
+class TestScaledIntegers:
+    def test_scales_divide(self):
+        # B_f B_(h-f) | B_h, which the node factor needs, and the first
+        # values of the closed form in the module docstring
+        assert [bamboo._scale(h) for h in (1, 2, 3)] == [24, 2**7 * 3**3 * 5**3 * 7, 1144215072000000]
+        for h in range(2, 13):
+            for f in range(1, h):
+                assert bamboo._scale(h) % (bamboo._scale(f) * bamboo._scale(h - f)) == 0, (h, f)
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6, 7])
+    def test_pair_matches_fraction_oracle(self, g):
+        # the integer program against the Fraction program it replaced,
+        # from cold memos, on every monomial that verify pairs
+        clear_memos()
+        keys = monomial_keys(g)
+        nonzero = 0
+        for genus, omega in keys:
+            value = _pair(genus, omega)
+            assert value == bamboo_oracle.pair(genus, omega), (genus, omega)
+            nonzero += value != 0
+        # the other keys are boundary sides of the wrong codim, 0 by degree
+        assert 0 < nonzero == sum(omega.codim == genus - 1 for genus, omega in keys)
+
+    def test_tail_memo_holds_only_integers(self, monkeypatch):
+        # every value the memo caches passes through the module's _tail, so
+        # a recorder in its place sees each one as it is filled
+        seen = {}
+        cached = bamboo._tail
+
+        def record(*key):
+            seen[key] = cached(*key)
+            return seen[key]
+
+        clear_memos()
+        monkeypatch.setattr(bamboo, "_tail", record)
+        bamboo_values(6, enumerate_omegas(6, include_kappa=True, include_boundary=True))
+        assert len(seen) == cached.cache_info().currsize > 100
+        for key, value in seen.items():
+            assert type(value) is int, key
+
+    def test_pair_builds_one_fraction(self, monkeypatch):
+        # the chain sum stays an integer and the one Fraction, built from
+        # two integers, is the value itself: no Fraction arithmetic follows it
+        built = []
+
+        def fraction(*args):
+            assert all(type(arg) is int for arg in args)
+            built.append(Fraction(*args))
+            return built[-1]
+
+        clear_memos()
+        monkeypatch.setattr(bamboo, "Fraction", fraction)
+        for genus, omega in monomial_keys(5):
+            built.clear()
+            value = _pair(genus, omega)
+            assert len(built) == 1 and value is built[0], (genus, omega)
+            assert value == bamboo_oracle.pair(genus, omega)

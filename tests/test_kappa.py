@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from gdr.bamboo import vertex_integral
+from gdr.cli import enumerate_omegas
 from gdr.correlators import correlator
-from gdr.core import kappa_degree, kappa_map
+from gdr.core import kappa_degree, kappa_map, kappa_splits
 from gdr.hain import _capped_unit
 from gdr.hodge import lambda_g_constant, psi_lambda_g_integral
-from gdr.kappa import integrate, kappa_to_psi, set_partitions
-from kappa_oracle import iterated_pushforward
+from gdr.kappa import _multiset_partitions, integrate, kappa_to_psi
+from kappa_oracle import iterated_pushforward, set_partition_expansion, set_partitions
 
 
 class TestSetPartitions:
@@ -88,6 +90,22 @@ class TestKappaToPsi:
         with pytest.raises(ValueError):
             kappa_to_psi(3, (0, 0), {})
 
+    @pytest.mark.parametrize(
+        "pairs,message",
+        [(((1, -1),), "kappa exponent must be >= 0"), (((0, 2),), "kappa index must be >= 1")],
+    )
+    def test_pairs_are_validated_like_a_dict(self, pairs, message):
+        # a tuple is not taken as already canonical: (1, -1) is not the
+        # identity and (0, 2) is not a kappa_0
+        for kappa in (pairs, dict(pairs)):
+            with pytest.raises(ValueError, match=message):
+                kappa_to_psi(1, (0,), kappa)
+
+    def test_vertex_integral_rejects_a_bad_kappa_map(self):
+        # in dimension, so the bad entry would otherwise be integrated
+        with pytest.raises(ValueError, match="kappa index must be >= 1"):
+            vertex_integral(1, 0, 0, ((1, 2), (0, 1)))
+
     def test_coefficients_are_integers(self):
         # the signs (-1)^(|B|-1) stay plain ints, so an integer leaf
         # integrates to an integer with no Fraction arithmetic
@@ -95,6 +113,49 @@ class TestKappaToPsi:
             for kappa in _kappa_cases():
                 terms = kappa_to_psi(len(psi), psi, kappa)
                 assert terms and all(type(coeff) is int for coeff, _ in terms)
+
+
+class TestMultisetPartitions:
+    @pytest.mark.parametrize(
+        "counts,number",
+        [((), 1), ((1,), 1), ((3,), 3), ((11,), 56), ((2, 1), 4), ((1, 1, 1), 5), ((2, 2), 9)],
+    )
+    def test_counts(self, counts, number):
+        # p(11) = 56 for kappa_1^11; a multiset of distinct indices has
+        # Bell-many partitions (5 for three), and {1,1,2,2} has 9
+        partitions = list(_multiset_partitions(counts, counts))
+        assert len(partitions) == len(set(partitions)) == number
+        for blocks in partitions:
+            assert all(map(any, blocks))
+            assert tuple(map(sum, zip(*blocks))) == (counts if blocks else ())
+
+    @pytest.mark.parametrize("k", range(10))
+    def test_powers_of_kappa1_match_set_partitions(self, k):
+        assert kappa_to_psi(2, (1, 0), {1: k}) == set_partition_expansion(2, (1, 0), {1: k})
+
+    def test_every_kappa_map_of_verify_matches_set_partitions(self):
+        for kappa in verify_kappa_maps(8):
+            assert kappa_to_psi(2, (0, 0), kappa) == set_partition_expansion(2, (0, 0), kappa), kappa
+
+
+def verify_kappa_maps(max_genus):
+    """Every kappa map a vertex integral of `verify --kappa --boundary` can
+    carry at genus <= max_genus: the maps of its classes' vertices, and
+    every share that a chain program splits off them (split again as the
+    chain goes on)."""
+    reached, todo = set(), set()
+    for g in range(1, max_genus + 1):
+        for test_class in enumerate_omegas(g, include_kappa=True, include_boundary=True):
+            if test_class.monomial is not None:
+                todo.add(test_class.monomial.kappa)
+            else:
+                todo.update(v.kappa for v in test_class.boundary.vertices)
+    while todo:
+        kappa = todo.pop()
+        reached.add(kappa)
+        for _, share, rest, _ in kappa_splits(kappa):
+            todo.update({share, rest} - reached)
+    return sorted(reached)
 
 
 class TestPartitionCoefficientSum:
@@ -207,6 +268,14 @@ class TestIntegrate:
                         assert type(value) is int
                     nonzero += value != 0
         assert nonzero >= 50
+
+    def test_every_kappa_map_of_verify_matches_iterated_pushforward(self):
+        # the cases above stop at 3 factors; verify at g <= 8 reaches every
+        # map of degree <= 7, up to kappa_1^7
+        maps = verify_kappa_maps(8)
+        assert len(maps) == 45 and max(map(kappa_degree, maps)) == 7
+        for kappa in maps:
+            assert kappa_to_psi(2, (0, 0), kappa) == iterated_pushforward(2, (0, 0), kappa), kappa
 
     def test_empty_kappa_is_the_leaf_itself(self):
         assert integrate(correlator, 2, (1, 4), ()) == correlator(2, (1, 4))
