@@ -195,13 +195,14 @@ def _tail(genus: int, left: int, right_psi: int, kappa: KappaMap) -> int:
 
 
 @lru_cache(maxsize=None)
-def _pair(g: int, omega: PsiKappaMonomial) -> Fraction:
-    """int of the genus-g bamboo class times omega, the top call of
-    :func:`_tail`; 0 unless omega has codim g - 1, as one side of an
-    unbalanced boundary class has."""
-    if omega.codim != g - 1:
+def _pair(g: int, d1: int, d2: int, kappa: KappaMap) -> Fraction:
+    """int of the genus-g bamboo class times psi_1^d1 psi_2^d2 kappa, the
+    top call of :func:`_tail`, keyed on the vertex tuple so that a caller
+    builds no monomial; 0 unless the class has codim g - 1, as one side of
+    an unbalanced boundary class has."""
+    if d1 + d2 + kappa_degree(kappa) != g - 1:
         return Fraction(0)
-    return Fraction(_tail(g, omega.d1, omega.d2, omega.kappa), _scale(g))
+    return Fraction(_tail(g, d1, d2, kappa), _scale(g))
 
 
 def pair_bamboo_side(g: int, omega: PsiKappaMonomial) -> Fraction:
@@ -210,7 +211,7 @@ def pair_bamboo_side(g: int, omega: PsiKappaMonomial) -> Fraction:
         raise ValueError("genus must be >= 1")
     if omega.codim != g - 1:
         raise ValueError(f"omega must have codim {g - 1}, got {omega.codim}")
-    return _pair(g, omega)
+    return _pair(g, omega.d1, omega.d2, omega.kappa)
 
 
 def pair_bamboo_boundary(omega: DecoratedChain) -> Fraction:
@@ -219,15 +220,14 @@ def pair_bamboo_boundary(omega: DecoratedChain) -> Fraction:
     The splitting property factors the pairing across the node: each side
     pairs the lower-genus bamboo class against the vertex decoration, with
     the node-branch psi power playing the role of the missing marking.
-    Unbalanced decoration degrees make one factor vanish identically.
+    Unbalanced decoration degrees make one factor vanish identically. The
+    two memoized factors and the coefficient multiply into one Fraction.
     """
     if len(omega.vertices) != 2:
         raise ValueError("boundary test class must have exactly 2 vertices")
-    left, right = omega.vertices
-    left_omega = PsiKappaMonomial(left.left_psi, left.right_psi, left.kappa)
-    right_omega = PsiKappaMonomial(right.left_psi, right.right_psi, right.kappa)
-    return (
-        omega.coefficient
-        * _pair(left.genus, left_omega)
-        * _pair(right.genus, right_omega)
-    )
+    num, den = omega.coefficient.numerator, omega.coefficient.denominator
+    for v in omega.vertices:
+        factor = _pair(v.genus, v.left_psi, v.right_psi, v.kappa)
+        num *= factor.numerator
+        den *= factor.denominator
+    return Fraction(num, den)

@@ -14,19 +14,28 @@ The omega grammar is whitespace-separated ``psi1^a psi2^b kappa1^c ...``
 genus above MAX_GENUS, and witten/hodge an exponent list longer than
 MAX_POINTS, with exit code 2. A call reads and writes no file other than
 verify's --out; its memos live only as long as the process.
+
+verify writes each record as it is produced, to stdout or, with --out,
+to a temporary file in the target's directory that replaces the target
+once the report is complete. The temporary file is opened before the
+first pairing, so a path that cannot be written fails with exit code 2
+before any work, and a run that stops part-way leaves any previous
+report as it was and no temporary file behind.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from typing import List, Optional
+from typing import Iterable, Iterator, List, Optional, TextIO, Tuple
 
 from .bamboo import enumerate_bamboos, pair_bamboo_boundary, pair_bamboo_side
 from .core import ChainVertex, DecoratedChain, PsiKappaMonomial, format_rational, kappa_map
@@ -119,17 +128,11 @@ def _partitions(total: int, minimum: int = 1) -> List[tuple]:
     return out
 
 
-def _boundary_label(omega: DecoratedChain) -> str:
-    left, right = omega.vertices
-    h = left.genus
-    left_str = str(PsiKappaMonomial(left.left_psi, left.right_psi, left.kappa))
-    right_str = str(PsiKappaMonomial(right.left_psi, right.right_psi, right.kappa))
-    return f"delta({h})[{left_str} | {right_str}]"
-
-
-def enumerate_omegas(g: int, include_kappa: bool = False, include_boundary: bool = False) -> List[TestClass]:
-    """All test classes of complementary degree g-1: the psi/kappa
-    monomials, plus (optionally) decorated two-vertex boundary classes.
+def enumerate_omegas(g: int, include_kappa: bool = False, include_boundary: bool = False) -> Iterator[TestClass]:
+    """All test classes of complementary degree g-1, yielded one at a time:
+    the psi/kappa monomials, plus (optionally) decorated two-vertex
+    boundary classes. A genus below 1 is rejected here, before the first
+    class is asked for.
 
     Boundary decorations are split in every way over the four legs and,
     when kappa is enabled, the two vertices; the labels read
@@ -138,91 +141,122 @@ def enumerate_omegas(g: int, include_kappa: bool = False, include_boundary: bool
     """
     if g < 1:
         raise ValueError("genus must be >= 1")
-    out = [
-        TestClass(label=str(m), monomial=m)
-        for m in _monomials_of_degree(g - 1, include_kappa)
+    return _omegas(g, include_kappa, include_boundary)
+
+
+def _omegas(g: int, include_kappa: bool, include_boundary: bool) -> Iterator[TestClass]:
+    # each degree's monomials and their labels, built once per call
+    by_degree = [
+        [(m, str(m)) for m in _monomials_of_degree(degree, include_kappa)] for degree in range(g)
     ]
-    if include_boundary:
-        deco_total = g - 2
-        for h in range(1, g):
-            if deco_total < 0:
-                continue
-            for left_deg in range(deco_total + 1):
-                for left in _monomials_of_degree(left_deg, include_kappa):
-                    for right in _monomials_of_degree(deco_total - left_deg, include_kappa):
-                        chain = DecoratedChain(
-                            (
-                                ChainVertex(h, left.d1, left.d2, left.kappa),
-                                ChainVertex(g - h, right.d1, right.d2, right.kappa),
-                            )
-                        )
-                        out.append(TestClass(label=_boundary_label(chain), boundary=chain))
-    return out
+    for monomial, label in by_degree[g - 1]:
+        yield TestClass(label, monomial=monomial)
+    if not include_boundary:
+        return
+
+    def vertices(genus: int, degree: int) -> list:
+        return [(ChainVertex(genus, m.d1, m.d2, m.kappa), label) for m, label in by_degree[degree]]
+
+    deco_total = g - 2
+    for h in range(1, g):
+        for left_deg in range(deco_total + 1):
+            rights = vertices(g - h, deco_total - left_deg)
+            for left, left_label in vertices(h, left_deg):
+                for right, right_label in rights:
+                    yield TestClass(
+                        f"delta({h})[{left_label} | {right_label}]", boundary=DecoratedChain((left, right))
+                    )
 
 
-def verify(g: int, include_kappa: bool = False, include_boundary: bool = False) -> VerificationReport:
-    """Run both pipelines over every enumerated omega and compare exactly.
+def _records(g: int, classes: Iterable[TestClass], aborted: List[str]) -> Iterator[VerificationRecord]:
+    """Pair each class on both sides and compare exactly, yielding one
+    record per class as it is produced. The one record path of
+    :func:`verify` and of the command line.
 
     Any internal failure (a degree-bookkeeping violation, a broken
     invariant) aborts that record with a diagnostic on stderr instead of
-    reporting a value, and fails the run.
+    reporting a value: its label goes to `aborted`, which fails the run.
     """
-    report = VerificationReport(genus=g)
-    for test_class in enumerate_omegas(g, include_kappa, include_boundary):
-        start = time.perf_counter()
+    clock = time.perf_counter
+    for test_class in classes:
+        start = clock()
         try:
             bamboo_value = test_class.bamboo_value(g)
             dr_value = test_class.dr_value(g)
         except Exception as exc:
             print(f"aborted record {test_class.label!r}: {exc}", file=sys.stderr)
-            report.aborted.append(test_class.label)
+            aborted.append(test_class.label)
             continue
-        ms = int((time.perf_counter() - start) * 1000)
-        report.records.append(
-            VerificationRecord(
-                omega=test_class.label,
-                bamboo=bamboo_value,
-                dr=dr_value,
-                equal=bamboo_value == dr_value,
-                ms=ms,
-            )
-        )
+        ms = int((clock() - start) * 1000)
+        yield VerificationRecord(test_class.label, bamboo_value, dr_value, bamboo_value == dr_value, ms)
+
+
+def verify(g: int, include_kappa: bool = False, include_boundary: bool = False) -> VerificationReport:
+    """Run both pipelines over every enumerated omega and compare exactly.
+
+    An internal failure aborts its record and fails the run (see
+    :func:`_records`).
+    """
+    report = VerificationReport(genus=g)
+    report.records = list(_records(g, enumerate_omegas(g, include_kappa, include_boundary), report.aborted))
     return report
 
 
+def _write_report(
+    handle: TextIO, fmt: str, genus: int, records: Iterable[VerificationRecord], aborted: List[str]
+) -> Tuple[int, int]:
+    """Write the report of `records` in format ``json`` or ``csv``, each
+    record as it arrives, and return (equal records, records).
+
+    The JSON text is that of ``json.dumps(payload, indent=2)``, with the
+    ``pass`` flag last; it is known only once `records` is exhausted and
+    `aborted` complete. Neither format ends with a newline of its own
+    beyond the CSV row terminator.
+    """
+    if fmt == "csv":
+        return _write_csv(handle, genus, records)
+    write = handle.write
+    write(f'{{\n  "genus": {json.dumps(genus)},\n  "records": [')
+    separator = "\n"
+    equal = total = 0
+    for r in records:
+        equal_text = "true" if r.equal else "false"
+        write(
+            f'{separator}    {{\n      "omega": {json.dumps(r.omega)},\n'
+            f'      "bamboo": "{format_rational(r.bamboo)}",\n      "dr": "{format_rational(r.dr)}",\n'
+            f'      "equal": {equal_text},\n      "ms": {r.ms}\n    }}'
+        )
+        separator = ",\n"
+        equal += r.equal
+        total += 1
+    close = "\n  ]" if total else "]"
+    passed_text = "true" if not aborted and equal == total else "false"
+    write(f'{close},\n  "pass": {passed_text}\n}}')
+    return equal, total
+
+
+def _write_csv(handle: TextIO, genus: int, records: Iterable[VerificationRecord]) -> Tuple[int, int]:
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(["genus", "omega", "bamboo", "dr", "equal", "ms"])
+    equal = total = 0
+    for r in records:
+        writer.writerow(
+            [genus, r.omega, format_rational(r.bamboo), format_rational(r.dr), "true" if r.equal else "false", r.ms]
+        )
+        equal += r.equal
+        total += 1
+    return equal, total
+
+
 def report_to_json(report: VerificationReport) -> str:
-    payload = {
-        "genus": report.genus,
-        "records": [
-            {
-                "omega": r.omega,
-                "bamboo": format_rational(r.bamboo),
-                "dr": format_rational(r.dr),
-                "equal": r.equal,
-                "ms": r.ms,
-            }
-            for r in report.records
-        ],
-        "pass": report.passed,
-    }
-    return json.dumps(payload, indent=2)
+    buffer = io.StringIO()
+    _write_report(buffer, "json", report.genus, report.records, report.aborted)
+    return buffer.getvalue()
 
 
 def report_to_csv(report: VerificationReport) -> str:
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["genus", "omega", "bamboo", "dr", "equal", "ms"])
-    for r in report.records:
-        writer.writerow(
-            [
-                report.genus,
-                r.omega,
-                format_rational(r.bamboo),
-                format_rational(r.dr),
-                "true" if r.equal else "false",
-                r.ms,
-            ]
-        )
+    _write_report(buffer, "csv", report.genus, report.records, report.aborted)
     return buffer.getvalue()
 
 
@@ -302,18 +336,43 @@ def _run_command(args: argparse.Namespace) -> int:
         print(format_rational(pair_dr_side(args.genus, PsiKappaMonomial.parse(args.omega))))
         return 0
 
-    result = verify(args.genus, include_kappa=args.kappa, include_boundary=args.boundary)
-    rendered = report_to_json(result) if args.format == "json" else report_to_csv(result)
+    # a bad genus is rejected here, before any output
+    classes = enumerate_omegas(args.genus, include_kappa=args.kappa, include_boundary=args.boundary)
+    aborted: List[str] = []
+    records = _records(args.genus, classes, aborted)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-            if not rendered.endswith("\n"):
-                handle.write("\n")
+        try:
+            handle, temporary = _open_beside(args.out)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
+        try:
+            with handle:
+                equal, total = _write_report(handle, args.format, args.genus, records, aborted)
+                if args.format == "json":
+                    handle.write("\n")
+            os.replace(temporary, args.out)
+        except BaseException:
+            os.unlink(temporary)
+            raise
     else:
-        print(rendered)
+        equal, total = _write_report(sys.stdout, args.format, args.genus, records, aborted)
+        sys.stdout.write("\n")  # the newline print() put after the whole report
+    passed = not aborted and equal == total
     print(
-        f"{'PASS' if result.passed else 'FAIL'}: {result.equal_count}/{result.total} "
-        f"test classes equal at genus {result.genus}",
+        f"{'PASS' if passed else 'FAIL'}: {equal}/{total} test classes equal at genus {args.genus}",
         file=sys.stderr,
     )
-    return 0 if result.passed else 1
+    return 0 if passed else 1
+
+
+def _open_beside(path: str) -> Tuple[TextIO, str]:
+    """Create a new file beside `path`, named after it and this process,
+    with the mode that ``open(path, "w")`` would give; return it open for
+    writing, with its name."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    temporary = f"{path}.{os.getpid()}.tmp"
+    # O_EXCL: never write through a file or link that is already there
+    fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    return os.fdopen(fd, "w", encoding="utf-8"), temporary

@@ -70,14 +70,6 @@ def kappa_degree(kappa: KappaMap) -> int:
     return sum(i * c for i, c in kappa)
 
 
-def kappa_factors(kappa: KappaMap) -> tuple[int, ...]:
-    """Kappa indices as a flat multiset, e.g. {1: 2, 3: 1} -> (1, 1, 3)."""
-    out: list[int] = []
-    for i, c in kappa:
-        out.extend([i] * c)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class PsiKappaMonomial:
     """Monomial psi1^d1 psi2^d2 prod_i kappa_i^c_i on a two-pointed space."""
@@ -230,7 +222,8 @@ class DecoratedChain:
         if not all(isinstance(v, ChainVertex) for v in vs):
             raise ValueError("chain vertices must be ChainVertex instances")
         object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "coefficient", Fraction(self.coefficient))
+        if type(self.coefficient) is not Fraction:
+            object.__setattr__(self, "coefficient", Fraction(self.coefficient))
 
     @property
     def genus(self) -> int:

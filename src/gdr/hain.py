@@ -62,9 +62,11 @@ integrals are b_(g_v) times an integer, and beta_h, the lcm of den(b_h)
 and den(b_f) beta_(h-f) over 1 <= f < h, clears every prod b_(g_v) over
 the ways to split h. So the vector stores W_i = beta_h 2^s s! w_i, an
 integer. A vertex contributes beta_h b_f / beta_(h-f) times its integral
-over b_f, and a node of D -C(m-1, i) C(s, m). :func:`_capped_run` builds
-the one Fraction: with Q = a + i + s, D's whole power on omega's
-vertex, it divides sum Q!/(a! i! s!) W_i by beta_h 2^Q Q!.
+over b_f, and a node of D -C(m-1, i) C(s, m). :func:`_capped_run`
+builds one Fraction per vertex key: with Q = a + i + s, D's whole power
+on omega's vertex, it divides sum Q!/(a! i! s!) W_i by beta_h 2^Q Q!.
+:func:`_pair` multiplies the memoized factors of omega's vertices into
+the one Fraction of a pairing.
 
 :func:`expand_divisor_power` expands D^g explicitly in the tree strata
 algebra instead: psi_1 and psi_2 decorate the outer legs; delta_h either
@@ -325,27 +327,30 @@ def _pair(omega: DecoratedChain) -> Fraction:
     D restricted to delta_h is D_left + D_right. So no state crosses
     omega's nodes, and each vertex contributes :func:`_capped_run`, which
     depends on the vertex alone and is shared by every class of the
-    process.
+    process. The factors and the coefficient multiply into one Fraction.
     """
-    g = omega.genus
-    if omega.codim + omega.decoration_degree != g - 1:
+    # codim + decoration degree = genus - 1, summed over the vertices
+    if sum(v.genus - 1 - v.decoration_degree for v in omega.vertices):
         # D^g pairs to 0 with it; the program never counts powers of D,
         # since the cap's support fixes their total at g for this codim only
         return Fraction(0)
-    value = omega.coefficient
+    num, den = omega.coefficient.numerator, omega.coefficient.denominator
     for v in omega.vertices:
-        value *= _capped_run(v.genus, v.left_psi, v.kappa, v.right_psi)
-    return value
+        factor = _capped_run(v.genus, v.left_psi, v.kappa, v.right_psi)
+        num *= factor.numerator
+        den *= factor.denominator
+    return Fraction(num, den)
 
 
 def pair_dr_side(g: int, omega: PsiKappaMonomial) -> Fraction:
     """Coefficient of a^(2g) in the capped double-ramification pairing
-    against omega, the one-vertex case of :func:`_pair`."""
+    against omega, the one-vertex case of :func:`_pair`: the memoized factor
+    of its one vertex, keyed on the vertex tuple, so no chain is built."""
     if g < 1:
         raise ValueError("genus must be >= 1")
     if omega.codim != g - 1:
         raise ValueError(f"omega must have codim {g - 1}, got {omega.codim}")
-    return _pair(DecoratedChain((ChainVertex(g, omega.d1, omega.d2, omega.kappa),)))
+    return _capped_run(g, omega.d1, omega.kappa, omega.d2)
 
 
 def pair_dr_boundary(omega: DecoratedChain) -> Fraction:

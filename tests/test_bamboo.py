@@ -180,7 +180,7 @@ class TestDynamicProgram:
     @example(case=(5, PsiKappaMonomial(0, 0, kappa_map({1: 2, 2: 1}))))
     def test_matches_enumeration(self, case):
         g, omega = case
-        assert _pair(g, omega) == enumerated_pairing(g, omega)
+        assert _pair(g, omega.d1, omega.d2, omega.kappa) == enumerated_pairing(g, omega)
 
     @pytest.mark.parametrize(
         "g,omega",
@@ -193,7 +193,7 @@ class TestDynamicProgram:
     )
     def test_degree_mismatch_is_zero(self, g, omega):
         assert omega.codim != g - 1
-        assert _pair(g, omega) == enumerated_pairing(g, omega) == 0
+        assert _pair(g, omega.d1, omega.d2, omega.kappa) == enumerated_pairing(g, omega) == 0
 
 
 class TestBoundaryPairing:
@@ -212,6 +212,28 @@ class TestBoundaryPairing:
         with pytest.raises(ValueError):
             pair_bamboo_boundary(DecoratedChain((ChainVertex(3, 1, 1),)))
 
+    def test_a_record_is_two_memo_lookups_and_one_fraction(self, monkeypatch):
+        # with the vertex pairings memoized, a boundary class reads each of
+        # its two vertices from the _pair memo, keyed on the vertex tuple,
+        # and builds one Fraction from their numerators and denominators
+        classes = [t.boundary for t in enumerate_omegas(5, include_kappa=True, include_boundary=True) if t.boundary]
+        expected = [pair_bamboo_boundary(omega) for omega in classes]
+        built = []
+
+        def fraction(*args):
+            assert all(type(arg) is int for arg in args)
+            built.append(Fraction(*args))
+            return built[-1]
+
+        monkeypatch.setattr(bamboo, "Fraction", fraction)
+        for omega, value in zip(classes, expected):
+            built.clear()
+            before = _pair.cache_info()
+            assert pair_bamboo_boundary(omega) == value
+            after = _pair.cache_info()
+            assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+            assert len(built) == 1
+
 
 def bamboo_values(g, classes):
     return [test_class.bamboo_value(g) for test_class in classes]
@@ -223,7 +245,7 @@ class TestSharedMemos:
         # process, so a key that missed part of what a value depends on
         # would let one class see another's value: the order of the classes,
         # and whether any class ran before, must not matter
-        classes = enumerate_omegas(5, include_kappa=True, include_boundary=True)
+        classes = list(enumerate_omegas(5, include_kappa=True, include_boundary=True))
         clear_memos()
         forward = bamboo_values(5, classes)
         clear_memos()
@@ -268,7 +290,7 @@ class TestScaledIntegers:
         keys = monomial_keys(g)
         nonzero = 0
         for genus, omega in keys:
-            value = _pair(genus, omega)
+            value = _pair(genus, omega.d1, omega.d2, omega.kappa)
             assert value == bamboo_oracle.pair(genus, omega), (genus, omega)
             nonzero += value != 0
         # the other keys are boundary sides of the wrong codim, 0 by degree
@@ -305,6 +327,6 @@ class TestScaledIntegers:
         monkeypatch.setattr(bamboo, "Fraction", fraction)
         for genus, omega in monomial_keys(5):
             built.clear()
-            value = _pair(genus, omega)
+            value = _pair(genus, omega.d1, omega.d2, omega.kappa)
             assert len(built) == 1 and value is built[0], (genus, omega)
             assert value == bamboo_oracle.pair(genus, omega)

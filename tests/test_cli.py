@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -17,6 +18,17 @@ from gdr.cli import (
 from gdr.core import PsiKappaMonomial, format_rational
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+def _zero_ms(text: str) -> str:
+    """A JSON or CSV report with its ms fields set to 0."""
+    return re.sub(r",\d+$", ",0", re.sub(r'"ms": \d+', '"ms": 0', text), flags=re.M)
+
+
+def _golden(g: int) -> str:
+    with open(os.path.join(GOLDEN_DIR, f"verify_g{g}_kappa_boundary.json"), encoding="utf-8") as handle:
+        return handle.read()
 
 
 def _strip_ms(payload: dict) -> dict:
@@ -51,7 +63,7 @@ class TestEnumerateOmegas:
 
     def test_genus_4_monomial_count(self):
         # all degree-3 monomials in psi1, psi2, kappa1..kappa3
-        assert len(enumerate_omegas(4, include_kappa=True)) == 14
+        assert len(list(enumerate_omegas(4, include_kappa=True))) == 14
 
     def test_boundary_classes_at_genus_3(self):
         omegas = enumerate_omegas(3, include_kappa=True, include_boundary=True)
@@ -59,6 +71,21 @@ class TestEnumerateOmegas:
         assert len(boundary) == 12
         assert all(t.label.startswith("delta(") for t in boundary)
         assert all(t.boundary.codim + t.boundary.decoration_degree == 2 for t in boundary)
+
+    def test_each_monomial_is_built_once_per_call(self, monkeypatch):
+        # each degree's monomials and labels are built once, and a boundary
+        # class takes its two decorations from those lists
+        per_degree = [len(cli._monomials_of_degree(degree, True)) for degree in range(5)]
+        built = []
+        original = cli.PsiKappaMonomial
+
+        def counting(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli, "PsiKappaMonomial", counting)
+        assert len(list(enumerate_omegas(5, include_kappa=True, include_boundary=True))) == 306
+        assert len(built) == sum(per_degree) == 1 + 3 + 7 + 14 + 26
 
     def test_without_kappa_only_psi_monomials(self):
         assert [t.label for t in enumerate_omegas(3)] == ["psi1^2", "psi1 psi2", "psi2^2"]
@@ -228,6 +255,102 @@ class TestMain:
             assert f"error: 3001 exponents exceed the maximum {cli.MAX_POINTS}" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
         assert len(cli._parse_exps(",".join(["0"] * cli.MAX_POINTS))) == cli.MAX_POINTS
+
+
+class TestStreamedReport:
+    """The command line writes each record as it is produced, through the
+    same writer as report_to_json and report_to_csv."""
+
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_out_file_matches_golden(self, capsys, tmp_path, g):
+        path = tmp_path / "report.json"
+        assert main(["verify", "--genus", str(g), "--kappa", "--boundary", "--out", str(path)]) == 0
+        assert _zero_ms(path.read_text(encoding="utf-8")) == _golden(g)
+        # the temporary file was renamed onto the target
+        assert os.listdir(tmp_path) == ["report.json"]
+
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_stdout_matches_golden(self, capsys, g):
+        assert main(["verify", "--genus", str(g), "--kappa", "--boundary"]) == 0
+        assert _zero_ms(capsys.readouterr().out) == _golden(g)
+
+    @pytest.mark.parametrize("g", range(1, 6))
+    def test_csv_matches_report_to_csv(self, capsys, tmp_path, g):
+        argv = ["verify", "--genus", str(g), "--kappa", "--boundary", "--format", "csv"]
+        expected = _zero_ms(report_to_csv(verify(g, include_kappa=True, include_boundary=True)))
+        lines = expected.splitlines()
+        assert lines[0] == "genus,omega,bamboo,dr,equal,ms"
+        assert len(lines) == 1 + len(list(enumerate_omegas(g, include_kappa=True, include_boundary=True)))
+        path = tmp_path / "report.csv"
+        assert main(argv + ["--out", str(path)]) == 0
+        assert _zero_ms(path.read_text(encoding="utf-8")) == expected
+        # on stdout, print's newline follows the report, as before streaming
+        assert main(argv) == 0
+        assert _zero_ms(capsys.readouterr().out) == expected + "\n"
+
+    def test_failed_pairing_streams_no_records_and_fails(self, capsys, monkeypatch):
+        def broken(g, omega):
+            raise ValueError("degree bookkeeping violated")
+
+        monkeypatch.setattr(cli, "pair_bamboo_side", broken)
+        assert main(["verify", "--genus", "1"]) == 1
+        out = capsys.readouterr()
+        assert out.out == '{\n  "genus": 1,\n  "records": [],\n  "pass": false\n}\n'
+        assert out.out == json.dumps({"genus": 1, "records": [], "pass": False}, indent=2) + "\n"
+        assert "aborted record '1'" in out.err and "FAIL: 0/0" in out.err
+
+    def test_out_file_mode_is_that_of_open(self, capsys, tmp_path):
+        # the temporary file is created private; the report gets the mode
+        # open(path, "w") gives a new file
+        assert main(["verify", "--genus", "2", "--out", str(tmp_path / "report.json")]) == 0
+        umask = os.umask(0)
+        os.umask(umask)
+        assert os.stat(tmp_path / "report.json").st_mode & 0o777 == 0o666 & ~umask
+
+
+class TestOutPath:
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["missing-directory", "a-directory"])
+    def test_unwritable_out_fails_before_any_work(self, capsys, monkeypatch, tmp_path, target):
+        def no_work(*args, **kwargs):
+            raise AssertionError("paired a class for a report that cannot be written")
+
+        for name in ("pair_bamboo_side", "pair_bamboo_boundary", "pair_dr_side", "pair_dr_boundary"):
+            monkeypatch.setattr(cli, name, no_work)
+        out = str(tmp_path / target)
+        code = main(["verify", "--genus", "3", "--kappa", "--boundary", "--format", "csv", "--out", out])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
+    def test_out_never_writes_through_an_existing_temporary_name(self, capsys, monkeypatch, tmp_path):
+        # a link planted at the temporary file's name is not followed
+        victim = tmp_path / "victim"
+        victim.write_text("keep\n", encoding="utf-8")
+        out = tmp_path / "report.json"
+        os.symlink(victim, f"{out}.{os.getpid()}.tmp")
+        assert main(["verify", "--genus", "1", "--out", str(out)]) == 2
+        assert "error: cannot write" in capsys.readouterr().err
+        assert victim.read_text(encoding="utf-8") == "keep\n" and not out.exists()
+
+    def test_interrupted_run_keeps_previous_report(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("previous report\n", encoding="utf-8")
+        original = cli.pair_dr_side
+        calls = []
+
+        def interrupted(g, omega):
+            calls.append(omega)
+            if len(calls) > 3:
+                raise KeyboardInterrupt
+            return original(g, omega)
+
+        monkeypatch.setattr(cli, "pair_dr_side", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["verify", "--genus", "3", "--kappa", "--boundary", "--out", str(path)])
+        assert len(calls) == 4
+        assert path.read_text(encoding="utf-8") == "previous report\n"
+        assert os.listdir(tmp_path) == ["report.json"]
 
 
 class TestCache:

@@ -15,13 +15,20 @@ from gdr.core import (
     format_rational,
     kappa_degree,
     kappa_distributions,
-    kappa_factors,
     kappa_map,
     multinomial,
     parse_rational,
 )
 
 fractions_st = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
+
+
+def kappa_factors(kappa) -> tuple:
+    """Kappa indices as a flat multiset, e.g. {1: 2, 3: 1} -> (1, 1, 3)."""
+    out = []
+    for i, c in kappa:
+        out.extend([i] * c)
+    return tuple(out)
 
 
 class TestRational:

@@ -403,6 +403,28 @@ class TestBoundaryPairing:
         with pytest.raises(ValueError):
             pair_dr_boundary(DecoratedChain((ChainVertex(2, 1, 1),)))
 
+    def test_a_record_is_two_memo_lookups_and_one_fraction(self, monkeypatch):
+        # with the vertex factors memoized, a boundary class reads each of
+        # its two vertices from the _capped_run memo and builds one Fraction
+        # from their numerators and denominators
+        classes = [t.boundary for t in enumerate_omegas(5, include_kappa=True, include_boundary=True) if t.boundary]
+        expected = [pair_dr_boundary(omega) for omega in classes]
+        built = []
+
+        def fraction(*args):
+            assert all(type(arg) is int for arg in args)
+            built.append(Fraction(*args))
+            return built[-1]
+
+        monkeypatch.setattr(hain, "Fraction", fraction)
+        for omega, value in zip(classes, expected):
+            built.clear()
+            before = hain._capped_run.cache_info()
+            assert pair_dr_boundary(omega) == value
+            after = hain._capped_run.cache_info()
+            assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+            assert len(built) == 1
+
     @pytest.mark.parametrize("g,count", [(3, 12), (4, 69)])
     def test_factorizes_into_monomial_pairings(self, g, count):
         # D restricted to delta_h is D_left + D_right, so the pairing
@@ -435,7 +457,7 @@ class TestSharedMemos:
         # key that missed part of what a run depends on would let one class
         # see another's run: the order of the classes, and whether any class
         # ran before, must not matter
-        classes = enumerate_omegas(5, include_kappa=True, include_boundary=True)
+        classes = list(enumerate_omegas(5, include_kappa=True, include_boundary=True))
         clear_memos()
         forward = divisor_values(5, classes)
         clear_memos()
