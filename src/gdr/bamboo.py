@@ -88,15 +88,19 @@ from .kappa import integrate
 def enumerate_bamboos(g: int) -> List[Bamboo]:
     """All bamboo terms for genus g, deterministically ordered by
     (vertex count, genus tuple, psi-power tuple)."""
+    return list(_bamboos(g))
+
+
+def _bamboos(g: int) -> Iterator[Bamboo]:
+    """The terms of :func:`enumerate_bamboos`, yielded one at a time; a
+    genus below 1 raises at the first step, before any term."""
     if g < 1:
         raise ValueError("genus must be >= 1")
-    out: List[Bamboo] = []
     for k in range(1, g + 1):
         d_total = 2 * g - (k - 1)
         for genera in _positive_compositions(g, k):
             for ds in _prefix_constrained(genera, d_total):
-                out.append(Bamboo(tuple(zip(genera, ds))))
-    return out
+                yield Bamboo(tuple(zip(genera, ds)))
 
 
 def _positive_compositions(total: int, parts: int) -> Iterator[tuple]:

@@ -9,6 +9,13 @@ Subcommands:
     hodge   --genus G --exps K1,K2,...     one capped psi integral
     bamboos --genus G                      list the signed bamboo terms
 
+Options follow the subcommand in any order, as ``--opt value`` or
+``--opt=value``; the last occurrence wins and names are not abbreviated.
+They are read against one table, ``_COMMANDS``, of each subcommand's
+options and the int or str converters of their values. ``-h``/``--help``
+prints this text. A usage error prints the usage line and the error in
+argparse's wording to stderr, and exits 2.
+
 The omega grammar is whitespace-separated ``psi1^a psi2^b kappa1^c ...``
 (exponent 1 omissible, ``1`` for the unit). Every subcommand rejects a
 genus above MAX_GENUS, and witten/hodge an exponent list longer than
@@ -24,7 +31,6 @@ report as it was and no temporary file behind.
 """
 from __future__ import annotations
 
-import argparse
 import csv
 import errno
 import io
@@ -34,10 +40,12 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
-from typing import Iterable, Iterator, List, Optional, TextIO, Tuple
+from types import SimpleNamespace
+from typing import Iterable, Iterator, List, NoReturn, Optional, TextIO, Tuple
 
-from .bamboo import enumerate_bamboos, pair_bamboo_boundary, pair_bamboo_side
+# enumerate_bamboos stays importable from here; `gdr bamboos` streams the
+# same terms through _bamboos instead of listing them first
+from .bamboo import _bamboos, enumerate_bamboos, pair_bamboo_boundary, pair_bamboo_side  # noqa: F401
 from .core import ChainVertex, DecoratedChain, PsiKappaMonomial, format_rational, kappa_map
 from .correlators import correlator
 from .hain import pair_dr_boundary, pair_dr_side
@@ -270,43 +278,104 @@ def _parse_exps(text: str) -> tuple:
         raise ValueError(f"bad exponent list {text!r}: {exc}") from exc
 
 
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and reused after it."""
-    parser = argparse.ArgumentParser(prog="gdr", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each subcommand's options, in usage order. An option maps to the
+# converter of its value (int or str), to the tuple of values it accepts,
+# or to _FLAG when it takes no value.
+_FLAG = "flag"
+_COMMANDS = {
+    "verify": {"--genus": int, "--kappa": _FLAG, "--boundary": _FLAG, "--out": str, "--format": ("json", "csv")},
+    "bside": {"--genus": int, "--omega": str},
+    "drside": {"--genus": int, "--omega": str},
+    "witten": {"--genus": int, "--exps": str},
+    "hodge": {"--genus": int, "--exps": str},
+    "bamboos": {"--genus": int},
+}
+# The values of the options that may be left out; every other option is required.
+_DEFAULTS = {"--kappa": False, "--boundary": False, "--out": None, "--format": "json"}
+_HELP = ("-h", "--help")
 
-    p_verify = sub.add_parser("verify", help="compare both pipelines over a family of test classes")
-    p_verify.add_argument("--genus", type=int, required=True)
-    p_verify.add_argument("--kappa", action="store_true", help="include kappa-bearing monomials")
-    p_verify.add_argument("--boundary", action="store_true", help="include two-vertex boundary classes")
-    p_verify.add_argument("--out", default=None, help="write the report here instead of stdout")
-    p_verify.add_argument("--format", choices=("json", "csv"), default="json")
 
-    for name, help_text in (
-        ("bside", "pair the bamboo class against one monomial"),
-        ("drside", "pair the capped divisor power against one monomial"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--genus", type=int, required=True)
-        p.add_argument("--omega", required=True)
+def _parse(argv: List[str]) -> SimpleNamespace:
+    """The subcommand and option values of `argv`, read against
+    _COMMANDS as the module docstring describes."""
+    if argv and argv[0] in _HELP:
+        _print_help()
+    if not argv:
+        _usage_error(None, "the following arguments are required: command")
+    command = argv[0]
+    options = _COMMANDS.get(command)
+    if options is None:
+        _usage_error(None, f"argument command: invalid choice: {command!r} (choose from {_choices(_COMMANDS)})")
+    values = {name: _DEFAULTS[name] for name in options if name in _DEFAULTS}
+    unrecognized = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in _HELP:
+            _print_help()
+        name, explicit, text = token.partition("=")
+        convert = options.get(name)
+        if convert is None:
+            unrecognized.append(token)
+        elif convert is _FLAG:
+            if explicit:
+                _usage_error(command, f"argument {name}: ignored explicit argument {text!r}")
+            values[name] = True
+        else:
+            if not explicit:
+                text = next(tokens, None)
+                if text is None or _is_option(text):
+                    _usage_error(command, f"argument {name}: expected one argument")
+            if convert is int:
+                try:
+                    values[name] = int(text)
+                except ValueError:
+                    _usage_error(command, f"argument {name}: invalid int value: {text!r}")
+            elif convert is str or text in convert:
+                values[name] = text
+            else:
+                _usage_error(command, f"argument {name}: invalid choice: {text!r} (choose from {_choices(convert)})")
+    missing = [name for name in options if name not in values]
+    if missing:
+        _usage_error(command, f"the following arguments are required: {', '.join(missing)}")
+    if unrecognized:
+        _usage_error(command, f"unrecognized arguments: {' '.join(unrecognized)}")
+    return SimpleNamespace(command=command, **{name[2:]: value for name, value in values.items()})
 
-    p_witten = sub.add_parser("witten", help="one psi correlator")
-    p_witten.add_argument("--genus", type=int, required=True)
-    p_witten.add_argument("--exps", required=True)
 
-    p_hodge = sub.add_parser("hodge", help="one capped psi integral")
-    p_hodge.add_argument("--genus", type=int, required=True)
-    p_hodge.add_argument("--exps", required=True)
+def _is_option(token: str) -> bool:
+    """Whether `token` reads as an option rather than a value; as in
+    argparse, a negative number is a value."""
+    return len(token) > 1 and token[0] == "-" and not token[1:].isdigit()
 
-    p_bamboos = sub.add_parser("bamboos", help="list the signed bamboo terms")
-    p_bamboos.add_argument("--genus", type=int, required=True)
 
-    return parser
+def _choices(values: Iterable[str]) -> str:
+    return ", ".join(map(repr, values))
+
+
+def _print_help() -> NoReturn:
+    sys.stdout.write(__doc__)
+    raise SystemExit(0)
+
+
+def _usage_error(command: Optional[str], message: str) -> NoReturn:
+    """Print the usage line of `command` (of gdr itself when None) and
+    `message` to stderr, and exit 2."""
+    if command is None:
+        usage = f"[-h] {{{','.join(_COMMANDS)}}} ..."
+    else:
+        words = [command, "[-h]"]
+        for name, convert in _COMMANDS[command].items():
+            word = name
+            if convert is not _FLAG:
+                word += " " + (name[2:].upper() if convert in (int, str) else f"{{{','.join(convert)}}}")
+            words.append(f"[{word}]" if name in _DEFAULTS else word)
+        usage = " ".join(words)
+    sys.stderr.write(f"usage: gdr {usage}\ngdr: error: {message}\n")
+    raise SystemExit(2)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     if args.genus > MAX_GENUS:
         print(f"error: genus {args.genus} exceeds the maximum {MAX_GENUS}", file=sys.stderr)
         return 2
@@ -317,10 +386,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
 
-def _run_command(args: argparse.Namespace) -> int:
+def _run_command(args: SimpleNamespace) -> int:
     """Run one subcommand; a ValueError means bad input and reaches main."""
     if args.command == "bamboos":
-        for bamboo in enumerate_bamboos(args.genus):
+        for bamboo in _bamboos(args.genus):
             print(bamboo)
         return 0
     if args.command == "hodge":

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from gdr import cli
-from gdr.bamboo import pair_bamboo_side
+from gdr.bamboo import enumerate_bamboos, pair_bamboo_side
 from gdr.cli import (
     enumerate_omegas,
     main,
@@ -389,9 +389,117 @@ class TestCache:
         assert os.listdir(tmp_path) == []
 
 
+# Every option of each subcommand, with a value, and the options of the
+# other subcommands as they would be given.
+OWN_OPTIONS = {
+    "verify": ["--genus", "2", "--kappa", "--boundary", "--out", "r.json", "--format", "csv"],
+    "bside": ["--genus", "2", "--omega", "psi2"],
+    "drside": ["--genus", "2", "--omega", "psi1"],
+    "witten": ["--genus", "2", "--exps", "1,4"],
+    "hodge": ["--genus", "2", "--exps", "3,0"],
+    "bamboos": ["--genus", "2"],
+}
+ANY_OPTION = {
+    "--kappa": [], "--boundary": [], "--out": ["r.json"], "--format": ["csv"], "--omega": ["psi1"], "--exps": ["1"],
+}
+
+
 class TestParser:
-    def test_parser_is_built_once(self):
-        assert cli.build_parser() is cli.build_parser()
+    """The command line is read against one table of subcommands and
+    options, with argparse's wording for every usage error."""
+
+    @pytest.mark.parametrize("command", sorted(OWN_OPTIONS))
+    def test_each_subcommand_accepts_exactly_its_own_options(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        argv = [command] + OWN_OPTIONS[command]
+        own = [word for word in OWN_OPTIONS[command] if word.startswith("--")]
+        assert sorted(vars(cli._parse(argv))) == sorted(["command"] + [name[2:] for name in own])
+        for name, value in ANY_OPTION.items():
+            if name in own:
+                continue
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv + [name] + value)
+            assert exit_info.value.code == 2
+            assert capsys.readouterr().err.endswith(f"gdr: error: unrecognized arguments: {' '.join([name] + value)}\n")
+        assert os.listdir(tmp_path) == []
+
+    def test_values_and_defaults(self):
+        assert vars(cli._parse(["verify"] + OWN_OPTIONS["verify"])) == {
+            "command": "verify", "genus": 2, "kappa": True, "boundary": True, "out": "r.json", "format": "csv",
+        }
+        assert vars(cli._parse(["verify", "--genus", "-1"])) == {
+            "command": "verify", "genus": -1, "kappa": False, "boundary": False, "out": None, "format": "json",
+        }
+
+    def test_equals_form_any_order_and_last_occurrence(self):
+        expected = cli._parse(["bside", "--genus", "3", "--omega", "psi1 kappa1"])
+        assert vars(expected) == {"command": "bside", "genus": 3, "omega": "psi1 kappa1"}
+        for argv in (
+            ["bside", "--genus=3", "--omega=psi1 kappa1"],
+            ["bside", "--omega", "psi1 kappa1", "--genus=3"],
+            ["bside", "--genus", "5", "--omega", "psi2", "--genus=3", "--omega", "psi1 kappa1"],
+        ):
+            assert cli._parse(argv) == expected, argv
+        assert cli._parse(["witten", "--genus", "1", "--exps=-1,2"]).exps == "-1,2"
+
+    @pytest.mark.parametrize(
+        "argv, wording",
+        [
+            (["bside", "--omega", "psi1", "--genus"], "argument --genus: expected one argument"),
+            (["witten", "--genus", "2", "--exps", "-1,2"], "argument --exps: expected one argument"),
+            (["bside", "--genus", "2"], "the following arguments are required: --omega"),
+            (["witten"], "the following arguments are required: --genus, --exps"),
+            (["bside", "--genus", "x", "--omega", "1"], "argument --genus: invalid int value: 'x'"),
+            (
+                ["verify", "--genus", "1", "--format", "xml"],
+                "argument --format: invalid choice: 'xml' (choose from 'json', 'csv')",
+            ),
+            (
+                ["frobnicate", "--genus", "1"],
+                "argument command: invalid choice: 'frobnicate' "
+                "(choose from 'verify', 'bside', 'drside', 'witten', 'hodge', 'bamboos')",
+            ),
+            ([], "the following arguments are required: command"),
+            (["verify", "--genus", "1", "--kappa=yes"], "argument --kappa: ignored explicit argument 'yes'"),
+            # names are not abbreviated
+            (["verify", "--gen", "1"], "the following arguments are required: --genus"),
+        ],
+        ids=[
+            "missing-value", "option-as-value", "missing-option", "missing-options", "bad-int", "bad-format",
+            "unknown-subcommand", "no-arguments", "flag-with-value", "abbreviation",
+        ],
+    )
+    def test_usage_error_exits_2_with_argparse_wording(self, capsys, argv, wording):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: gdr ")
+        assert captured.err.endswith(f"\ngdr: error: {wording}\n")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["verify", "--genus", "2", "--help"]])
+    def test_help_prints_the_module_docstring(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == cli.__doc__.splitlines()[0]
+        # the docstring lists every subcommand with every option of the table
+        listed = {line.split()[0]: line for line in out.splitlines() if line.startswith("    ")}
+        for command, options in cli._COMMANDS.items():
+            assert all(name in listed[command] for name in options), command
+
+    def test_import_leaves_argparse_out(self):
+        code = "import sys, gdr.cli; assert 'argparse' not in sys.modules"
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_reused_parser_keeps_no_state_between_calls(self, capsys):
         # the second call leaves out --kappa: a Namespace left over from the
@@ -400,6 +508,28 @@ class TestParser:
         assert len(json.loads(capsys.readouterr().out)["records"]) == 3
         assert main(["verify", "--genus", "2"]) == 0
         assert len(json.loads(capsys.readouterr().out)["records"]) == 2
+
+
+class TestBamboos:
+    @pytest.mark.parametrize("g", range(1, 8))
+    def test_lists_enumerate_bamboos(self, capsys, g):
+        assert main(["bamboos", "--genus", str(g)]) == 0
+        assert capsys.readouterr().out.splitlines() == [str(b) for b in enumerate_bamboos(g)]
+
+    def test_each_term_is_printed_before_the_next_is_built(self, capsys, monkeypatch):
+        produced = []
+        terms = cli._bamboos
+
+        def watched(g):
+            for term in terms(g):
+                assert capsys.readouterr().out == "".join(f"{t}\n" for t in produced[-1:])
+                produced.append(term)
+                yield term
+
+        monkeypatch.setattr(cli, "_bamboos", watched)
+        assert main(["bamboos", "--genus", "4"]) == 0
+        assert capsys.readouterr().out == f"{produced[-1]}\n"
+        assert produced == enumerate_bamboos(4)
 
 
 def test_module_entry_point(tmp_path):
