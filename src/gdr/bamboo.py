@@ -100,7 +100,7 @@ def _bamboos(g: int) -> Iterator[Bamboo]:
         d_total = 2 * g - (k - 1)
         for genera in _positive_compositions(g, k):
             for ds in _prefix_constrained(genera, d_total):
-                yield Bamboo(tuple(zip(genera, ds)))
+                yield Bamboo._trusted(tuple(zip(genera, ds)))
 
 
 def _positive_compositions(total: int, parts: int) -> Iterator[tuple]:

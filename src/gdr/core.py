@@ -169,6 +169,15 @@ class Bamboo:
             if d_run + ell - 1 > 2 * g_run - 1:
                 raise ValueError(f"prefix constraint violated at position {ell}")
 
+    @classmethod
+    def _trusted(cls, vertices: tuple) -> Bamboo:
+        """A term from int (genus, edge psi power) pairs that already meet
+        every check of __post_init__, built without repeating them: the
+        enumeration of gdr.bamboo guarantees both constraints."""
+        term = object.__new__(cls)
+        object.__setattr__(term, "vertices", vertices)
+        return term
+
     @property
     def genus(self) -> int:
         return sum(g for g, _ in self.vertices)

@@ -93,6 +93,13 @@ class TestEnumeration:
             assert sum(d for _, d in b.vertices) + k - 1 == 2 * g
             Bamboo(b.vertices)  # re-validate the prefix constraint
 
+    @pytest.mark.parametrize("g", range(1, 8))
+    def test_enumerated_terms_pass_the_public_checks(self, g):
+        # the enumeration builds its terms without re-running Bamboo's checks
+        for b in enumerate_bamboos(g):
+            assert Bamboo(b.vertices) == b
+            assert all(type(genus) is int and type(d) is int for genus, d in b.vertices)
+
     def test_order_is_deterministic(self):
         assert enumerate_bamboos(3) == enumerate_bamboos(3)
         assert enumerate_bamboos(3) == sorted(

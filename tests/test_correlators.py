@@ -1,7 +1,7 @@
 import itertools
 import os
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given
@@ -298,6 +298,57 @@ def test_recursion_work_is_bounded(monkeypatch):
     # no dead split: every key the recursion asks for is inside the dimension
     out_of_dimension = [(g, ks) for g, ks in asked if sum(ks) != 3 * g - 3 + len(ks)]
     assert out_of_dimension == []
+
+
+def test_recursion_call_count_is_exact(monkeypatch):
+    # A faster way to evaluate the same DVV terms makes exactly the same
+    # `_scaled` calls; a recursion that evaluates other terms changes the
+    # count (and the memo's key set).
+    calls = 0
+    real = correlators._scaled
+
+    def counting(genus, exponents):
+        nonlocal calls
+        calls += 1
+        return real(genus, exponents)
+
+    monkeypatch.setattr(correlators, "_scaled", counting)
+    clear_memos()
+    correlators.correlator(6, (3, 3, 3) + (2,) * 9)
+    assert calls == 2868
+
+
+def test_every_dvv_shape_shares_the_points_exactly_once():
+    # Every shape that the DVV recursion meets on the bside-g6-kappa keys, on
+    # the small keys and on <tau_3^3 tau_2^9>_6: the joins and the residue
+    # classes of sharings.
+    keys = set(_bside_g6_kappa_keys())
+    clear_memos()
+    for key in in_dimension_keys(max_genus=4, max_points=6):
+        correlator(*key)
+    correlator(6, (3, 3, 3) + (2,) * 9)
+    keys |= set(memo_snapshot())
+    rests = {exps[:-1] for _, exps in keys if exps[0] >= 2}
+    assert len(rests) > 50
+    for rest in rests:
+        joins, by_residue = correlators._shape(rest)
+        assert [kj for kj, _, _ in joins] == sorted(set(rest))
+        assert sum(multiplicity for _, multiplicity, _ in joins) == len(rest)
+        for kj, multiplicity, others in joins:
+            assert multiplicity == rest.count(kj)
+            assert others == tuple(sorted(others)) and tuple(sorted(others + (kj,))) == rest
+        lefts = []
+        for residue, sharings in enumerate(by_residue):
+            for g1, left, right, weight in sharings:
+                assert left == tuple(sorted(left)) and right == tuple(sorted(right))
+                assert tuple(sorted(left + right)) == rest
+                assert sum(left) + residue == 3 * g1 - 2 + len(left)
+                assert weight == prod(comb(rest.count(k), left.count(k)) for k in set(rest))
+                lefts.append(left)
+        # each sub-multiset once, in exactly one residue class, and the
+        # weights count every subset of the points once
+        assert len(lefts) == len(set(lefts)) == prod(rest.count(k) + 1 for k in set(rest))
+        assert sum(weight for sharings in by_residue for *_, weight in sharings) == 2 ** len(rest)
 
 
 def _odd_double_factorial_by_factorials(m):
