@@ -87,12 +87,6 @@ class PsiKappaMonomial:
     def codim(self) -> int:
         return self.d1 + self.d2 + kappa_degree(self.kappa)
 
-    def __mul__(self, other: "PsiKappaMonomial") -> "PsiKappaMonomial":
-        merged = dict(self.kappa)
-        for i, c in other.kappa:
-            merged[i] = merged.get(i, 0) + c
-        return PsiKappaMonomial(self.d1 + other.d1, self.d2 + other.d2, kappa_map(merged))
-
     def __str__(self) -> str:
         parts = []
         for name, exp in (("psi1", self.d1), ("psi2", self.d2)):

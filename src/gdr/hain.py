@@ -12,7 +12,7 @@ the coefficient of a^(2g) in the capped cycle pairs as (1/g!) int D^g ....
 The cap vanishes outside compact type, so only chain strata ever appear;
 on a chain it distributes as the top lambda class of each vertex, which
 is what :func:`gdr.hodge.psi_lambda_g_integral` evaluates:
-multinomial(exps) b_g in dimension.
+multinomial(exps) b_g in dimension, b_g times :func:`gdr.hodge.capped_unit`.
 
 Distinct delta_h meet transversally and the excess rule gives
 delta_h^m = delta_h (-psi' - psi'')^(m-1), so the multinomial expansion
@@ -34,39 +34,42 @@ delta_h is D_left + D_right. So the pairing is a product over the runs:
 
 - :func:`_run` sums, over every way D splits a run into vertices and
   shares out its kappa, the capped vertex integrals times the weights of
-  D's nodes inside the run. It depends on the run alone (genus, incoming
-  psi power, kappa, omega's psi power on its right leg) and returns
-  {i: weight}, i being D's part of the psi power on the run's outgoing
-  leg, each weight scaled to an integer as below.
+  D's nodes inside the run and the weight (1/2)^i/i! of D's part i of
+  the psi power on the run's outgoing leg, whether that leg is a marking
+  or a node of omega. It depends on the run alone (genus, incoming psi
+  power, kappa, omega's psi power on its right leg) and returns one
+  number, scaled to an integer as below.
 - :func:`_transfer` is the node of D after a vertex with outgoing power
-  i: the weights -(1/2)^m/m! C(m-1, i) times the vector of the rest of
-  the run, summed over the power entering the next vertex.
-- :func:`_capped_run` sums a run's vectors against the weights
-  (1/2)^a/a! of D's psi power a on its left leg and (1/2)^i/i! of i on
-  its right leg, whether the leg is a marking or a node of omega.
+  i: the weights -(1/2)^m/m! C(m-1, i) times the rest of the run,
+  summed over the power entering the next vertex.
+- :func:`_capped_run` sums a vertex's runs against the weight
+  (1/2)^a/a! of D's psi power a on its left leg.
 
 These are memoized for the whole process, so every class of a `verify`
 run reuses the runs that earlier classes computed.
 
-The run vectors hold integers. The cap's support fixes D's total power
-in a run: its vertices have degrees 2g_v - 1, so a run of genus h and
-kappa degree K, with psi power `incoming` on its left leg, omega's
-`right_psi` and D's i on its right leg, has D's power
+The runs are integers. The cap's support fixes D's total power in a
+run: its vertices have degrees 2g_v - 1, so a run of genus h and kappa
+degree K, with psi power `incoming` on its left leg and omega's
+`right_psi` on its right leg, has D's power
 
-    s = 2h - 1 - K - right_psi - incoming - i
+    t = s + i = 2h - 1 - K - right_psi - incoming,
 
-at its internal nodes, whichever way D splits it. Each node weight
-(1/2)^m/m! has denominator 2^m m!, and the m of the run's nodes sum to
-s, so 2^s s! clears them all (s!/prod m! is a multinomial). The vertex
-integrals are b_(g_v) times an integer, and beta_h, the lcm of den(b_h)
-and den(b_f) beta_(h-f) over 1 <= f < h, clears every prod b_(g_v) over
-the ways to split h. So the vector stores W_i = beta_h 2^s s! w_i, an
-integer. A vertex contributes beta_h b_f / beta_(h-f) times its integral
-over b_f, and a node of D -C(m-1, i) C(s, m). :func:`_capped_run`
-builds one Fraction per vertex key: with Q = a + i + s, D's whole power
-on omega's vertex, it divides sum Q!/(a! i! s!) W_i by beta_h 2^Q Q!.
-:func:`_pair` multiplies the memoized factors of omega's vertices into
-the one Fraction of a pairing.
+s at its internal nodes and i on its outgoing leg, whichever way D
+splits it. Each weight (1/2)^m/m!, at a node or on the outgoing leg,
+has denominator 2^m m!, and these m sum to t, so 2^t t! clears them all
+(t!/prod m! is a multinomial). The vertex integrals are b_(g_v) times
+an integer, and beta_h, the lcm of den(b_h) and den(b_f) beta_(h-f)
+over 1 <= f < h, clears every prod b_(g_v) over the ways to split h.
+So :func:`_run` returns beta_h 2^t t! sum_i w_i/(2^i i!), an integer,
+w_i being the weight of outgoing power i. A vertex contributes
+beta_h b_f / beta_(h-f) times its integral over b_f, a closing vertex
+1 for its outgoing power (t = i there), and a node of D
+-C(m-1, i) C(t, m). :func:`_capped_run` builds one Fraction per vertex
+key: with top = a + t, D's whole power on omega's vertex, it divides
+sum_a C(top, a) times the run by beta_h 2^top top!. :func:`_pair`
+multiplies the memoized factors of omega's vertices into the one
+Fraction of a pairing.
 
 :func:`expand_divisor_power` expands D^g explicitly in the tree strata
 algebra instead: psi_1 and psi_2 decorate the outer legs; delta_h either
@@ -92,9 +95,8 @@ from .core import (
     kappa_degree,
     kappa_distributions,
     kappa_splits,
-    multinomial,
 )
-from .hodge import lambda_g_constant, psi_lambda_g_integral
+from .hodge import capped_unit, lambda_g_constant, psi_lambda_g_integral
 from .kappa import integrate
 
 DivisorTerm = Union[str, Tuple[str, int]]  # "psi1" | "psi2" | ("delta", h)
@@ -203,9 +205,6 @@ def evaluate_chain(chain: DecoratedChain) -> Fraction:
     return value
 
 
-Vector = tuple  # tuple[tuple[int, int], ...]: sorted (i, scaled weight), no zero weight
-
-
 @lru_cache(maxsize=None)
 def _scale(genus: int) -> int:
     """beta_genus, a common denominator of prod b_(g_v) over every way to
@@ -224,37 +223,27 @@ def _vertex_weight(genus: int, first: int) -> int:
     return _scale(genus) // (b.denominator * _scale(genus - first)) * b.numerator
 
 
-def _capped_unit(genus: int, exps: tuple) -> int:
-    """int psi^exps lambda_genus / b_genus: multinomial(exps) in dimension, else 0."""
-    return multinomial(exps) if sum(exps) == 2 * genus - 3 + len(exps) else 0
-
-
 @lru_cache(maxsize=None)
 def _vertex(genus: int, left: int, right: int, kappa: KappaMap) -> int:
     """Capped two-leg vertex integral over b_genus, an integer, memoized for
     the whole process."""
-    return integrate(_capped_unit, genus, (left, right), kappa)
-
-
-def _vector(out: dict) -> Vector:
-    """A {i: weight} dict as a Vector: sorted by i, zero weights dropped."""
-    return tuple((i, w) for i, w in sorted(out.items()) if w)
+    return integrate(capped_unit, genus, (left, right), kappa)
 
 
 @lru_cache(maxsize=None)
-def _run(genus: int, incoming: int, kappa: KappaMap, right_psi: int) -> Vector:
-    """One run of omega, refined by D in every way, as the vector of (i, W_i).
+def _run(genus: int, incoming: int, kappa: KappaMap, right_psi: int) -> int:
+    """One run of omega, refined by D in every way, with D's psi power i on
+    its outgoing leg summed out against the weight (1/2)^i/i!.
 
     The run has genus `genus`, psi power `incoming` on the left leg of its
     first vertex, the kappa decoration `kappa` and omega's psi power
-    `right_psi` on the right leg of its last vertex. The weight w_i sums,
-    over the ways D splits the run into vertices and shares out its kappa,
-    the capped vertex integrals times the weights of D's nodes inside the
-    run; i is D's part of the psi power on the run's outgoing leg. The
-    vector holds the integer W_i = beta_genus 2^s s! w_i, s being D's
-    power inside the run.
+    `right_psi` on the right leg of its last vertex. The value sums, over
+    the ways D splits the run into vertices and shares out its kappa, the
+    capped vertex integrals times the weights of D's nodes inside the run
+    and of i, as the integer on the scale beta_genus 2^t t!, t being D's
+    power inside the run and on its outgoing leg.
     """
-    out: dict = {}
+    total = 0
     for first in range(1, genus + 1):
         closes_run = first == genus
         weight = _vertex_weight(genus, first)
@@ -269,51 +258,42 @@ def _run(genus: int, incoming: int, kappa: KappaMap, right_psi: int) -> Vector:
             value = mult * _vertex(first, incoming, outgoing, share)
             if not value:
                 continue
-            value *= weight
-            if closes_run:
-                # s = 0: D has no node inside a one-vertex run
-                out[i] = out.get(i, 0) + value
-                continue
-            # a node of D follows; s is the same for the run and its transfer
-            for j, w in _transfer(i, genus - first, rest, right_psi):
-                out[j] = out.get(j, 0) + value * w
-    return _vector(out)
+            if not closes_run:
+                # a node of D follows; t is the same for the run and its transfer
+                value *= _transfer(i, genus - first, rest, right_psi)
+            # on a closing vertex t = i, and (1/2)^i/i! is 1 on the scale 2^i i!
+            total += value * weight
+    return total
 
 
 @lru_cache(maxsize=None)
-def _transfer(i: int, genus: int, kappa: KappaMap, right_psi: int) -> Vector:
+def _transfer(i: int, genus: int, kappa: KappaMap, right_psi: int) -> int:
     """A node of D inside a run, with psi'^i on its left branch, glued to
-    the rest of the run: the node weights -(1/2)^m/m! C(m-1, i) psi''^(m-1-i)
-    times the vector of the rest, as integers on the scale beta_genus 2^s s!
-    with s = m + s', s' being D's power inside the rest. Rescaling the
-    rest's entries from 2^s' s'! turns the node weight into
-    -C(m-1, i) C(s, m)."""
-    # the rest's s' = top - nxt - j is >= 0, and s = s' + m = top + i + 1 - j
+    the rest of the run: the node weights -(1/2)^m/m! C(m-1, i) times the
+    rest's value, on the scale beta_genus 2^t t! with t = m + t', t' being
+    the rest's t. Rescaling the rest from 2^t' t'! turns the node weight
+    into -C(m-1, i) C(t, m)."""
+    # the rest's t' = top - nxt, so t = top + i + 1 whatever nxt is
     top = 2 * genus - 1 - kappa_degree(kappa) - right_psi
-    out: dict = {}
+    t = top + i + 1
+    total = 0
     for nxt in range(top + 1):
         m = i + 1 + nxt
-        node = -comb(m - 1, i)
-        for j, w in _run(genus, nxt, kappa, right_psi):
-            out[j] = out.get(j, 0) + node * comb(top + i + 1 - j, m) * w
-    return _vector(out)
+        total -= comb(m - 1, i) * comb(t, m) * _run(genus, nxt, kappa, right_psi)
+    return total
 
 
 @lru_cache(maxsize=None)
 def _capped_run(genus: int, left_psi: int, kappa: KappaMap, right_psi: int) -> Fraction:
     """One vertex of omega, refined by D in every way, with D's psi powers
-    on both of its outer legs summed out: the weights (1/2)^a/a! of
-    psi^a on the left leg and (1/2)^i/i! of psi^i on the right leg times
-    the vector of :func:`_run`. D's whole power on the vertex is
-    Q = a + i + s, so each term is Q!/(a! i! s!) W_i over the one
-    denominator beta_genus 2^Q Q!."""
+    on both of its outer legs summed out: the weight (1/2)^a/a! of psi^a
+    on the left leg times :func:`_run`, which sums out the right leg. D's
+    whole power on the vertex is top = a + t, so each term is
+    C(top, a) times the run over the one denominator beta_genus 2^top top!."""
     top = 2 * genus - 1 - kappa_degree(kappa) - left_psi - right_psi
     if top < 0:
         return Fraction(0)
-    total = 0
-    for a in range(top + 1):
-        for i, w in _run(genus, a + left_psi, kappa, right_psi):
-            total += comb(top, a) * comb(top - a, i) * w
+    total = sum(comb(top, a) * _run(genus, a + left_psi, kappa, right_psi) for a in range(top + 1))
     return Fraction(total, _scale(genus) * 2 ** top * factorial(top))
 
 

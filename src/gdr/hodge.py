@@ -68,6 +68,10 @@ def psi_lambda_g_integral(g: int, exponents: Iterable[int]) -> Fraction:
         raise ValueError("genus must be >= 0")
     if any(k < 0 for k in exps):
         raise ValueError("psi exponents must be >= 0")
-    if sum(exps) != 2 * g - 3 + len(exps):
-        return Fraction(0)
-    return multinomial(exps) * (lambda_g_constant(g) if g else Fraction(1))
+    return capped_unit(g, exps) * (lambda_g_constant(g) if g else Fraction(1))
+
+
+def capped_unit(g: int, exps: tuple) -> int:
+    """int psi^exps lambda_g / b_g, unchecked: multinomial(exps) in
+    dimension, else 0. The integer leaf of the divisor side."""
+    return multinomial(exps) if sum(exps) == 2 * g - 3 + len(exps) else 0

@@ -1,9 +1,12 @@
 """Reference per-run dynamic program of the divisor side in Fractions, the
-oracle that the scaled-integer :func:`gdr.hain._capped_run` is tested
-against. It carries every weight as an exact rational, (1/2)^m/m! at a
-node of D and the capped vertex integral itself at a vertex, so it needs
-none of the scales beta_h 2^s s! of gdr.hain; it shares only the vertex
-integrator and the closed form of the capped integral with it.
+oracle that the scaled-integer :func:`gdr.hain._run` and
+:func:`gdr.hain._capped_run` are tested against. It carries every weight
+as an exact rational, (1/2)^m/m! at a node of D and the capped vertex
+integral itself at a vertex, so it needs none of the scales
+beta_h 2^t t! of gdr.hain. It keeps a run as a vector {i: w_i} over D's
+psi power i on the run's outgoing leg, where gdr.hain sums i out inside
+the run; it shares only the vertex integrator and the closed form of
+the capped integral with it.
 """
 from fractions import Fraction
 from functools import lru_cache

@@ -79,9 +79,12 @@ class TestPsiKappaMonomial:
         assert PsiKappaMonomial(d1, d2, kappa_map(kappa)).codim == codim
 
     def test_codim_additive_under_product(self):
-        a = PsiKappaMonomial(1, 0, kappa_map({1: 1}))
-        b = PsiKappaMonomial(0, 2, kappa_map({1: 1, 3: 2}))
-        assert (a * b).codim == a.codim + b.codim
+        # the parser multiplies repeated factors, the one product of monomials
+        a = PsiKappaMonomial.parse("psi1 kappa1")
+        b = PsiKappaMonomial.parse("psi2^2 kappa1 kappa3^2")
+        product = PsiKappaMonomial.parse("psi1 kappa1 psi2^2 kappa1 kappa3^2")
+        assert product == PsiKappaMonomial(1, 2, kappa_map({1: 2, 3: 2}))
+        assert product.codim == a.codim + b.codim
 
     def test_kappa_canonical_sorted_no_zeros(self):
         m = PsiKappaMonomial(0, 0, ((3, 1), (1, 2), (2, 0)))

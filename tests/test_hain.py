@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from gdr.bamboo import pair_bamboo_boundary, pair_bamboo_side
 from gdr.cli import enumerate_omegas
 from gdr import hain
-from gdr.core import ChainVertex, DecoratedChain, PsiKappaMonomial, kappa_distributions, kappa_map
+from gdr.core import ChainVertex, DecoratedChain, PsiKappaMonomial, kappa_degree, kappa_distributions, kappa_map
 from gdr.hain import (
     _pair,
     evaluate_chain,
@@ -469,13 +469,26 @@ class TestSharedMemos:
         assert len(classes) == 306
         assert forward == backward == isolated
 
-    def test_run_vectors_are_bounded(self):
-        # a run's vector depends on the run alone; a key that also carried
-        # omega's following runs (as the memo before per-run vectors did)
-        # fills 15,097 entries here; per-run vectors fill 902
+    def test_run_memo_is_bounded(self):
+        # a run's value depends on the run alone; a key that also carried
+        # omega's following runs (as the memo before per-run values did)
+        # fills 15,097 entries here; per-run values fill 902
         clear_memos()
         divisor_values(6, enumerate_omegas(6, include_kappa=True, include_boundary=True))
         assert hain._run.cache_info().currsize <= 5000
+
+    @pytest.mark.parametrize(
+        "g,sizes",
+        [(6, {"_run": 902, "_transfer": 1043, "_capped_run": 300, "_vertex": 425}),
+         (8, {"_run": 3809, "_transfer": 5188, "_capped_run": 1317, "_vertex": 1562})],
+    )
+    def test_memo_key_sets_are_pinned(self, g, sizes):
+        # the memo keys are those of the per-run program, whatever a run
+        # returns: a change to what a key carries, or to which keys the
+        # program reaches, moves these counts
+        clear_memos()
+        divisor_values(g, enumerate_omegas(g, include_kappa=True, include_boundary=True))
+        assert {name: getattr(hain, name).cache_info().currsize for name in sizes} == sizes
 
 
 def vertex_keys(g):
@@ -489,6 +502,24 @@ def vertex_keys(g):
         else:
             keys.update((v.genus, v.left_psi, v.kappa, v.right_psi) for v in test_class.boundary.vertices)
     return sorted(keys)
+
+
+def recorded_runs(monkeypatch, genera):
+    """{name: {key: value}} of every _run and _transfer call that the
+    divisor side of `verify --kappa --boundary` makes at each genus in
+    `genera`, from cold memos. The program calls both through the module,
+    so recorders in their place see each value, memo hits included."""
+    clear_memos()
+    seen = {"_run": {}, "_transfer": {}}
+    for name, calls in seen.items():
+        def record(*key, cached=getattr(hain, name), calls=calls):
+            calls[key] = cached(*key)
+            return calls[key]
+
+        monkeypatch.setattr(hain, name, record)
+    for g in genera:
+        divisor_values(g, enumerate_omegas(g, include_kappa=True, include_boundary=True))
+    return seen
 
 
 class TestScaledIntegers:
@@ -505,22 +536,27 @@ class TestScaledIntegers:
             nonzero += value != 0
         assert 0 < len(keys) <= 2 * nonzero
 
-    def test_run_vectors_hold_only_integers(self, monkeypatch):
-        # every vector the memo caches passes through the module's _run, so
-        # a recorder in its place sees each one as it is filled
-        seen = {}
-        cached = hain._run
+    def test_runs_and_transfers_hold_only_integers(self, monkeypatch):
+        cached = {name: getattr(hain, name) for name in ("_run", "_transfer")}
+        for name, seen in recorded_runs(monkeypatch, [5]).items():
+            assert len(seen) == cached[name].cache_info().currsize > 100
+            for key, value in seen.items():
+                assert type(value) is int, (name, key)
 
-        def record(*key):
-            seen[key] = cached(*key)
-            return seen[key]
-
-        clear_memos()
-        monkeypatch.setattr(hain, "_run", record)
-        divisor_values(5, enumerate_omegas(5, include_kappa=True, include_boundary=True))
-        assert len(seen) == cached.cache_info().currsize > 100
-        for key, vector in seen.items():
-            assert all(type(i) is int and type(w) is int and w for i, w in vector), key
+    def test_run_matches_fraction_oracle_vectors(self, monkeypatch):
+        # the scalar run against the oracle's vector program, a different
+        # formulation: beta_h 2^t t! sum_i w_i/(2^i i!) over its vector
+        runs = recorded_runs(monkeypatch, range(1, 7))["_run"]
+        assert len(runs) == 902
+        nonzero = 0
+        for key, value in runs.items():
+            genus, incoming, kappa, right_psi = key
+            t = 2 * genus - 1 - kappa_degree(kappa) - right_psi - incoming
+            assert t >= 0, key
+            weights = sum(Fraction(w, 2 ** i * math.factorial(i)) for i, w in hain_oracle.run(*key))
+            assert value == hain._scale(genus) * 2 ** t * math.factorial(t) * weights, key
+            nonzero += value != 0
+        assert 2 * nonzero >= len(runs)
 
     def test_capped_run_builds_one_fraction(self, monkeypatch):
         # the sum stays an integer and the one Fraction, built from two

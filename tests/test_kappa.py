@@ -8,8 +8,7 @@ from gdr.bamboo import vertex_integral
 from gdr.cli import enumerate_omegas
 from gdr.correlators import correlator
 from gdr.core import kappa_degree, kappa_map, kappa_splits
-from gdr.hain import _capped_unit
-from gdr.hodge import lambda_g_constant, psi_lambda_g_integral
+from gdr.hodge import capped_unit, lambda_g_constant, psi_lambda_g_integral
 from gdr.kappa import _multiset_partitions, integrate, kappa_to_psi
 from kappa_oracle import iterated_pushforward, set_partition_expansion, set_partitions
 
@@ -242,7 +241,7 @@ class TestIntegrate:
         [
             (correlator, lambda g, n: 3 * g - 3 + n, 3),
             (psi_lambda_g_integral, lambda g, n: 2 * g - 3 + n, 4),
-            (_capped_unit, lambda g, n: 2 * g - 3 + n, 4),
+            (capped_unit, lambda g, n: 2 * g - 3 + n, 4),
         ],
         ids=["correlator", "psi_lambda_g_integral", "capped_unit"],
     )
@@ -263,7 +262,7 @@ class TestIntegrate:
                         for coeff, exps in iterated_pushforward(len(psi), psi, kappa)
                     )
                     assert value == brute
-                    if leaf is _capped_unit:
+                    if leaf is capped_unit:
                         # the divisor side's integer leaf stays integral
                         assert type(value) is int
                     nonzero += value != 0
@@ -280,4 +279,4 @@ class TestIntegrate:
     def test_empty_kappa_is_the_leaf_itself(self):
         assert integrate(correlator, 2, (1, 4), ()) == correlator(2, (1, 4))
         assert integrate(psi_lambda_g_integral, 2, (3, 0), ()) == psi_lambda_g_integral(2, (3, 0))
-        assert integrate(_capped_unit, 2, (3, 0), ()) == psi_lambda_g_integral(2, (3, 0)) / lambda_g_constant(2)
+        assert integrate(capped_unit, 2, (3, 0), ()) == psi_lambda_g_integral(2, (3, 0)) / lambda_g_constant(2)
