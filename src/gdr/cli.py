@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import csv
 import errno
-import io
 import json
 import os
 import sys
@@ -43,9 +42,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 from typing import Iterable, Iterator, List, NoReturn, Optional, TextIO, Tuple
 
-# enumerate_bamboos stays importable from here; `gdr bamboos` streams the
-# same terms through _bamboos instead of listing them first
-from .bamboo import _bamboos, enumerate_bamboos, pair_bamboo_boundary, pair_bamboo_side  # noqa: F401
+from .bamboo import _bamboos, pair_bamboo_boundary, pair_bamboo_side
 from .core import ChainVertex, DecoratedChain, PsiKappaMonomial, format_rational, kappa_map
 from .correlators import correlator
 from .hain import pair_dr_boundary, pair_dr_side
@@ -96,14 +93,6 @@ class VerificationReport:
     genus: int
     records: List[VerificationRecord] = field(default_factory=list)
     aborted: List[str] = field(default_factory=list)
-
-    @property
-    def total(self) -> int:
-        return len(self.records)
-
-    @property
-    def equal_count(self) -> int:
-        return sum(1 for r in self.records if r.equal)
 
     @property
     def passed(self) -> bool:
@@ -255,18 +244,6 @@ def _write_csv(handle: TextIO, genus: int, records: Iterable[VerificationRecord]
         equal += r.equal
         total += 1
     return equal, total
-
-
-def report_to_json(report: VerificationReport) -> str:
-    buffer = io.StringIO()
-    _write_report(buffer, "json", report.genus, report.records, report.aborted)
-    return buffer.getvalue()
-
-
-def report_to_csv(report: VerificationReport) -> str:
-    buffer = io.StringIO()
-    _write_report(buffer, "csv", report.genus, report.records, report.aborted)
-    return buffer.getvalue()
 
 
 def _parse_exps(text: str) -> tuple:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import re
@@ -8,13 +10,7 @@ import pytest
 
 from gdr import cli
 from gdr.bamboo import enumerate_bamboos, pair_bamboo_side
-from gdr.cli import (
-    enumerate_omegas,
-    main,
-    report_to_csv,
-    report_to_json,
-    verify,
-)
+from gdr.cli import enumerate_omegas, main, verify
 from gdr.core import PsiKappaMonomial, format_rational
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -92,9 +88,9 @@ class TestEnumerateOmegas:
 
 
 class TestReports:
-    def test_json_schema_and_values(self):
-        report = verify(1)
-        payload = json.loads(report_to_json(report))
+    def test_json_schema_and_values(self, capsys):
+        assert main(["verify", "--genus", "1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"genus", "records", "pass"}
         assert payload["genus"] == 1
         assert payload["pass"] is True
@@ -105,17 +101,19 @@ class TestReports:
         assert record["equal"] is True
         assert isinstance(record["ms"], int)
 
-    def test_csv_layout(self):
-        report = verify(1)
-        lines = report_to_csv(report).splitlines()
+    def test_csv_layout(self, capsys):
+        assert main(["verify", "--genus", "1", "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "genus,omega,bamboo,dr,equal,ms"
         fields = lines[1].split(",")
         assert fields[:5] == ["1", "1", "1/24", "1/24", "true"]
 
-    def test_reports_deterministic_modulo_timing(self):
-        a = _strip_ms(json.loads(report_to_json(verify(2, include_kappa=True))))
-        b = _strip_ms(json.loads(report_to_json(verify(2, include_kappa=True))))
-        assert a == b
+    def test_reports_deterministic_modulo_timing(self, capsys):
+        payloads = []
+        for _ in range(2):
+            assert main(["verify", "--genus", "2", "--kappa"]) == 0
+            payloads.append(_strip_ms(json.loads(capsys.readouterr().out)))
+        assert payloads[0] == payloads[1]
 
     @pytest.mark.parametrize("error", [ValueError, AssertionError, IndexError], ids=lambda e: e.__name__)
     def test_internal_violation_aborts_record_with_diagnostic(self, monkeypatch, capsys, error):
@@ -228,7 +226,7 @@ class TestMain:
             raise AssertionError("started work on a genus above the maximum")
 
         for name in (
-            "correlator", "enumerate_bamboos", "verify", "pair_bamboo_side", "pair_dr_side",
+            "correlator", "_bamboos", "verify", "pair_bamboo_side", "pair_dr_side",
             "psi_lambda_g_integral",
         ):
             monkeypatch.setattr(cli, name, no_work)
@@ -258,8 +256,8 @@ class TestMain:
 
 
 class TestStreamedReport:
-    """The command line writes each record as it is produced, through the
-    same writer as report_to_json and report_to_csv."""
+    """The command line writes each record as it is produced; the report
+    is the golden file, or rows built from it, byte for byte."""
 
     @pytest.mark.parametrize("g", range(1, 9))
     def test_out_file_matches_golden(self, capsys, tmp_path, g):
@@ -275,9 +273,14 @@ class TestStreamedReport:
         assert _zero_ms(capsys.readouterr().out) == _golden(g)
 
     @pytest.mark.parametrize("g", range(1, 6))
-    def test_csv_matches_report_to_csv(self, capsys, tmp_path, g):
+    def test_csv_matches_golden_rows(self, capsys, tmp_path, g):
         argv = ["verify", "--genus", str(g), "--kappa", "--boundary", "--format", "csv"]
-        expected = _zero_ms(report_to_csv(verify(g, include_kappa=True, include_boundary=True)))
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["genus", "omega", "bamboo", "dr", "equal", "ms"])
+        for r in json.loads(_golden(g))["records"]:
+            writer.writerow([g, r["omega"], r["bamboo"], r["dr"], "true" if r["equal"] else "false", r["ms"]])
+        expected = buffer.getvalue()
         lines = expected.splitlines()
         assert lines[0] == "genus,omega,bamboo,dr,equal,ms"
         assert len(lines) == 1 + len(list(enumerate_omegas(g, include_kappa=True, include_boundary=True)))
