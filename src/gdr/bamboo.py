@@ -34,12 +34,14 @@ vertex's genus and kappa share, checks the prefix bound, evaluates the
 vertex, and multiplies by -1 for the node after it. :func:`_pair` is
 its top call. :func:`enumerate_bamboos` lists the terms explicitly.
 
-The program runs in integers. A vertex of genus h evaluates, through
-:func:`gdr.kappa.integrate` with integer coefficients, to an integer
-combination of correlators <tau_k>_h. The string and dilaton equations
-have integer coefficients and keep the genus, so each of these is an
-integer combination of correlators whose exponents are all >= 2, or of
-<tau_1>_1 = 1/24 at genus 1. Such a key has sum(k_i - 1) = 3h - 3, and
+The program runs in integers, from the leaves up. A vertex of genus h
+evaluates, through :func:`gdr.kappa.integrate` with integer coefficients,
+to an integer combination of in-dimension correlators <tau_k>_h, and each
+of these is itself an integer on a scale B_h that depends on h alone. The
+string and dilaton equations have integer coefficients and keep the
+genus, so every in-dimension genus-h correlator is an integer combination
+of genus-h correlators whose exponents are all >= 2, or of <tau_1>_1 =
+1/24 at genus 1. Such a key has sum(k_i - 1) = 3h - 3, and
 gdr.correlators shows that 2^(4h-1) prod (2k_i+1)!! <tau_k>_h is an
 integer. So, with P(w) the lcm of prod (2k_i+1)!! over the tuples with
 every k_i >= 2 and sum(k_i - 1) = w,
@@ -48,18 +50,26 @@ every k_i >= 2 and sum(k_i - 1) = w,
 
 P(0) = 1,    P(w) = lcm over 1 <= a <= w of (2a+3)!! P(w-a),
 
-clears the denominator of every vertex integral of genus h. B_f B_(h-f)
-divides B_h. The powers of 2 add up to 4h - 2. The odd parts multiply
-to at most 9 P(3f-3) P(3h-3f-3) (B_1 = 2^3 * 3 P(0)), which divides
-9 P(3h-6) (join the tuples), and P(3h-3) is a multiple of 15^3 P(3h-6),
-since P(w+1) is a multiple of 15 P(w) (the a = 1 term).
+clears the denominator of every in-dimension genus-h correlator, whatever
+its exponents, and so of every vertex integral of genus h. The leaf
+B_h <tau_k>_h is read straight from the scaled correlator memo by
+:func:`gdr.correlators.times_correlator`, which raises ArithmeticError if
+a remainder ever shows that B_h does not clear it: no Fraction stands
+between the correlator recursion and the chain. B_f B_(h-f) divides B_h.
+The powers of 2 add up to 4h - 2. The odd parts multiply to at most
+9 P(3f-3) P(3h-3f-3) (B_1 = 2^3 * 3 P(0)), which divides 9 P(3h-6) (join
+the tuples), and P(3h-3) is a multiple of 15^3 P(3h-6), since P(w+1) is a
+multiple of 15 P(w) (the a = 1 term).
 
-:func:`_tail` stores the sum over the chains of genus h as its value
-times B_h. A vertex of genus f then contributes its integral times B_f,
-and the node after it the factor -B_h / (B_f B_(h-f)). :func:`_pair`
-builds the one Fraction, by dividing by B_g.
+:func:`_scaled_vertex` is a vertex integral times B_h. :func:`_tail`
+stores the sum over the chains of genus h as its value times B_h. A
+vertex of genus f then contributes its scaled integral, and the node
+after it the factor -B_h / (B_f B_(h-f)). :func:`_pair` builds the one
+Fraction, by dividing by B_g. :func:`vertex_integral` is the same vertex
+as a Fraction, :func:`_scaled_vertex` over B_h, so the side has one
+vertex path.
 
-:func:`vertex_integral`, :func:`_tail` and :func:`_pair` are memoized for
+:func:`_scaled_vertex`, :func:`_tail` and :func:`_pair` are memoized for
 the whole process, as the divisor side's vertex factors are: every class
 of a `verify` run reuses the vertex integrals and chain tails that
 earlier classes evaluated, and a boundary class reuses the lower-genus
@@ -68,8 +78,8 @@ pairings of its two sides.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm, prod
+from functools import lru_cache, partial
+from math import lcm
 from typing import Iterator, List
 
 from .core import (
@@ -81,7 +91,7 @@ from .core import (
     kappa_map,
     kappa_splits,
 )
-from .correlators import correlator
+from .correlators import times_correlator
 from .kappa import integrate
 
 
@@ -132,12 +142,13 @@ def _prefix_constrained(genera: tuple, d_total: int) -> Iterator[tuple]:
         yield from rec(0, 0, 0, ())
 
 
-@lru_cache(maxsize=None)
 def vertex_integral(genus: int, left_psi: int, right_psi: int, kappa: KappaMap) -> Fraction:
-    """int over the two-pointed genus-g space of psi_l^a psi_r^b * kappa."""
-    if left_psi + right_psi + kappa_degree(kappa_map(kappa)) != 3 * genus - 1:
+    """int over the two-pointed genus-g space of psi_l^a psi_r^b * kappa:
+    :func:`_scaled_vertex` over B_genus."""
+    kappa = kappa_map(kappa)
+    if left_psi + right_psi + kappa_degree(kappa) != 3 * genus - 1:
         return Fraction(0)
-    return integrate(correlator, genus, (left_psi, right_psi), kappa)
+    return Fraction(_scaled_vertex(genus, left_psi, right_psi, kappa), _scale(genus))
 
 
 @lru_cache(maxsize=None)
@@ -146,13 +157,19 @@ def _odd_scale(weight: int) -> int:
     every k_i >= 2 and sum(k_i - 1) = weight (see the module docstring)."""
     if weight == 0:
         return 1
-    return lcm(*(prod(range(1, 2 * a + 4, 2)) * _odd_scale(weight - a) for a in range(1, weight + 1)))
+    terms = []
+    double_factorial = 3
+    for a in range(1, weight + 1):
+        double_factorial *= 2 * a + 3  # (2a+3)!!
+        terms.append(double_factorial * _odd_scale(weight - a))
+    return lcm(*terms)
 
 
 @lru_cache(maxsize=None)
 def _scale(genus: int) -> int:
-    """B_genus, which clears the denominator of every vertex integral of
-    genus `genus`, with B_f B_(genus-f) dividing it."""
+    """B_genus, which clears the denominator of every in-dimension
+    correlator of genus `genus`, and so of every vertex integral of that
+    genus, with B_f B_(genus-f) dividing it."""
     if genus == 1:
         return 24
     return 2 ** (4 * genus - 1) * _odd_scale(3 * genus - 3)
@@ -167,12 +184,12 @@ def _node(genus: int, first: int) -> int:
 
 @lru_cache(maxsize=None)
 def _scaled_vertex(genus: int, left: int, right: int, kappa: KappaMap) -> int:
-    """B_genus times :func:`vertex_integral`, an integer."""
-    value = vertex_integral(genus, left, right, kappa)
-    scaled, remainder = divmod(value.numerator * _scale(genus), value.denominator)
-    if remainder:
-        raise ArithmeticError(f"B_{genus} does not clear vertex integral {value}")
-    return scaled
+    """B_genus times the vertex integral of psi_l^left psi_r^right * kappa,
+    an integer, for a canonical `kappa` in dimension (left + right +
+    deg kappa = 3 genus - 1), as :func:`_tail` places every vertex. Each
+    correlator is read as B_genus <tau_k>_genus, an integer that
+    :func:`gdr.correlators.times_correlator` checks."""
+    return integrate(partial(times_correlator, _scale(genus)), genus, (left, right), kappa)
 
 
 @lru_cache(maxsize=None)
@@ -185,16 +202,16 @@ def _tail(genus: int, left: int, right_psi: int, kappa: KappaMap) -> int:
     degree = kappa_degree(kappa)
     total = 0
     for mult, share, rest, share_degree in kappa_splits(kappa):
-        rest_degree = degree - share_degree
-        for first in range(1, genus + 1):
-            right = 3 * first - 1 - left - share_degree  # d_v, plus d_2 at the end
-            if first == genus:
-                if not rest and right >= right_psi:
-                    total += mult * _scaled_vertex(first, left, right, share)
-            elif right >= 0 and genus - first >= 1 + right_psi + rest_degree:
-                value = _scaled_vertex(first, left, right, share)
-                if value:
-                    total += mult * value * _node(genus, first) * _tail(genus - first, 0, right_psi, rest)
+        # a vertex of genus f gets right = 3f - offset (d_v, plus d_2 at the
+        # end); one before the last needs right >= 0 and leaves a genus
+        # >= 1 + right_psi + deg rest after it, which bounds f both ways
+        offset = 1 + left + share_degree
+        for first in range(max(1, (offset + 2) // 3), genus - right_psi - (degree - share_degree)):
+            value = _scaled_vertex(first, left, 3 * first - offset, share)
+            if value:
+                total += mult * value * _node(genus, first) * _tail(genus - first, 0, right_psi, rest)
+        if not rest and 3 * genus - offset >= right_psi:
+            total += mult * _scaled_vertex(genus, left, 3 * genus - offset, share)
     return total
 
 

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, Iterator
 
 _FRACTION_RE = re.compile(r"^(-?\d+)/(\d+)$")
@@ -307,8 +307,24 @@ def kappa_distributions(kappa: KappaMap, parts: int) -> Iterator[tuple]:
 def kappa_splits(kappa: KappaMap) -> tuple:
     """The ways to split a kappa map between one vertex and the rest of a
     chain, as (multiplicity, share, rest, degree of share): the two-part
-    :func:`kappa_distributions`, memoized for the whole process. The chain
-    programs of both pipelines place one vertex at a time through it."""
-    return tuple(
-        (mult, share, rest, kappa_degree(share)) for mult, (share, rest) in kappa_distributions(kappa, 2)
-    )
+    :func:`kappa_distributions`, in its order, memoized for the whole
+    process. The chain programs of both pipelines place one vertex at a
+    time through it.
+
+    It is built one index at a time: c_i factors kappa_i split as e to the
+    share and c_i - e to the rest in C(c_i, e) ways, for e = 0..c_i. The
+    canonical map lists its indices in order, so both parts stay canonical.
+    """
+    splits = [(1, (), (), 0)]
+    for index, c in kappa:
+        splits = [
+            (
+                mult * comb(c, e),
+                share + ((index, e),) if e else share,
+                rest + ((index, c - e),) if e < c else rest,
+                degree + index * e,
+            )
+            for mult, share, rest, degree in splits
+            for e in range(c + 1)
+        ]
+    return tuple(splits)

@@ -44,7 +44,20 @@ recursion never leaves genus >= 1: string and dilaton keep the genus,
 DVV runs only at g >= 2 (at genus 1 the dimension, sum(k) = n, forces an
 exponent <= 1) and both split genera are >= 1. So by induction from
 M_1(1) = 8 * 3 * (1/24) = 1, every M_g(k) is an integer, and 2^(4g-1) is
-enough. :func:`correlator` divides by the scale once, at the end.
+enough. :func:`correlator` divides by the scale once, at the end. The
+scale reads each (2k+1)!! from a table that grows with the largest
+exponent seen, so no double factorial is recomputed.
+
+:func:`times_correlator` serves a caller that already works on a scale of
+its own, as the bamboo side does on B_h: it returns scale * <tau_k>_g as
+an exact integer, dividing the memoized M_g(k) by 2^(4g-1) prod
+(2k_i+1)!! with divmod, and raises ArithmeticError on a remainder. No
+Fraction is built between the recursion and the caller.
+
+The DVV keys <tau_a L> and <tau_b R> of a sharing are sorted tuples. L and
+R are sorted already, so a key is built by putting a in front of L when
+a <= min L, and b behind R when b >= max R, and sorted only otherwise;
+the keys, and so the `_scaled` calls, are the same either way.
 
 The memo maps each key, (genus, sorted exponents) in dimension with
 genus >= 1, to its scaled integer, for the life of the process. Memo
@@ -82,19 +95,20 @@ def memo_snapshot() -> Dict[Key, Fraction]:
     return {key: Fraction(value, _scale(*key)) for key, value in _memo.items()}
 
 
-def _odd_double_factorial(m: int) -> int:
-    """(2k+1)!! for odd m = 2k+1 >= -1; (-1)!! = 1."""
-    result = 1
-    for j in range(1, m + 1, 2):
-        result *= j
-    return result
+# (2k+1)!! at index k, grown on demand
+_odd_double_factorials = [1]
 
 
 def _scale(genus: int, exps: tuple) -> int:
-    """2^max(4g-1, 0) prod_i (2k_i+1)!!, which turns <tau_k>_g into an integer."""
+    """2^max(4g-1, 0) prod_i (2k_i+1)!!, which turns <tau_k>_g into an
+    integer; for sorted, non-empty exponents, as every key is."""
+    table = _odd_double_factorials
+    if exps[-1] >= len(table):
+        for k in range(len(table), exps[-1] + 1):
+            table.append(table[-1] * (2 * k + 1))
     result = 1 << max(4 * genus - 1, 0)
     for k in exps:
-        result *= _odd_double_factorial(2 * k + 1)
+        result *= table[k]
     return result
 
 
@@ -115,6 +129,18 @@ def correlator(genus: int, exponents: Iterable[int]) -> Fraction:
     if genus == 0:
         return Fraction(multinomial(exps))
     return Fraction(_scaled(genus, exps), _scale(genus, exps))
+
+
+def times_correlator(scale: int, genus: int, exponents: tuple) -> int:
+    """scale * <tau_{k1}...tau_{kn}>_g as an exact integer, read from the
+    scaled memo with no rational in between; for an in-dimension key at
+    genus >= 1 whose denominator `scale` clears, which the caller proves.
+    A remainder means it does not, and raises ArithmeticError."""
+    exps = tuple(sorted(exponents))
+    value, remainder = divmod(scale * _scaled(genus, exps), _scale(genus, exps))
+    if remainder:
+        raise ArithmeticError(f"{scale} does not clear <tau_{exps}>_{genus}")
+    return value
 
 
 def _scaled(genus: int, exps: tuple) -> int:
@@ -163,7 +189,11 @@ def _dvv(genus: int, exps: tuple) -> int:
         shift, residue = divmod(a, 3)
         for g1, left, right, weight in by_residue[residue]:
             g1 += shift
-            term += weight * _scaled(g1, tuple(sorted(left + (a,)))) * _scaled(genus - g1, tuple(sorted(right + (b,))))
+            # left and right are sorted, so a at the front or b at the end
+            # needs no sort
+            left_key = (a,) + left if not left or a <= left[0] else tuple(sorted(left + (a,)))
+            right_key = right + (b,) if not right or b >= right[-1] else tuple(sorted(right + (b,)))
+            term += weight * _scaled(g1, left_key) * _scaled(genus - g1, right_key)
         total += (1 if a == b else 2) * term
     return total
 
@@ -188,11 +218,11 @@ def _shape(rest: tuple) -> tuple:
         n = rest.count(kj)
         joins.append((kj, n, rest[:j] + rest[j + 1:]))
         parts = [((kj,) * c, (kj,) * (n - c), (kj - 1) * c, comb(n, c)) for c in range(n + 1)]
-        extended = []
-        for left, right, excess, weight in sharings:
-            for more_left, more_right, more_excess, ways in parts:
-                extended.append((left + more_left, right + more_right, excess + more_excess, weight * ways))
-        sharings = extended
+        sharings = [
+            (left + more_left, right + more_right, excess + more_excess, weight * ways)
+            for left, right, excess, weight in sharings
+            for more_left, more_right, more_excess, ways in parts
+        ]
         j += n
     by_residue = ([], [], [])
     for left, right, excess, weight in sharings:

@@ -29,10 +29,15 @@ for the whole process and :func:`kappa_to_psi` returns the psi prefix
 followed by each memoized extension.
 
 The pipelines use it through :func:`integrate`, the vertex integrator
-both share. Its correctness is gated in the tests by the set-partition
-form and by the defining brute force, which removes one kappa factor at
-a time as a pushforward. The expansion is valid verbatim under a
-top-Chern cap because lambda classes pull back along forgetful maps.
+both share. It reads the memoized extensions of a canonical kappa map
+directly and hands each psi prefix plus extension to the caller's leaf.
+With an integer leaf (the bamboo side's B_h <tau_k>_h, the divisor
+side's capped unit) the sum stays an integer. :func:`kappa_to_psi` is
+the same expansion as an explicit list of terms. Its correctness is
+gated in the tests by the set-partition form and by the defining brute
+force, which removes one kappa factor at a time as a pushforward. The
+expansion is valid verbatim under a top-Chern cap because lambda
+classes pull back along forgetful maps.
 """
 from __future__ import annotations
 
@@ -103,9 +108,12 @@ def kappa_to_psi(n: int, psi: Sequence[int], kappa: KappaMap | dict) -> List[Ter
 def integrate(leaf: Callable, genus: int, psi: Sequence[int], kappa: KappaMap):
     """int of prod psi_i^psi[i] * kappa over the genus-g space with len(psi)
     markings: the :func:`kappa_to_psi` terms summed through `leaf`, a pure
-    psi integral ``leaf(genus, exponents)``. The coefficients are integers,
-    so an integer leaf gives an integer."""
+    psi integral ``leaf(genus, exponents)``. `kappa` must be canonical (a
+    :func:`gdr.core.kappa_map` result), as its memoized extensions are
+    read directly. The coefficients are integers, so an integer leaf gives
+    an integer."""
+    base = tuple(psi)
     total = 0
-    for coeff, exps in kappa_to_psi(len(psi), psi, kappa):
-        total += coeff * leaf(genus, exps)
+    for coeff, extension in _extension(kappa):
+        total += coeff * leaf(genus, base + extension)
     return total

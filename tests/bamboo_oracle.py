@@ -3,14 +3,29 @@ the scaled-integer :func:`gdr.bamboo._pair` is tested against. It carries
 every vertex integral as an exact rational, walks the chain by cumulative
 genus with the prefix bound G_l <= K_l + d_1 as the bamboo terms state
 it, and splits kappa with :func:`gdr.core.kappa_distributions` itself, so
-it needs none of the scales B_h of gdr.bamboo; it shares only the vertex
-integrals with it.
+it needs none of the scales B_h of gdr.bamboo.
+
+Its vertex integrals are the Fraction sums that gdr.bamboo evaluated
+before its leaf became an integer: the :func:`gdr.kappa.kappa_to_psi`
+terms, each through the public :func:`gdr.correlators.correlator`. So it
+shares the kappa expansion and the correlator recursion with gdr.bamboo,
+but not the integer leaf B_h <tau_k>_h or the chain program.
 """
 from fractions import Fraction
 from functools import lru_cache
 
-from gdr.bamboo import vertex_integral
 from gdr.core import KappaMap, PsiKappaMonomial, kappa_degree, kappa_distributions
+from gdr.correlators import correlator
+from gdr.kappa import kappa_to_psi
+
+
+@lru_cache(maxsize=None)
+def vertex_integral(genus: int, left: int, right: int, kappa: KappaMap) -> Fraction:
+    """int over the two-pointed genus-g space of psi_l^left psi_r^right *
+    kappa, as a Fraction sum of correlators; 0 outside the dimension."""
+    if left + right + kappa_degree(kappa) != 3 * genus - 1:
+        return Fraction(0)
+    return sum((coeff * correlator(genus, exps) for coeff, exps in kappa_to_psi(2, (left, right), kappa)), Fraction(0))
 
 
 def pair(g: int, omega: PsiKappaMonomial) -> Fraction:

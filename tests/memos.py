@@ -17,7 +17,7 @@ def clear_memos():
         f for module in (bamboo, hain, core, kappa) for f in vars(module).values() if hasattr(f, "cache_clear")
     ]
     assert {
-        bamboo.vertex_integral,
+        bamboo._scaled_vertex,
         bamboo._pair,
         bamboo._tail,
         hain._run,

@@ -21,8 +21,8 @@ from gdr.core import (
     kappa_distributions,
     kappa_map,
 )
-from gdr.cli import enumerate_omegas
-from gdr.correlators import correlator
+from gdr.cli import enumerate_omegas, verify
+from gdr.correlators import correlator, times_correlator
 import bamboo_oracle
 from memos import clear_memos
 
@@ -337,3 +337,100 @@ class TestScaledIntegers:
             value = _pair(genus, omega.d1, omega.d2, omega.kappa)
             assert len(built) == 1 and value is built[0], (genus, omega)
             assert value == bamboo_oracle.pair(genus, omega)
+
+
+def _sorted_exponents(total, n, low=0):
+    """The non-decreasing n-tuples of integers >= low that sum to total."""
+    if n == 1:
+        if total >= low:
+            yield (total,)
+        return
+    for first in range(low, total // n + 1):
+        for rest in _sorted_exponents(total - first, n - 1, first):
+            yield (first,) + rest
+
+
+def _vertex_keys_reached(monkeypatch, run):
+    """The (genus, left, right, kappa) of every vertex that `run` evaluates
+    through the chain program, from cold memos."""
+    reached = set()
+    cached = bamboo._scaled_vertex
+
+    def record(*key):
+        reached.add(key)
+        return cached(*key)
+
+    clear_memos()
+    with monkeypatch.context() as patch:
+        patch.setattr(bamboo, "_scaled_vertex", record)
+        run()
+    return reached
+
+
+class TestIntegerLeaf:
+    def test_scale_clears_every_small_correlator(self):
+        # B_g <tau_k>_g is an integer for every in-dimension key, not only
+        # those with every k_i >= 2: string and dilaton keep the genus and
+        # have integer coefficients
+        clear_memos()
+        keys = [
+            (g, exps) for g in range(1, 8) for n in range(1, 9) for exps in _sorted_exponents(3 * g - 3 + n, n)
+        ]
+        assert len(keys) == 7473
+        for g, exps in keys:
+            expected = bamboo._scale(g) * correlator(g, exps)
+            assert expected.denominator == 1, (g, exps)
+            assert times_correlator(bamboo._scale(g), g, exps[::-1]) == expected, (g, exps)
+
+    def test_times_correlator_rejects_a_scale_that_does_not_clear(self):
+        clear_memos()
+        assert times_correlator(24, 1, (1,)) == 1
+        with pytest.raises(ArithmeticError, match="does not clear"):
+            times_correlator(23, 1, (1,))
+
+    def test_scaled_vertex_matches_the_fraction_sum(self, monkeypatch):
+        # the integer leaf against the Fraction sum over the kappa_to_psi
+        # terms that it replaced, on every vertex that verify --kappa
+        # --boundary evaluates up to genus 6 and that the 19 genus-6
+        # classes of kappa degree <= 2 (the bside-g6-kappa workload) reach
+        reached = set()
+        for g in range(1, 7):
+            reached |= _vertex_keys_reached(monkeypatch, lambda: verify(g, True, True))
+        bside = [
+            c.monomial for c in enumerate_omegas(6, include_kappa=True) if kappa_degree(c.monomial.kappa) <= 2
+        ]
+        assert len(bside) == 19
+        bside_keys = _vertex_keys_reached(monkeypatch, lambda: [pair_bamboo_side(6, omega) for omega in bside])
+        assert bside_keys <= reached and len(bside_keys) == 80
+        assert len(reached) == 232 and any(kappa for *_, kappa in reached)
+        clear_memos()
+        for key in sorted(reached):
+            value = bamboo._scaled_vertex(*key)
+            assert type(value) is int, key
+            assert value == bamboo._scale(key[0]) * bamboo_oracle.vertex_integral(*key), key
+            assert vertex_integral(*key) == bamboo_oracle.vertex_integral(*key), key
+
+    def test_a_scale_that_does_not_clear_aborts_the_records(self, monkeypatch, capsys):
+        # B_h = 1 for h >= 2 clears no correlator of genus >= 2, and every
+        # genus-4 pairing that evaluates a chain meets such a vertex: each of
+        # those records aborts with the leaf's diagnostic instead of
+        # reporting a value, and only the boundary classes whose bamboo side
+        # is 0 by degree still report
+        def scale(genus):
+            return 24 if genus == 1 else 1
+
+        clear_memos()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(bamboo, "_scale", scale)
+                report = verify(4, True, True)
+        finally:
+            clear_memos()
+        err = capsys.readouterr().err
+        assert not report.passed
+        assert len(report.aborted) == 37 and len(report.records) == 46
+        assert all(record.bamboo == record.dr == 0 for record in report.records)
+        for label in report.aborted:
+            assert f"aborted record {label!r}: " in err
+        assert err.count("does not clear") == 37
+        assert verify(4, True, True).passed

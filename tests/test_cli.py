@@ -226,7 +226,7 @@ class TestMain:
             raise AssertionError("started work on a genus above the maximum")
 
         for name in (
-            "correlator", "_bamboos", "verify", "pair_bamboo_side", "pair_dr_side",
+            "correlator", "_bamboos", "enumerate_omegas", "_records", "pair_bamboo_side", "pair_dr_side",
             "psi_lambda_g_integral",
         ):
             monkeypatch.setattr(cli, name, no_work)

@@ -16,6 +16,7 @@ from gdr.core import (
     kappa_degree,
     kappa_distributions,
     kappa_map,
+    kappa_splits,
     multinomial,
     parse_rational,
 )
@@ -255,9 +256,20 @@ def iterated_two_way(kappa, parts: int) -> Counter:
 
 
 class TestKappaDistributionOracle:
-    """Both pipelines fan kappa out through kappa_distributions, so a bug
-    there could cancel between the sides; these oracles share nothing
-    with it but kappa_map."""
+    """Both pipelines fan kappa out through kappa_splits, the two-part
+    kappa_distributions, so a bug there could cancel between the sides;
+    these oracles share nothing with them but kappa_map."""
+
+    def test_kappa_splits_is_the_two_part_distribution(self):
+        # the same splits in the same order, with the degree of each share
+        for kappa in SMALL_KAPPA_MAPS:
+            splits = kappa_splits(kappa)
+            expected = tuple(
+                (mult, share, rest, kappa_degree(share)) for mult, (share, rest) in kappa_distributions(kappa, 2)
+            )
+            assert splits == expected, kappa
+            counted = Counter({(share, rest): mult for mult, share, rest, _ in splits})
+            assert counted == brute_force_distributions(kappa, 2), kappa
 
     @pytest.mark.parametrize("parts", [1, 2, 3, 4])
     def test_matches_independent_factor_assignment(self, parts):
