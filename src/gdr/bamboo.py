@@ -71,9 +71,9 @@ vertex path.
 
 :func:`_scaled_vertex`, :func:`_tail` and :func:`_pair` are memoized for
 the whole process, as the divisor side's vertex factors are: every class
-of a `verify` run reuses the vertex integrals and chain tails that
-earlier classes evaluated, and a boundary class reuses the lower-genus
-pairings of its two sides.
+of a `verify` run, a chain that :func:`pair_bamboo_boundary` pairs,
+reuses the vertex integrals and chain tails that earlier classes
+evaluated, and a boundary class the lower-genus pairings of its sides.
 """
 from __future__ import annotations
 
@@ -236,16 +236,14 @@ def pair_bamboo_side(g: int, omega: PsiKappaMonomial) -> Fraction:
 
 
 def pair_bamboo_boundary(omega: DecoratedChain) -> Fraction:
-    """Pair the bamboo class against a decorated two-vertex boundary class.
-
-    The splitting property factors the pairing across the node: each side
-    pairs the lower-genus bamboo class against the vertex decoration, with
-    the node-branch psi power playing the role of the missing marking.
-    Unbalanced decoration degrees make one factor vanish identically. The
-    two memoized factors and the coefficient multiply into one Fraction.
-    """
-    if len(omega.vertices) != 2:
-        raise ValueError("boundary test class must have exactly 2 vertices")
+    """Pair the bamboo class against a decorated chain of one vertex (a
+    monomial) or two, the most that the assumed splitting property covers:
+    it factors the pairing across the node, each side pairing the
+    lower-genus bamboo class against its vertex decoration, the node-branch
+    psi power playing the missing marking. The memoized factors and the
+    coefficient multiply into one Fraction."""
+    if len(omega.vertices) > 2:
+        raise ValueError("bamboo-side test class must have 1 or 2 vertices")
     num, den = omega.coefficient.numerator, omega.coefficient.denominator
     for v in omega.vertices:
         factor = _pair(v.genus, v.left_psi, v.right_psi, v.kappa)

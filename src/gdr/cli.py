@@ -25,9 +25,10 @@ verify's --out; its memos live only as long as the process.
 verify writes each record as it is produced, to stdout or, with --out,
 to a temporary file in the target's directory that replaces the target
 once the report is complete. The temporary file is opened before the
-first pairing, so a path that cannot be written fails with exit code 2
-before any work, and a run that stops part-way leaves any previous
-report as it was and no temporary file behind.
+first pairing, so a path that cannot be written (the empty one too)
+fails with exit code 2 before any work, and a run that stops part-way
+leaves any previous report as it was and no temporary file behind. A
+closed stdout pipe ends any subcommand with exit code 1, silently.
 """
 from __future__ import annotations
 
@@ -61,22 +62,11 @@ MAX_POINTS = 3 * MAX_GENUS
 
 @dataclass(frozen=True)
 class TestClass:
-    """One omega to pair against both pipelines: either a monomial or a
-    decorated two-vertex boundary class."""
+    """One omega to pair against both pipelines: a decorated chain, of one
+    vertex for a psi/kappa monomial and of two for a boundary class."""
 
     label: str
-    monomial: Optional[PsiKappaMonomial] = None
-    boundary: Optional[DecoratedChain] = None
-
-    def bamboo_value(self, g: int) -> Fraction:
-        if self.monomial is not None:
-            return pair_bamboo_side(g, self.monomial)
-        return pair_bamboo_boundary(self.boundary)
-
-    def dr_value(self, g: int) -> Fraction:
-        if self.monomial is not None:
-            return pair_dr_side(g, self.monomial)
-        return pair_dr_boundary(self.boundary)
+    chain: DecoratedChain
 
 
 @dataclass(frozen=True)
@@ -128,9 +118,9 @@ def _partitions(total: int, minimum: int = 1) -> List[tuple]:
 
 def enumerate_omegas(g: int, include_kappa: bool = False, include_boundary: bool = False) -> Iterator[TestClass]:
     """All test classes of complementary degree g-1, yielded one at a time:
-    the psi/kappa monomials, plus (optionally) decorated two-vertex
-    boundary classes. A genus below 1 is rejected here, before the first
-    class is asked for.
+    the psi/kappa monomials as one-vertex chains, plus (optionally)
+    decorated two-vertex boundary classes. A genus below 1 is rejected
+    here, before the first class is asked for.
 
     Boundary decorations are split in every way over the four legs and,
     when kappa is enabled, the two vertices; the labels read
@@ -147,28 +137,26 @@ def _omegas(g: int, include_kappa: bool, include_boundary: bool) -> Iterator[Tes
     by_degree = [
         [(m, str(m)) for m in _monomials_of_degree(degree, include_kappa)] for degree in range(g)
     ]
-    for monomial, label in by_degree[g - 1]:
-        yield TestClass(label, monomial=monomial)
-    if not include_boundary:
-        return
 
     def vertices(genus: int, degree: int) -> list:
         return [(ChainVertex(genus, m.d1, m.d2, m.kappa), label) for m, label in by_degree[degree]]
 
+    for vertex, label in vertices(g, g - 1):
+        yield TestClass(label, DecoratedChain((vertex,)))
+    if not include_boundary:
+        return
     deco_total = g - 2
     for h in range(1, g):
         for left_deg in range(deco_total + 1):
             rights = vertices(g - h, deco_total - left_deg)
             for left, left_label in vertices(h, left_deg):
                 for right, right_label in rights:
-                    yield TestClass(
-                        f"delta({h})[{left_label} | {right_label}]", boundary=DecoratedChain((left, right))
-                    )
+                    yield TestClass(f"delta({h})[{left_label} | {right_label}]", DecoratedChain((left, right)))
 
 
-def _records(g: int, classes: Iterable[TestClass], aborted: List[str]) -> Iterator[VerificationRecord]:
-    """Pair each class on both sides and compare exactly, yielding one
-    record per class as it is produced. The one record path of
+def _records(classes: Iterable[TestClass], aborted: List[str]) -> Iterator[VerificationRecord]:
+    """Pair each class's chain on both sides and compare exactly, yielding
+    one record per class as it is produced. The one record path of
     :func:`verify` and of the command line.
 
     Any internal failure (a degree-bookkeeping violation, a broken
@@ -179,8 +167,8 @@ def _records(g: int, classes: Iterable[TestClass], aborted: List[str]) -> Iterat
     for test_class in classes:
         start = clock()
         try:
-            bamboo_value = test_class.bamboo_value(g)
-            dr_value = test_class.dr_value(g)
+            bamboo_value = pair_bamboo_boundary(test_class.chain)
+            dr_value = pair_dr_boundary(test_class.chain)
         except Exception as exc:
             print(f"aborted record {test_class.label!r}: {exc}", file=sys.stderr)
             aborted.append(test_class.label)
@@ -196,7 +184,7 @@ def verify(g: int, include_kappa: bool = False, include_boundary: bool = False) 
     :func:`_records`).
     """
     report = VerificationReport(genus=g)
-    report.records = list(_records(g, enumerate_omegas(g, include_kappa, include_boundary), report.aborted))
+    report.records = list(_records(enumerate_omegas(g, include_kappa, include_boundary), report.aborted))
     return report
 
 
@@ -358,10 +346,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: genus {args.genus} exceeds the maximum {MAX_GENUS}", file=sys.stderr)
         return 2
     try:
-        return _run_command(args)
+        status = _run_command(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return status
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader has gone; as in the SIGPIPE note of the Python docs,
+        # point stdout at devnull so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 def _run_command(args: SimpleNamespace) -> int:
@@ -386,8 +381,8 @@ def _run_command(args: SimpleNamespace) -> int:
     # a bad genus is rejected here, before any output
     classes = enumerate_omegas(args.genus, include_kappa=args.kappa, include_boundary=args.boundary)
     aborted: List[str] = []
-    records = _records(args.genus, classes, aborted)
-    if args.out:
+    records = _records(classes, aborted)
+    if args.out is not None:
         try:
             handle, temporary = _open_beside(args.out)
         except OSError as exc:
@@ -417,6 +412,8 @@ def _open_beside(path: str) -> Tuple[TextIO, str]:
     """Create a new file beside `path`, named after it and this process,
     with the mode that ``open(path, "w")`` would give; return it open for
     writing, with its name."""
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     temporary = f"{path}.{os.getpid()}.tmp"

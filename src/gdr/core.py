@@ -173,10 +173,6 @@ class Bamboo:
         return term
 
     @property
-    def genus(self) -> int:
-        return sum(g for g, _ in self.vertices)
-
-    @property
     def sign(self) -> int:
         return -1 if len(self.vertices) % 2 == 0 else 1
 
@@ -231,14 +227,6 @@ class DecoratedChain:
     @property
     def genus(self) -> int:
         return sum(v.genus for v in self.vertices)
-
-    @property
-    def codim(self) -> int:
-        return len(self.vertices) - 1
-
-    @property
-    def decoration_degree(self) -> int:
-        return sum(v.decoration_degree for v in self.vertices)
 
     def scaled(self, factor: Fraction) -> "DecoratedChain":
         return DecoratedChain(self.vertices, self.coefficient * factor)

@@ -21,11 +21,12 @@ of (1/g!) D^g is a sum over chains of a product of local factors:
     (1/2)^a/a! psi_1^a * (1/2)^b/b! psi_2^b
         * prod_{nodes h} -(1/2)^m/m! C(m-1, i) delta_h psi'^i psi''^(m-1-i),
 
-with m >= 1 at every node. :func:`_pair` evaluates the pairing against a
-decorated chain omega from these factors. Every node of omega is a node
-of each refined chain, so D refines each vertex ("run") of omega on its
-own. At a node of omega, delta_h (-delta_h)^m = delta_h (psi' + psi'')^m
-gives psi'^i psi''^j the weight
+with m >= 1 at every node. :func:`pair_dr_boundary` evaluates the
+pairing against a decorated chain omega of any length from these
+factors. Every node of omega is a node of each refined chain, so D
+refines each vertex ("run") of omega on its own. At a node of omega,
+delta_h (-delta_h)^m = delta_h (psi' + psi'')^m gives psi'^i psi''^j
+the weight
 
     (1/2)^m/m! C(m, i) = (1/2)^i/i! * (1/2)^j/j!,    m = i + j,
 
@@ -67,9 +68,9 @@ beta_h b_f / beta_(h-f) times its integral over b_f, a closing vertex
 1 for its outgoing power (t = i there), and a node of D
 -C(m-1, i) C(t, m). :func:`_capped_run` builds one Fraction per vertex
 key: with top = a + t, D's whole power on omega's vertex, it divides
-sum_a C(top, a) times the run by beta_h 2^top top!. :func:`_pair`
-multiplies the memoized factors of omega's vertices into the one
-Fraction of a pairing.
+sum_a C(top, a) times the run by beta_h 2^top top!.
+:func:`pair_dr_boundary` multiplies the memoized factors of omega's
+vertices into the one Fraction of a pairing.
 
 :func:`expand_divisor_power` expands D^g explicitly in the tree strata
 algebra instead: psi_1 and psi_2 decorate the outer legs; delta_h either
@@ -297,18 +298,23 @@ def _capped_run(genus: int, left_psi: int, kappa: KappaMap, right_psi: int) -> F
     return Fraction(total, _scale(genus) * 2 ** top * factorial(top))
 
 
-def _pair(omega: DecoratedChain) -> Fraction:
-    """(1/g!) int D^g * omega, a product of one factor per vertex of omega.
+def pair_dr_side(g: int, omega: PsiKappaMonomial) -> Fraction:
+    """Coefficient of a^(2g) in the capped double-ramification pairing
+    against omega, the one-vertex case of :func:`pair_dr_boundary`: the
+    memoized factor of its one vertex, keyed on the vertex tuple, so no
+    chain is built."""
+    if g < 1:
+        raise ValueError("genus must be >= 1")
+    if omega.codim != g - 1:
+        raise ValueError(f"omega must have codim {g - 1}, got {omega.codim}")
+    return _capped_run(g, omega.d1, omega.kappa, omega.d2)
 
-    Every node of omega is a node of each refined chain, so D refines each
-    vertex (run) of omega on its own. At a node of omega the weight of
-    psi'^i psi''^j is (1/2)^m/m! C(m, i) = (1/2)^i/i! * (1/2)^j/j!,
-    m = i + j, the same weights as D's psi_2 and psi_1 on the markings:
-    D restricted to delta_h is D_left + D_right. So no state crosses
-    omega's nodes, and each vertex contributes :func:`_capped_run`, which
-    depends on the vertex alone and is shared by every class of the
-    process. The factors and the coefficient multiply into one Fraction.
-    """
+
+def pair_dr_boundary(omega: DecoratedChain) -> Fraction:
+    """(1/g!) int D^g * omega for a decorated chain omega of any length:
+    no state crosses omega's nodes (see the module docstring), so the
+    :func:`_capped_run` factors of its vertices, shared by every class of
+    the process, and its coefficient multiply into one Fraction."""
     # codim + decoration degree = genus - 1, summed over the vertices
     if sum(v.genus - 1 - v.decoration_degree for v in omega.vertices):
         # D^g pairs to 0 with it; the program never counts powers of D,
@@ -320,24 +326,3 @@ def _pair(omega: DecoratedChain) -> Fraction:
         num *= factor.numerator
         den *= factor.denominator
     return Fraction(num, den)
-
-
-def pair_dr_side(g: int, omega: PsiKappaMonomial) -> Fraction:
-    """Coefficient of a^(2g) in the capped double-ramification pairing
-    against omega, the one-vertex case of :func:`_pair`: the memoized factor
-    of its one vertex, keyed on the vertex tuple, so no chain is built."""
-    if g < 1:
-        raise ValueError("genus must be >= 1")
-    if omega.codim != g - 1:
-        raise ValueError(f"omega must have codim {g - 1}, got {omega.codim}")
-    return _capped_run(g, omega.d1, omega.kappa, omega.d2)
-
-
-def pair_dr_boundary(omega: DecoratedChain) -> Fraction:
-    """Pair against a decorated two-vertex boundary class, the two-vertex
-    case of :func:`_pair`: the product of the two vertices' factors, since
-    omega's node weights (1/2)^m/m! C(m, i) = (1/2)^i/i! (1/2)^(m-i)/(m-i)!
-    make D restricted to delta_h equal to D_left + D_right."""
-    if len(omega.vertices) != 2:
-        raise ValueError("boundary test class must have exactly 2 vertices")
-    return _pair(omega)

@@ -88,7 +88,7 @@ class TestEnumeration:
         bamboos = enumerate_bamboos(g)
         assert len(bamboos) == len(set(bamboos))
         for b in bamboos:
-            assert b.genus == g
+            assert sum(genus for genus, _ in b.vertices) == g
             k = len(b.vertices)
             assert sum(d for _, d in b.vertices) + k - 1 == 2 * g
             Bamboo(b.vertices)  # re-validate the prefix constraint
@@ -216,14 +216,21 @@ class TestBoundaryPairing:
         assert pair_bamboo_boundary(omega) == 0
 
     def test_wrong_vertex_count_rejected(self):
+        # one vertex is a monomial; the splitting property is assumed for
+        # one node only, so three vertices are rejected
+        assert pair_bamboo_boundary(DecoratedChain((ChainVertex(3, 1, 1),))) == Fraction(1, 41472)
         with pytest.raises(ValueError):
-            pair_bamboo_boundary(DecoratedChain((ChainVertex(3, 1, 1),)))
+            pair_bamboo_boundary(DecoratedChain((ChainVertex(1), ChainVertex(1), ChainVertex(1))))
 
     def test_a_record_is_two_memo_lookups_and_one_fraction(self, monkeypatch):
         # with the vertex pairings memoized, a boundary class reads each of
         # its two vertices from the _pair memo, keyed on the vertex tuple,
         # and builds one Fraction from their numerators and denominators
-        classes = [t.boundary for t in enumerate_omegas(5, include_kappa=True, include_boundary=True) if t.boundary]
+        classes = [
+            t.chain
+            for t in enumerate_omegas(5, include_kappa=True, include_boundary=True)
+            if len(t.chain.vertices) == 2
+        ]
         expected = [pair_bamboo_boundary(omega) for omega in classes]
         built = []
 
@@ -242,8 +249,8 @@ class TestBoundaryPairing:
             assert len(built) == 1
 
 
-def bamboo_values(g, classes):
-    return [test_class.bamboo_value(g) for test_class in classes]
+def bamboo_values(classes):
+    return [pair_bamboo_boundary(test_class.chain) for test_class in classes]
 
 
 class TestSharedMemos:
@@ -254,13 +261,13 @@ class TestSharedMemos:
         # and whether any class ran before, must not matter
         classes = list(enumerate_omegas(5, include_kappa=True, include_boundary=True))
         clear_memos()
-        forward = bamboo_values(5, classes)
+        forward = bamboo_values(classes)
         clear_memos()
-        backward = bamboo_values(5, classes[::-1])[::-1]
+        backward = bamboo_values(classes[::-1])[::-1]
         isolated = []
         for test_class in classes:
             clear_memos()
-            isolated.append(test_class.bamboo_value(5))
+            isolated.append(pair_bamboo_boundary(test_class.chain))
         assert len(classes) == 306
         assert forward == backward == isolated
 
@@ -269,14 +276,11 @@ def monomial_keys(g):
     """The (genus, monomial) of every bamboo pairing that `verify --kappa
     --boundary` makes at genus g: its monomials, and the two sides of each
     boundary class."""
-    keys = set()
-    for test_class in enumerate_omegas(g, include_kappa=True, include_boundary=True):
-        if test_class.monomial is not None:
-            keys.add((g, test_class.monomial))
-        else:
-            keys.update(
-                (v.genus, PsiKappaMonomial(v.left_psi, v.right_psi, v.kappa)) for v in test_class.boundary.vertices
-            )
+    keys = {
+        (v.genus, PsiKappaMonomial(v.left_psi, v.right_psi, v.kappa))
+        for test_class in enumerate_omegas(g, include_kappa=True, include_boundary=True)
+        for v in test_class.chain.vertices
+    }
     return sorted(keys, key=lambda key: (key[0], key[1].d1, key[1].d2, key[1].kappa))
 
 
@@ -315,7 +319,7 @@ class TestScaledIntegers:
 
         clear_memos()
         monkeypatch.setattr(bamboo, "_tail", record)
-        bamboo_values(6, enumerate_omegas(6, include_kappa=True, include_boundary=True))
+        bamboo_values(enumerate_omegas(6, include_kappa=True, include_boundary=True))
         assert len(seen) == cached.cache_info().currsize > 100
         for key, value in seen.items():
             assert type(value) is int, key
@@ -397,7 +401,9 @@ class TestIntegerLeaf:
         for g in range(1, 7):
             reached |= _vertex_keys_reached(monkeypatch, lambda: verify(g, True, True))
         bside = [
-            c.monomial for c in enumerate_omegas(6, include_kappa=True) if kappa_degree(c.monomial.kappa) <= 2
+            PsiKappaMonomial(v.left_psi, v.right_psi, v.kappa)
+            for (v,) in (c.chain.vertices for c in enumerate_omegas(6, include_kappa=True))
+            if kappa_degree(v.kappa) <= 2
         ]
         assert len(bside) == 19
         bside_keys = _vertex_keys_reached(monkeypatch, lambda: [pair_bamboo_side(6, omega) for omega in bside])

@@ -63,10 +63,11 @@ class TestEnumerateOmegas:
 
     def test_boundary_classes_at_genus_3(self):
         omegas = enumerate_omegas(3, include_kappa=True, include_boundary=True)
-        boundary = [t for t in omegas if t.boundary is not None]
+        boundary = [t for t in omegas if len(t.chain.vertices) == 2]
         assert len(boundary) == 12
         assert all(t.label.startswith("delta(") for t in boundary)
-        assert all(t.boundary.codim + t.boundary.decoration_degree == 2 for t in boundary)
+        # codim 1 plus the decoration degree
+        assert all(1 + sum(v.decoration_degree for v in t.chain.vertices) == 2 for t in boundary)
 
     def test_each_monomial_is_built_once_per_call(self, monkeypatch):
         # each degree's monomials and labels are built once, and a boundary
@@ -119,10 +120,10 @@ class TestReports:
     def test_internal_violation_aborts_record_with_diagnostic(self, monkeypatch, capsys, error):
         import gdr.cli as cli_module
 
-        def broken(g, omega):
+        def broken(omega):
             raise error("degree bookkeeping violated")
 
-        monkeypatch.setattr(cli_module, "pair_bamboo_side", broken)
+        monkeypatch.setattr(cli_module, "pair_bamboo_boundary", broken)
         report = verify(1)
         err = capsys.readouterr().err
         assert report.records == []
@@ -292,10 +293,10 @@ class TestStreamedReport:
         assert _zero_ms(capsys.readouterr().out) == expected + "\n"
 
     def test_failed_pairing_streams_no_records_and_fails(self, capsys, monkeypatch):
-        def broken(g, omega):
+        def broken(omega):
             raise ValueError("degree bookkeeping violated")
 
-        monkeypatch.setattr(cli, "pair_bamboo_side", broken)
+        monkeypatch.setattr(cli, "pair_bamboo_boundary", broken)
         assert main(["verify", "--genus", "1"]) == 1
         out = capsys.readouterr()
         assert out.out == '{\n  "genus": 1,\n  "records": [],\n  "pass": false\n}\n'
@@ -312,14 +313,18 @@ class TestStreamedReport:
 
 
 class TestOutPath:
-    @pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["missing-directory", "a-directory"])
+    @pytest.mark.parametrize(
+        "target", ["missing/x.csv", ".", ""], ids=["missing-directory", "a-directory", "an-empty-path"]
+    )
     def test_unwritable_out_fails_before_any_work(self, capsys, monkeypatch, tmp_path, target):
         def no_work(*args, **kwargs):
             raise AssertionError("paired a class for a report that cannot be written")
 
         for name in ("pair_bamboo_side", "pair_bamboo_boundary", "pair_dr_side", "pair_dr_boundary"):
             monkeypatch.setattr(cli, name, no_work)
-        out = str(tmp_path / target)
+        # an empty path is not the working directory: it names no file
+        monkeypatch.chdir(tmp_path)
+        out = str(tmp_path / target) if target else target
         code = main(["verify", "--genus", "3", "--kappa", "--boundary", "--format", "csv", "--out", out])
         err = capsys.readouterr().err
         assert code == 2
@@ -339,16 +344,16 @@ class TestOutPath:
     def test_interrupted_run_keeps_previous_report(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "report.json"
         path.write_text("previous report\n", encoding="utf-8")
-        original = cli.pair_dr_side
+        original = cli.pair_dr_boundary
         calls = []
 
-        def interrupted(g, omega):
+        def interrupted(omega):
             calls.append(omega)
             if len(calls) > 3:
                 raise KeyboardInterrupt
-            return original(g, omega)
+            return original(omega)
 
-        monkeypatch.setattr(cli, "pair_dr_side", interrupted)
+        monkeypatch.setattr(cli, "pair_dr_boundary", interrupted)
         with pytest.raises(KeyboardInterrupt):
             main(["verify", "--genus", "3", "--kappa", "--boundary", "--out", str(path)])
         assert len(calls) == 4
@@ -548,3 +553,31 @@ def test_module_entry_point(tmp_path):
     assert result.returncode == 0
     payload = json.loads(result.stdout)
     assert payload["pass"] is True and payload["records"][0]["dr"] == "1/24"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bamboos", "--genus", "8"], ["verify", "--genus", "7", "--kappa", "--boundary"]],
+    ids=["bamboos", "verify"],
+)
+def test_closed_pipe_ends_without_a_traceback(tmp_path, argv):
+    # the reader closes after one line, long before the output (about 1 MB
+    # and 0.4 MB) fits in the pipe: the next write fails with EPIPE
+    env = dict(os.environ, PYTHONPATH=SRC)
+    process = subprocess.Popen(
+        [sys.executable, "-m", "gdr", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=str(tmp_path),
+        env=env,
+    )
+    try:
+        assert process.stdout.readline()
+        process.stdout.close()
+        err = process.stderr.read().decode()
+        assert process.wait(timeout=60) == 1
+    finally:
+        process.kill()
+        process.wait()
+    assert err == ""
+    assert os.listdir(tmp_path) == []

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gdr import correlators
 from gdr.bamboo import pair_bamboo_side
 from gdr.cli import enumerate_omegas
-from gdr.core import kappa_degree
+from gdr.core import PsiKappaMonomial, kappa_degree
 from gdr.correlators import (
     CacheError,
     correlator,
@@ -249,9 +249,9 @@ def _bside_g6_kappa_keys():
     """The memo that the bamboo-side pairings of the 19 genus-6 classes of
     kappa degree <= 2 (the bside-g6-kappa benchmark workload) leave behind."""
     classes = [
-        c.monomial
-        for c in enumerate_omegas(6, include_kappa=True)
-        if kappa_degree(c.monomial.kappa) <= 2
+        PsiKappaMonomial(v.left_psi, v.right_psi, v.kappa)
+        for (v,) in (c.chain.vertices for c in enumerate_omegas(6, include_kappa=True))
+        if kappa_degree(v.kappa) <= 2
     ]
     assert len(classes) == 19
     clear_memos()

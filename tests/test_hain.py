@@ -11,7 +11,6 @@ from gdr.cli import enumerate_omegas
 from gdr import hain
 from gdr.core import ChainVertex, DecoratedChain, PsiKappaMonomial, kappa_degree, kappa_distributions, kappa_map
 from gdr.hain import (
-    _pair,
     evaluate_chain,
     expand_divisor_power,
     hain_divisor_terms,
@@ -369,11 +368,11 @@ class TestDynamicProgram:
     # each run off its own degree, the total balanced: 0
     @example(omega=DecoratedChain((ChainVertex(1, 1, 0), ChainVertex(2), ChainVertex(1))))
     def test_matches_enumeration(self, omega):
-        assert _pair(omega) == enumerated_pairing(omega)
+        assert pair_dr_boundary(omega) == enumerated_pairing(omega)
 
     def test_degree_mismatch_is_zero(self):
         omega = DecoratedChain((ChainVertex(1, 1, 0), ChainVertex(2, 1, 1)), Fraction(7))
-        assert _pair(omega) == enumerated_pairing(omega) == 0
+        assert pair_dr_boundary(omega) == enumerated_pairing(omega) == 0
 
 
 class TestBoundaryPairing:
@@ -399,15 +398,30 @@ class TestBoundaryPairing:
         omega = DecoratedChain((ChainVertex(1, 1, 0), ChainVertex(2)))
         assert pair_dr_boundary(omega) == pair_bamboo_boundary(omega) == 0
 
-    def test_wrong_vertex_count_rejected(self):
-        with pytest.raises(ValueError):
-            pair_dr_boundary(DecoratedChain((ChainVertex(2, 1, 1),)))
+    def test_one_vertex_class_pairs_as_its_monomial_on_both_sides(self):
+        # verify pairs a monomial as a one-vertex chain, bside and drside as
+        # a monomial: both entries to each side must give the same value
+        count = 0
+        for g in range(1, 7):
+            for t in enumerate_omegas(g, include_kappa=True, include_boundary=True):
+                if len(t.chain.vertices) == 1:
+                    (v,) = t.chain.vertices
+                    monomial = PsiKappaMonomial(v.left_psi, v.right_psi, v.kappa)
+                    assert str(monomial) == t.label and v.genus == g
+                    assert pair_dr_boundary(t.chain) == pair_dr_side(g, monomial), (g, t.label)
+                    assert pair_bamboo_boundary(t.chain) == pair_bamboo_side(g, monomial), (g, t.label)
+                    count += 1
+        assert count == 1 + 3 + 7 + 14 + 26 + 45
 
     def test_a_record_is_two_memo_lookups_and_one_fraction(self, monkeypatch):
         # with the vertex factors memoized, a boundary class reads each of
         # its two vertices from the _capped_run memo and builds one Fraction
         # from their numerators and denominators
-        classes = [t.boundary for t in enumerate_omegas(5, include_kappa=True, include_boundary=True) if t.boundary]
+        classes = [
+            t.chain
+            for t in enumerate_omegas(5, include_kappa=True, include_boundary=True)
+            if len(t.chain.vertices) == 2
+        ]
         expected = [pair_dr_boundary(omega) for omega in classes]
         built = []
 
@@ -429,17 +443,19 @@ class TestBoundaryPairing:
     def test_factorizes_into_monomial_pairings(self, g, count):
         # D restricted to delta_h is D_left + D_right, so the pairing
         # against delta_h[a | b] is pair(h, a) * pair(g - h, b), with the
-        # node branches playing the missing markings. _pair is built on this
-        # product, so it is not an independent check here: the D^g
-        # enumeration in test_matches_enumeration is. This pins the
-        # two-vertex API on the classes `verify` enumerates. A side whose
+        # node branches playing the missing markings. pair_dr_boundary is
+        # built on this product, so it is not an independent check here:
+        # the D^g enumeration in test_matches_enumeration is. This pins the
+        # two-vertex case on the classes `verify` enumerates. A side whose
         # decoration has the wrong codimension contributes 0.
         def side(genus, vertex):
             monomial = PsiKappaMonomial(vertex.left_psi, vertex.right_psi, vertex.kappa)
             return pair_dr_side(genus, monomial) if monomial.codim == genus - 1 else 0
 
         classes = [
-            t.boundary for t in enumerate_omegas(g, include_kappa=True, include_boundary=True) if t.boundary
+            t.chain
+            for t in enumerate_omegas(g, include_kappa=True, include_boundary=True)
+            if len(t.chain.vertices) == 2
         ]
         assert len(classes) == count
         for omega in classes:
@@ -447,8 +463,8 @@ class TestBoundaryPairing:
             assert pair_dr_boundary(omega) == side(left.genus, left) * side(right.genus, right)
 
 
-def divisor_values(g, classes):
-    return [test_class.dr_value(g) for test_class in classes]
+def divisor_values(classes):
+    return [pair_dr_boundary(test_class.chain) for test_class in classes]
 
 
 class TestSharedMemos:
@@ -459,13 +475,13 @@ class TestSharedMemos:
         # ran before, must not matter
         classes = list(enumerate_omegas(5, include_kappa=True, include_boundary=True))
         clear_memos()
-        forward = divisor_values(5, classes)
+        forward = divisor_values(classes)
         clear_memos()
-        backward = divisor_values(5, classes[::-1])[::-1]
+        backward = divisor_values(classes[::-1])[::-1]
         isolated = []
         for test_class in classes:
             clear_memos()
-            isolated.append(test_class.dr_value(5))
+            isolated.append(pair_dr_boundary(test_class.chain))
         assert len(classes) == 306
         assert forward == backward == isolated
 
@@ -474,7 +490,7 @@ class TestSharedMemos:
         # omega's following runs (as the memo before per-run values did)
         # fills 15,097 entries here; per-run values fill 902
         clear_memos()
-        divisor_values(6, enumerate_omegas(6, include_kappa=True, include_boundary=True))
+        divisor_values(enumerate_omegas(6, include_kappa=True, include_boundary=True))
         assert hain._run.cache_info().currsize <= 5000
 
     @pytest.mark.parametrize(
@@ -487,20 +503,18 @@ class TestSharedMemos:
         # returns: a change to what a key carries, or to which keys the
         # program reaches, moves these counts
         clear_memos()
-        divisor_values(g, enumerate_omegas(g, include_kappa=True, include_boundary=True))
+        divisor_values(enumerate_omegas(g, include_kappa=True, include_boundary=True))
         assert {name: getattr(hain, name).cache_info().currsize for name in sizes} == sizes
 
 
 def vertex_keys(g):
     """The (genus, left_psi, kappa, right_psi) key of every vertex of every
     class `verify --kappa --boundary` pairs at genus g."""
-    keys = set()
-    for test_class in enumerate_omegas(g, include_kappa=True, include_boundary=True):
-        if test_class.monomial is not None:
-            m = test_class.monomial
-            keys.add((g, m.d1, m.kappa, m.d2))
-        else:
-            keys.update((v.genus, v.left_psi, v.kappa, v.right_psi) for v in test_class.boundary.vertices)
+    keys = {
+        (v.genus, v.left_psi, v.kappa, v.right_psi)
+        for test_class in enumerate_omegas(g, include_kappa=True, include_boundary=True)
+        for v in test_class.chain.vertices
+    }
     return sorted(keys)
 
 
@@ -518,7 +532,7 @@ def recorded_runs(monkeypatch, genera):
 
         monkeypatch.setattr(hain, name, record)
     for g in genera:
-        divisor_values(g, enumerate_omegas(g, include_kappa=True, include_boundary=True))
+        divisor_values(enumerate_omegas(g, include_kappa=True, include_boundary=True))
     return seen
 
 

@@ -145,10 +145,7 @@ def verify_kappa_maps(max_genus):
     reached, todo = set(), set()
     for g in range(1, max_genus + 1):
         for test_class in enumerate_omegas(g, include_kappa=True, include_boundary=True):
-            if test_class.monomial is not None:
-                todo.add(test_class.monomial.kappa)
-            else:
-                todo.update(v.kappa for v in test_class.boundary.vertices)
+            todo.update(v.kappa for v in test_class.chain.vertices)
     while todo:
         kappa = todo.pop()
         reached.add(kappa)
