@@ -84,9 +84,10 @@ from typing import Iterator, List
 
 from .core import (
     Bamboo,
+    ChainVertex,
     DecoratedChain,
     KappaMap,
-    PsiKappaMonomial,
+    compositions,
     kappa_degree,
     kappa_map,
     kappa_splits,
@@ -108,19 +109,10 @@ def _bamboos(g: int) -> Iterator[Bamboo]:
         raise ValueError("genus must be >= 1")
     for k in range(1, g + 1):
         d_total = 2 * g - (k - 1)
-        for genera in _positive_compositions(g, k):
+        for excess in compositions(g - k, k):
+            genera = tuple(part + 1 for part in excess)
             for ds in _prefix_constrained(genera, d_total):
-                yield Bamboo._trusted(tuple(zip(genera, ds)))
-
-
-def _positive_compositions(total: int, parts: int) -> Iterator[tuple]:
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for head in range(1, total - parts + 2):
-        for tail in _positive_compositions(total - head, parts - 1):
-            yield (head,) + tail
+                yield Bamboo(tuple(zip(genera, ds)))
 
 
 def _prefix_constrained(genera: tuple, d_total: int) -> Iterator[tuple]:
@@ -136,10 +128,7 @@ def _prefix_constrained(genera: tuple, d_total: int) -> Iterator[tuple]:
         for d in range(0, min(bound, d_total - d_sum) + 1):
             yield from rec(pos + 1, d_sum + d, g_here, acc + (d,))
 
-    if k == 1:
-        yield (d_total,)
-    else:
-        yield from rec(0, 0, 0, ())
+    return rec(0, 0, 0, ())
 
 
 def vertex_integral(genus: int, left_psi: int, right_psi: int, kappa: KappaMap) -> Fraction:
@@ -218,21 +207,19 @@ def _tail(genus: int, left: int, right_psi: int, kappa: KappaMap) -> int:
 @lru_cache(maxsize=None)
 def _pair(g: int, d1: int, d2: int, kappa: KappaMap) -> Fraction:
     """int of the genus-g bamboo class times psi_1^d1 psi_2^d2 kappa, the
-    top call of :func:`_tail`, keyed on the vertex tuple so that a caller
-    builds no monomial; 0 unless the class has codim g - 1, as one side of
-    an unbalanced boundary class has."""
+    top call of :func:`_tail`, keyed on a vertex's fields; 0 unless the
+    class has codim g - 1, as one side of an unbalanced boundary class has."""
     if d1 + d2 + kappa_degree(kappa) != g - 1:
         return Fraction(0)
     return Fraction(_tail(g, d1, d2, kappa), _scale(g))
 
 
-def pair_bamboo_side(g: int, omega: PsiKappaMonomial) -> Fraction:
-    """int of (bamboo class) * omega over the two-pointed genus-g space."""
-    if g < 1:
-        raise ValueError("genus must be >= 1")
-    if omega.codim != g - 1:
-        raise ValueError(f"omega must have codim {g - 1}, got {omega.codim}")
-    return _pair(g, omega.d1, omega.d2, omega.kappa)
+def pair_bamboo_side(vertex: ChainVertex) -> Fraction:
+    """int of (bamboo class) * omega over the two-pointed space of the
+    vertex's genus, omega being the vertex's decoration."""
+    if vertex.decoration_degree != vertex.genus - 1:
+        raise ValueError(f"omega must have codim {vertex.genus - 1}, got {vertex.decoration_degree}")
+    return _pair(vertex.genus, vertex.left_psi, vertex.right_psi, vertex.kappa)
 
 
 def pair_bamboo_boundary(omega: DecoratedChain) -> Fraction:

@@ -17,7 +17,8 @@ prints this text. A usage error prints the usage line and the error in
 argparse's wording to stderr, and exits 2.
 
 The omega grammar is whitespace-separated ``psi1^a psi2^b kappa1^c ...``
-(exponent 1 omissible, ``1`` for the unit). Every subcommand rejects a
+(exponent 1 omissible, ``1`` for the unit), the decoration of one
+genus-G vertex (gdr.core.ChainVertex.parse). Every subcommand rejects a
 genus above MAX_GENUS, and witten/hodge an exponent list longer than
 MAX_POINTS, with exit code 2. A call reads and writes no file other than
 verify's --out; its memos live only as long as the process.
@@ -36,15 +37,17 @@ import csv
 import errno
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from types import SimpleNamespace
 from typing import Iterable, Iterator, List, NoReturn, Optional, TextIO, Tuple
 
 from .bamboo import _bamboos, pair_bamboo_boundary, pair_bamboo_side
-from .core import ChainVertex, DecoratedChain, PsiKappaMonomial, format_rational, kappa_map
+from .core import ChainVertex, DecoratedChain, format_rational, kappa_map
 from .correlators import correlator
 from .hain import pair_dr_boundary, pair_dr_side
 from .hodge import psi_lambda_g_integral
@@ -89,19 +92,18 @@ class VerificationReport:
         return not self.aborted and all(r.equal for r in self.records)
 
 
-def _monomials_of_degree(degree: int, include_kappa: bool) -> List[PsiKappaMonomial]:
-    """Monomials psi1^a psi2^b * kappa-part of the given total degree,
-    pure-psi first with a descending, then by ascending kappa degree."""
-    out: List[PsiKappaMonomial] = []
+def _monomials_of_degree(genus: int, degree: int, include_kappa: bool) -> List[ChainVertex]:
+    """Genus-`genus` vertices decorated by psi1^a psi2^b * kappa-part of the
+    given total degree, pure-psi first with a descending, then by ascending
+    kappa degree."""
+    out: List[ChainVertex] = []
     kappa_degrees = range(degree + 1) if include_kappa else (0,)
     for kdeg in kappa_degrees:
         psi_deg = degree - kdeg
         for partition in _partitions(kdeg):
-            counts: dict = {}
-            for part in partition:
-                counts[part] = counts.get(part, 0) + 1
+            kappa = kappa_map((part, 1) for part in partition)
             for d1 in range(psi_deg, -1, -1):
-                out.append(PsiKappaMonomial(d1, psi_deg - d1, kappa_map(counts)))
+                out.append(ChainVertex(genus, d1, psi_deg - d1, kappa))
     return out
 
 
@@ -133,13 +135,10 @@ def enumerate_omegas(g: int, include_kappa: bool = False, include_boundary: bool
 
 
 def _omegas(g: int, include_kappa: bool, include_boundary: bool) -> Iterator[TestClass]:
-    # each degree's monomials and their labels, built once per call
-    by_degree = [
-        [(m, str(m)) for m in _monomials_of_degree(degree, include_kappa)] for degree in range(g)
-    ]
-
+    @lru_cache(maxsize=None)
     def vertices(genus: int, degree: int) -> list:
-        return [(ChainVertex(genus, m.d1, m.d2, m.kappa), label) for m, label in by_degree[degree]]
+        """The vertices of each (genus, degree) and their labels, built at most once per call."""
+        return [(v, str(v)) for v in _monomials_of_degree(genus, degree, include_kappa)]
 
     for vertex, label in vertices(g, g - 1):
         yield TestClass(label, DecoratedChain((vertex,)))
@@ -259,6 +258,8 @@ _COMMANDS = {
 # The values of the options that may be left out; every other option is required.
 _DEFAULTS = {"--kappa": False, "--boundary": False, "--out": None, "--format": "json"}
 _HELP = ("-h", "--help")
+# argparse's pattern of a negative number (Python 3.10-3.12)
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
 def _parse(argv: List[str]) -> SimpleNamespace:
@@ -310,8 +311,8 @@ def _parse(argv: List[str]) -> SimpleNamespace:
 
 def _is_option(token: str) -> bool:
     """Whether `token` reads as an option rather than a value; as in
-    argparse, a negative number is a value."""
-    return len(token) > 1 and token[0] == "-" and not token[1:].isdigit()
+    argparse, a negative number, decimals too, is a value."""
+    return len(token) > 1 and token[0] == "-" and not _NEGATIVE_NUMBER.match(token)
 
 
 def _choices(values: Iterable[str]) -> str:
@@ -372,10 +373,10 @@ def _run_command(args: SimpleNamespace) -> int:
         print(format_rational(correlator(args.genus, _parse_exps(args.exps))))
         return 0
     if args.command == "bside":
-        print(format_rational(pair_bamboo_side(args.genus, PsiKappaMonomial.parse(args.omega))))
+        print(format_rational(pair_bamboo_side(ChainVertex.parse(args.genus, args.omega))))
         return 0
     if args.command == "drside":
-        print(format_rational(pair_dr_side(args.genus, PsiKappaMonomial.parse(args.omega))))
+        print(format_rational(pair_dr_side(ChainVertex.parse(args.genus, args.omega))))
         return 0
 
     # a bad genus is rejected here, before any output

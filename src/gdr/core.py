@@ -7,13 +7,13 @@ stands for a rational times a known scale (see gdr.correlators,
 gdr.bamboo and gdr.hain). There is no floating point anywhere. The types
 here are immutable values, safe to share freely:
 
-- :class:`PsiKappaMonomial` -- a product psi1^d1 psi2^d2 prod kappa_i^c_i,
-  the test classes paired against both pipelines and the per-vertex
-  decorations.
 - :class:`Bamboo` -- one signed chain term of the bamboo class expansion.
-- :class:`DecoratedChain` -- a compact-type chain stratum with psi powers
-  on its legs and kappa classes on its vertices, the working object of
-  the Hain-divisor pipeline.
+- :class:`ChainVertex` -- a vertex of genus g with psi powers on its two
+  legs and kappa classes; alone, it is the test class psi1^a psi2^b prod
+  kappa_i^c_i on the two-pointed genus-g space.
+- :class:`DecoratedChain` -- a compact-type chain of such vertices with
+  a rational coefficient: each test class of both pipelines, and each
+  term of the D^g expansion of gdr.hain.
 """
 from __future__ import annotations
 
@@ -71,106 +71,19 @@ def kappa_degree(kappa: KappaMap) -> int:
 
 
 @dataclass(frozen=True)
-class PsiKappaMonomial:
-    """Monomial psi1^d1 psi2^d2 prod_i kappa_i^c_i on a two-pointed space."""
-
-    d1: int = 0
-    d2: int = 0
-    kappa: KappaMap = ()
-
-    def __post_init__(self) -> None:
-        if self.d1 < 0 or self.d2 < 0:
-            raise ValueError("psi exponents must be non-negative")
-        object.__setattr__(self, "kappa", kappa_map(self.kappa))
-
-    @property
-    def codim(self) -> int:
-        return self.d1 + self.d2 + kappa_degree(self.kappa)
-
-    def __str__(self) -> str:
-        parts = []
-        for name, exp in (("psi1", self.d1), ("psi2", self.d2)):
-            if exp:
-                parts.append(name if exp == 1 else f"{name}^{exp}")
-        for i, c in self.kappa:
-            parts.append(f"kappa{i}" if c == 1 else f"kappa{i}^{c}")
-        return " ".join(parts) if parts else "1"
-
-    @classmethod
-    def parse(cls, text: str) -> "PsiKappaMonomial":
-        """Parse the whitespace-separated grammar ``psi1^a psi2^b kappa1^c ...``.
-
-        Exponent 1 may be omitted; ``1`` (or an empty string) is the unit.
-        Repeated factors multiply.
-        """
-        d1 = d2 = 0
-        kappa: dict[int, int] = {}
-        tokens = text.split()
-        if tokens == ["1"]:
-            tokens = []
-        for token in tokens:
-            base, _, exp_text = token.partition("^")
-            if _ == "^":
-                if not exp_text.isdigit():
-                    raise ValueError(f"bad exponent in {token!r}")
-                exp = int(exp_text)
-            else:
-                exp = 1
-            if base == "psi1":
-                d1 += exp
-            elif base == "psi2":
-                d2 += exp
-            elif base.startswith("kappa") and base[5:].isdigit() and int(base[5:]) >= 1:
-                idx = int(base[5:])
-                kappa[idx] = kappa.get(idx, 0) + exp
-            else:
-                raise ValueError(f"unknown factor {token!r}")
-        return cls(d1, d2, kappa_map(kappa))
-
-
-@dataclass(frozen=True)
 class Bamboo:
     """One chain term of the bamboo class: vertices (genus, edge psi power).
 
     The psi decoration d_i sits at the second point of vertex i (the
     half-edge toward vertex i+1; for the last vertex, marking 2). The
-    first point of each vertex is undecorated. Construction enforces the
-    degree equation sum(d_i) + k - 1 = 2g and the orientation-sensitive
-    prefix constraint
+    first point of each vertex is undecorated. The enumeration of
+    gdr.bamboo yields only terms with the degree equation
+    sum(d_i) + k - 1 = 2g and the orientation-sensitive prefix constraint
         d_1 + ... + d_l + l - 1 <= 2(g_1 + ... + g_l) - 1
-    for every 1 <= l <= k - 1.
+    for every 1 <= l <= k - 1; ``tests/bamboo_oracle.py`` checks both.
     """
 
     vertices: tuple  # tuple[tuple[int, int], ...], (genus, edge psi power)
-
-    def __post_init__(self) -> None:
-        vs = tuple((int(g), int(d)) for g, d in self.vertices)
-        object.__setattr__(self, "vertices", vs)
-        if not vs:
-            raise ValueError("bamboo needs at least one vertex")
-        if any(g < 1 for g, _ in vs):
-            raise ValueError("bamboo vertex genus must be >= 1")
-        if any(d < 0 for _, d in vs):
-            raise ValueError("edge psi powers must be >= 0")
-        g_total = sum(g for g, _ in vs)
-        k = len(vs)
-        if sum(d for _, d in vs) + k - 1 != 2 * g_total:
-            raise ValueError("degree equation sum(d) + k - 1 = 2g violated")
-        d_run = g_run = 0
-        for ell in range(1, k):
-            g_run += vs[ell - 1][0]
-            d_run += vs[ell - 1][1]
-            if d_run + ell - 1 > 2 * g_run - 1:
-                raise ValueError(f"prefix constraint violated at position {ell}")
-
-    @classmethod
-    def _trusted(cls, vertices: tuple) -> Bamboo:
-        """A term from int (genus, edge psi power) pairs that already meet
-        every check of __post_init__, built without repeating them: the
-        enumeration of gdr.bamboo guarantees both constraints."""
-        term = object.__new__(cls)
-        object.__setattr__(term, "vertices", vertices)
-        return term
 
     @property
     def sign(self) -> int:
@@ -192,7 +105,7 @@ class ChainVertex:
 
     def __post_init__(self) -> None:
         if self.genus < 1:
-            raise ValueError("genus-0 chain vertex is unstable (2 special points)")
+            raise ValueError("genus must be >= 1")
         if self.left_psi < 0 or self.right_psi < 0:
             raise ValueError("psi powers must be non-negative")
         object.__setattr__(self, "kappa", kappa_map(self.kappa))
@@ -200,6 +113,35 @@ class ChainVertex:
     @property
     def decoration_degree(self) -> int:
         return self.left_psi + self.right_psi + kappa_degree(self.kappa)
+
+    def __str__(self) -> str:
+        """The decoration in the omega grammar, without the genus: psi1 on
+        the left leg, psi2 on the right one, ``1`` for none."""
+        psi = (("psi1", self.left_psi), ("psi2", self.right_psi))
+        parts = [name if exp == 1 else f"{name}^{exp}" for name, exp in psi if exp]
+        parts += [f"kappa{i}" if c == 1 else f"kappa{i}^{c}" for i, c in self.kappa]
+        return " ".join(parts) or "1"
+
+    @classmethod
+    def parse(cls, genus: int, text: str) -> ChainVertex:
+        """The genus-`genus` vertex that `text` decorates, in the grammar
+        ``psi1^a psi2^b kappa1^c ...``: exponent 1 may be omitted, ``1``
+        (or an empty string) is the unit, and repeated factors multiply."""
+        psi = {"psi1": 0, "psi2": 0}
+        kappa = []
+        tokens = text.split()
+        for token in [] if tokens == ["1"] else tokens:
+            base, caret, exp_text = token.partition("^")
+            if caret and not exp_text.isdigit():
+                raise ValueError(f"bad exponent in {token!r}")
+            exp = int(exp_text) if caret else 1
+            if base in psi:
+                psi[base] += exp
+            elif base.startswith("kappa") and base[5:].isdigit() and int(base[5:]) >= 1:
+                kappa.append((int(base[5:]), exp))
+            else:
+                raise ValueError(f"unknown factor {token!r}")
+        return cls(genus, psi["psi1"], psi["psi2"], kappa)
 
 
 @dataclass(frozen=True)

@@ -92,7 +92,6 @@ from .core import (
     ChainVertex,
     DecoratedChain,
     KappaMap,
-    PsiKappaMonomial,
     kappa_degree,
     kappa_distributions,
     kappa_splits,
@@ -298,16 +297,13 @@ def _capped_run(genus: int, left_psi: int, kappa: KappaMap, right_psi: int) -> F
     return Fraction(total, _scale(genus) * 2 ** top * factorial(top))
 
 
-def pair_dr_side(g: int, omega: PsiKappaMonomial) -> Fraction:
+def pair_dr_side(vertex: ChainVertex) -> Fraction:
     """Coefficient of a^(2g) in the capped double-ramification pairing
-    against omega, the one-vertex case of :func:`pair_dr_boundary`: the
-    memoized factor of its one vertex, keyed on the vertex tuple, so no
-    chain is built."""
-    if g < 1:
-        raise ValueError("genus must be >= 1")
-    if omega.codim != g - 1:
-        raise ValueError(f"omega must have codim {g - 1}, got {omega.codim}")
-    return _capped_run(g, omega.d1, omega.kappa, omega.d2)
+    against omega, the decoration of a genus-g vertex: the one-vertex case
+    of :func:`pair_dr_boundary`, the memoized factor of that vertex."""
+    if vertex.decoration_degree != vertex.genus - 1:
+        raise ValueError(f"omega must have codim {vertex.genus - 1}, got {vertex.decoration_degree}")
+    return _capped_run(vertex.genus, vertex.left_psi, vertex.kappa, vertex.right_psi)
 
 
 def pair_dr_boundary(omega: DecoratedChain) -> Fraction:

@@ -1,5 +1,7 @@
-"""Reference chain program of the bamboo side in Fractions, the oracle that
-the scaled-integer :func:`gdr.bamboo._pair` is tested against. It carries
+"""Reference checks of the bamboo side: :func:`check`, the constraints that
+every term of :func:`gdr.bamboo.enumerate_bamboos` must meet, and a chain
+program in Fractions, the oracle that the scaled-integer
+:func:`gdr.bamboo._pair` is tested against. It carries
 every vertex integral as an exact rational, walks the chain by cumulative
 genus with the prefix bound G_l <= K_l + d_1 as the bamboo terms state
 it, and splits kappa with :func:`gdr.core.kappa_distributions` itself, so
@@ -14,9 +16,34 @@ but not the integer leaf B_h <tau_k>_h or the chain program.
 from fractions import Fraction
 from functools import lru_cache
 
-from gdr.core import KappaMap, PsiKappaMonomial, kappa_degree, kappa_distributions
+from gdr.core import Bamboo, ChainVertex, KappaMap, kappa_degree, kappa_distributions
 from gdr.correlators import correlator
 from gdr.kappa import kappa_to_psi
+
+
+def check(term: Bamboo) -> None:
+    """Raise ValueError unless `term` is a bamboo term: a nonempty tuple of
+    int (genus >= 1, edge psi power >= 0) pairs with the degree equation
+    sum(d_i) + k - 1 = 2g and the prefix constraint
+    d_1 + ... + d_l + l - 1 <= 2(g_1 + ... + g_l) - 1 for 1 <= l < k."""
+    vs = term.vertices
+    if not vs:
+        raise ValueError("bamboo needs at least one vertex")
+    if not all(type(g) is int and type(d) is int for g, d in vs):
+        raise ValueError("bamboo vertices must be int pairs")
+    if any(g < 1 for g, _ in vs):
+        raise ValueError("bamboo vertex genus must be >= 1")
+    if any(d < 0 for _, d in vs):
+        raise ValueError("edge psi powers must be >= 0")
+    k = len(vs)
+    if sum(d for _, d in vs) + k - 1 != 2 * sum(g for g, _ in vs):
+        raise ValueError("degree equation sum(d) + k - 1 = 2g violated")
+    d_run = g_run = 0
+    for ell in range(1, k):
+        g_run += vs[ell - 1][0]
+        d_run += vs[ell - 1][1]
+        if d_run + ell - 1 > 2 * g_run - 1:
+            raise ValueError(f"prefix constraint violated at position {ell}")
 
 
 @lru_cache(maxsize=None)
@@ -28,12 +55,13 @@ def vertex_integral(genus: int, left: int, right: int, kappa: KappaMap) -> Fract
     return sum((coeff * correlator(genus, exps) for coeff, exps in kappa_to_psi(2, (left, right), kappa)), Fraction(0))
 
 
-def pair(g: int, omega: PsiKappaMonomial) -> Fraction:
-    """int of the genus-g bamboo class times omega; 0 unless omega has
-    codim g - 1."""
-    if omega.codim != g - 1:
+def pair(omega: ChainVertex) -> Fraction:
+    """int of the genus-g bamboo class times omega's decoration, g being
+    omega's genus; 0 unless the decoration has codim g - 1."""
+    g = omega.genus
+    if omega.decoration_degree != g - 1:
         return Fraction(0)
-    d1, d2 = omega.d1, omega.d2
+    d1, d2 = omega.left_psi, omega.right_psi
     kappa_total = kappa_degree(omega.kappa)
 
     @lru_cache(maxsize=None)

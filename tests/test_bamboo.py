@@ -16,7 +16,6 @@ from gdr.core import (
     Bamboo,
     ChainVertex,
     DecoratedChain,
-    PsiKappaMonomial,
     kappa_degree,
     kappa_distributions,
     kappa_map,
@@ -27,19 +26,19 @@ import bamboo_oracle
 from memos import clear_memos
 
 
-def enumerated_pairing(g: int, omega: PsiKappaMonomial) -> Fraction:
-    """The bamboo-side pairing by brute force: every bamboo term times
-    every distribution of omega's kappa factors over its vertices, with
-    omega's psi_1 on the first vertex's left leg and its psi_2 on the
-    last vertex's right leg."""
+def enumerated_pairing(omega: ChainVertex) -> Fraction:
+    """The bamboo-side pairing by brute force: every bamboo term of omega's
+    genus times every distribution of omega's kappa factors over its
+    vertices, with omega's psi_1 on the first vertex's left leg and its
+    psi_2 on the last vertex's right leg."""
     total = Fraction(0)
-    for bamboo in enumerate_bamboos(g):
+    for bamboo in enumerate_bamboos(omega.genus):
         k = len(bamboo.vertices)
         for mult, kappa_parts in kappa_distributions(omega.kappa, k):
             product = Fraction(1)
             for v, (genus_v, d_v) in enumerate(bamboo.vertices):
-                left = omega.d1 if v == 0 else 0
-                right = d_v + (omega.d2 if v == k - 1 else 0)
+                left = omega.left_psi if v == 0 else 0
+                right = d_v + (omega.right_psi if v == k - 1 else 0)
                 product *= vertex_integral(genus_v, left, right, kappa_parts[v])
                 if not product:
                     break
@@ -49,8 +48,8 @@ def enumerated_pairing(g: int, omega: PsiKappaMonomial) -> Fraction:
 
 @st.composite
 def genus_and_monomial(draw):
-    """A genus g <= 5 and a monomial whose codim three times in four is
-    g - 1 and otherwise is arbitrary, split in any way over psi_1, psi_2
+    """A vertex of genus g <= 5 whose decoration's codim three times in four
+    is g - 1 and otherwise is arbitrary, split in any way over psi_1, psi_2
     and kappa factors."""
     g = draw(st.integers(1, 5))
     degree = g - 1 if draw(st.integers(0, 3)) else draw(st.integers(0, 5))
@@ -65,7 +64,7 @@ def genus_and_monomial(draw):
         else:
             psi[slot == "psi2"] += 1
             degree -= 1
-    return g, PsiKappaMonomial(psi[0], psi[1], kappa_map(kappa))
+    return ChainVertex(g, psi[0], psi[1], kappa_map(kappa))
 
 
 class TestEnumeration:
@@ -91,14 +90,14 @@ class TestEnumeration:
             assert sum(genus for genus, _ in b.vertices) == g
             k = len(b.vertices)
             assert sum(d for _, d in b.vertices) + k - 1 == 2 * g
-            Bamboo(b.vertices)  # re-validate the prefix constraint
+            bamboo_oracle.check(b)  # the prefix constraint too
 
     @pytest.mark.parametrize("g", range(1, 8))
     def test_enumerated_terms_pass_the_public_checks(self, g):
-        # the enumeration builds its terms without re-running Bamboo's checks
+        # Bamboo checks nothing itself; every enumerated term meets the
+        # oracle's constraints, with int genera and powers
         for b in enumerate_bamboos(g):
-            assert Bamboo(b.vertices) == b
-            assert all(type(genus) is int and type(d) is int for genus, d in b.vertices)
+            bamboo_oracle.check(b)
 
     def test_order_is_deterministic(self):
         assert enumerate_bamboos(3) == enumerate_bamboos(3)
@@ -112,7 +111,7 @@ class TestEnumeration:
             vs = b.vertices
             if len(vs) >= 2 and vs[0][1] < vs[-1][1]:
                 try:
-                    Bamboo(tuple(reversed(vs)))
+                    bamboo_oracle.check(Bamboo(tuple(reversed(vs))))
                 except ValueError:
                     violations += 1
         assert violations > 0
@@ -124,25 +123,25 @@ class TestEnumeration:
 
 class TestPairing:
     def test_genus_1_unit(self):
-        assert pair_bamboo_side(1, PsiKappaMonomial()) == Fraction(1, 24)
+        assert pair_bamboo_side(ChainVertex(1)) == Fraction(1, 24)
 
     def test_genus_2_psi2_reduces_to_single_term(self):
         # only the one-vertex term survives vertex-dimension vanishing:
         # <tau_0 tau_5>_2 = <tau_4>_2 by the string equation
-        assert pair_bamboo_side(2, PsiKappaMonomial(0, 1)) == correlator(2, (4,))
-        assert pair_bamboo_side(2, PsiKappaMonomial(0, 1)) == Fraction(1, 1152)
+        assert pair_bamboo_side(ChainVertex(2, 0, 1)) == correlator(2, (4,))
+        assert pair_bamboo_side(ChainVertex(2, 0, 1)) == Fraction(1, 1152)
 
     def test_genus_2_psi1_hand_reduction(self):
         # <tau_1 tau_4>_2 - <tau_1 tau_1>_1 <tau_0 tau_2>_1 = 1/384 - 1/576
         expected = correlator(2, (1, 4)) - correlator(1, (1, 1)) * correlator(1, (0, 2))
         assert expected == Fraction(1, 1152)
-        assert pair_bamboo_side(2, PsiKappaMonomial(1, 0)) == expected
+        assert pair_bamboo_side(ChainVertex(2, 1, 0)) == expected
 
     def test_degree_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            pair_bamboo_side(2, PsiKappaMonomial(2, 0))
-        with pytest.raises(ValueError):
-            pair_bamboo_side(1, PsiKappaMonomial(0, 0, kappa_map({1: 1})))
+        with pytest.raises(ValueError, match="omega must have codim"):
+            pair_bamboo_side(ChainVertex(2, 2, 0))
+        with pytest.raises(ValueError, match="omega must have codim"):
+            pair_bamboo_side(ChainVertex(1, 0, 0, kappa_map({1: 1})))
 
     @pytest.mark.parametrize("g", [1, 2, 3, 4])
     def test_marking_swap_symmetry(self, g):
@@ -150,24 +149,22 @@ class TestPairing:
         # asymmetric) but forced by symmetry of the capped cycle
         for a in range(g):
             b = g - 1 - a
-            assert pair_bamboo_side(g, PsiKappaMonomial(a, b)) == pair_bamboo_side(
-                g, PsiKappaMonomial(b, a)
-            )
+            assert pair_bamboo_side(ChainVertex(g, a, b)) == pair_bamboo_side(ChainVertex(g, b, a))
 
     @pytest.mark.parametrize("g", [2, 3])
     def test_terms_drop_only_by_dimension(self, g):
         # a vertex product vanishes iff some vertex integral is
         # dimension-mismatched; dimension-valid vertex integrals of the
         # two-point correlator are strictly positive
-        for omega in (PsiKappaMonomial(g - 1, 0), PsiKappaMonomial(0, 0, kappa_map({1: g - 1}))):
+        for omega in (ChainVertex(g, g - 1, 0), ChainVertex(g, 0, 0, kappa_map({1: g - 1}))):
             for bamboo in enumerate_bamboos(g):
                 k = len(bamboo.vertices)
                 for mult, parts in kappa_distributions(omega.kappa, k):
                     product = Fraction(1)
                     balanced = True
                     for v, (genus_v, d_v) in enumerate(bamboo.vertices):
-                        left = omega.d1 if v == 0 else 0
-                        right = d_v + (omega.d2 if v == k - 1 else 0)
+                        left = omega.left_psi if v == 0 else 0
+                        right = d_v + (omega.right_psi if v == k - 1 else 0)
                         balanced &= (
                             left + right + kappa_degree(parts[v]) == 3 * genus_v - 1
                         )
@@ -180,35 +177,32 @@ class TestDynamicProgram:
     # binds: dropping it changes their value
     @settings(max_examples=150)
     @given(case=genus_and_monomial())
-    @example(case=(2, PsiKappaMonomial(0, 1)))
-    @example(case=(2, PsiKappaMonomial(0, 0, kappa_map({1: 1}))))
-    @example(case=(3, PsiKappaMonomial(1, 0, kappa_map({1: 1}))))
-    @example(case=(4, PsiKappaMonomial(0, 1, kappa_map({2: 1}))))
-    @example(case=(5, PsiKappaMonomial(0, 0, kappa_map({1: 2, 2: 1}))))
+    @example(case=ChainVertex(2, 0, 1))
+    @example(case=ChainVertex(2, 0, 0, kappa_map({1: 1})))
+    @example(case=ChainVertex(3, 1, 0, kappa_map({1: 1})))
+    @example(case=ChainVertex(4, 0, 1, kappa_map({2: 1})))
+    @example(case=ChainVertex(5, 0, 0, kappa_map({1: 2, 2: 1})))
     def test_matches_enumeration(self, case):
-        g, omega = case
-        assert _pair(g, omega.d1, omega.d2, omega.kappa) == enumerated_pairing(g, omega)
+        assert _pair(case.genus, case.left_psi, case.right_psi, case.kappa) == enumerated_pairing(case)
 
     @pytest.mark.parametrize(
         "g,omega",
         [
-            (1, PsiKappaMonomial(1, 0)),
-            (2, PsiKappaMonomial()),
-            (3, PsiKappaMonomial(0, 1, kappa_map({1: 2}))),
-            (4, PsiKappaMonomial(1, 1)),
+            (1, ChainVertex(1, 1, 0)),
+            (2, ChainVertex(2)),
+            (3, ChainVertex(3, 0, 1, kappa_map({1: 2}))),
+            (4, ChainVertex(4, 1, 1)),
         ],
     )
     def test_degree_mismatch_is_zero(self, g, omega):
-        assert omega.codim != g - 1
-        assert _pair(g, omega.d1, omega.d2, omega.kappa) == enumerated_pairing(g, omega) == 0
+        assert omega.genus == g and omega.decoration_degree != g - 1
+        assert _pair(g, omega.left_psi, omega.right_psi, omega.kappa) == enumerated_pairing(omega) == 0
 
 
 class TestBoundaryPairing:
     def test_factorizes_across_the_node(self):
         omega = DecoratedChain((ChainVertex(1), ChainVertex(2, 0, 1)))
-        expected = pair_bamboo_side(1, PsiKappaMonomial()) * pair_bamboo_side(
-            2, PsiKappaMonomial(0, 1)
-        )
+        expected = pair_bamboo_side(ChainVertex(1)) * pair_bamboo_side(ChainVertex(2, 0, 1))
         assert pair_bamboo_boundary(omega) == expected == Fraction(1, 27648)
 
     def test_unbalanced_decoration_gives_zero(self):
@@ -273,15 +267,15 @@ class TestSharedMemos:
 
 
 def monomial_keys(g):
-    """The (genus, monomial) of every bamboo pairing that `verify --kappa
-    --boundary` makes at genus g: its monomials, and the two sides of each
-    boundary class."""
+    """The vertex of every bamboo pairing that `verify --kappa --boundary`
+    makes at genus g: its monomials, and the two sides of each boundary
+    class."""
     keys = {
-        (v.genus, PsiKappaMonomial(v.left_psi, v.right_psi, v.kappa))
+        v
         for test_class in enumerate_omegas(g, include_kappa=True, include_boundary=True)
         for v in test_class.chain.vertices
     }
-    return sorted(keys, key=lambda key: (key[0], key[1].d1, key[1].d2, key[1].kappa))
+    return sorted(keys, key=lambda v: (v.genus, v.left_psi, v.right_psi, v.kappa))
 
 
 class TestScaledIntegers:
@@ -300,12 +294,12 @@ class TestScaledIntegers:
         clear_memos()
         keys = monomial_keys(g)
         nonzero = 0
-        for genus, omega in keys:
-            value = _pair(genus, omega.d1, omega.d2, omega.kappa)
-            assert value == bamboo_oracle.pair(genus, omega), (genus, omega)
+        for v in keys:
+            value = _pair(v.genus, v.left_psi, v.right_psi, v.kappa)
+            assert value == bamboo_oracle.pair(v), v
             nonzero += value != 0
         # the other keys are boundary sides of the wrong codim, 0 by degree
-        assert 0 < nonzero == sum(omega.codim == genus - 1 for genus, omega in keys)
+        assert 0 < nonzero == sum(v.decoration_degree == v.genus - 1 for v in keys)
 
     def test_tail_memo_holds_only_integers(self, monkeypatch):
         # every value the memo caches passes through the module's _tail, so
@@ -336,11 +330,11 @@ class TestScaledIntegers:
 
         clear_memos()
         monkeypatch.setattr(bamboo, "Fraction", fraction)
-        for genus, omega in monomial_keys(5):
+        for v in monomial_keys(5):
             built.clear()
-            value = _pair(genus, omega.d1, omega.d2, omega.kappa)
-            assert len(built) == 1 and value is built[0], (genus, omega)
-            assert value == bamboo_oracle.pair(genus, omega)
+            value = _pair(v.genus, v.left_psi, v.right_psi, v.kappa)
+            assert len(built) == 1 and value is built[0], v
+            assert value == bamboo_oracle.pair(v)
 
 
 def _sorted_exponents(total, n, low=0):
@@ -401,12 +395,12 @@ class TestIntegerLeaf:
         for g in range(1, 7):
             reached |= _vertex_keys_reached(monkeypatch, lambda: verify(g, True, True))
         bside = [
-            PsiKappaMonomial(v.left_psi, v.right_psi, v.kappa)
+            v
             for (v,) in (c.chain.vertices for c in enumerate_omegas(6, include_kappa=True))
             if kappa_degree(v.kappa) <= 2
         ]
         assert len(bside) == 19
-        bside_keys = _vertex_keys_reached(monkeypatch, lambda: [pair_bamboo_side(6, omega) for omega in bside])
+        bside_keys = _vertex_keys_reached(monkeypatch, lambda: [pair_bamboo_side(v) for v in bside])
         assert bside_keys <= reached and len(bside_keys) == 80
         assert len(reached) == 232 and any(kappa for *_, kappa in reached)
         clear_memos()

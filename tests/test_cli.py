@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 from gdr import cli
 from gdr.bamboo import enumerate_bamboos, pair_bamboo_side
 from gdr.cli import enumerate_omegas, main, verify
-from gdr.core import PsiKappaMonomial, format_rational
+from gdr.core import ChainVertex, format_rational
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -70,19 +71,22 @@ class TestEnumerateOmegas:
         assert all(1 + sum(v.decoration_degree for v in t.chain.vertices) == 2 for t in boundary)
 
     def test_each_monomial_is_built_once_per_call(self, monkeypatch):
-        # each degree's monomials and labels are built once, and a boundary
-        # class takes its two decorations from those lists
-        per_degree = [len(cli._monomials_of_degree(degree, True)) for degree in range(5)]
+        # each (genus, degree) list of vertices and labels is built once, and
+        # a boundary class takes its two vertices from those lists: the 26
+        # genus-5 vertices of degree 4, and those of degree 0..3 at each
+        # genus 1..4
+        per_degree = [len(cli._monomials_of_degree(1, degree, True)) for degree in range(5)]
         built = []
-        original = cli.PsiKappaMonomial
+        original = cli.ChainVertex
 
         def counting(*args):
             built.append(args)
             return original(*args)
 
-        monkeypatch.setattr(cli, "PsiKappaMonomial", counting)
+        monkeypatch.setattr(cli, "ChainVertex", counting)
         assert len(list(enumerate_omegas(5, include_kappa=True, include_boundary=True))) == 306
-        assert len(built) == sum(per_degree) == 1 + 3 + 7 + 14 + 26
+        assert per_degree == [1, 3, 7, 14, 26]
+        assert len(built) == per_degree[4] + 4 * sum(per_degree[:4]) == 126
 
     def test_without_kappa_only_psi_monomials(self):
         assert [t.label for t in enumerate_omegas(3)] == ["psi1^2", "psi1 psi2", "psi2^2"]
@@ -212,6 +216,9 @@ class TestMain:
         monkeypatch.chdir(tmp_path)
         assert main(["bamboos", "--genus", "0"]) == 2
         assert "error" in capsys.readouterr().err
+        for side in ("bside", "drside"):
+            assert main([side, "--genus", "0", "--omega", "1"]) == 2
+            assert capsys.readouterr().err == "error: genus must be >= 1\n"
         assert main(["witten", "--genus", "1", "--exps=-1,2"]) == 2
         assert "error" in capsys.readouterr().err
         assert main(["hodge", "--genus", "-1", "--exps", "0"]) == 2
@@ -393,7 +400,7 @@ class TestCache:
             timeout=60,
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == format_rational(pair_bamboo_side(3, PsiKappaMonomial.parse("psi1 kappa1")))
+        assert result.stdout.strip() == format_rational(pair_bamboo_side(ChainVertex.parse(3, "psi1 kappa1")))
         assert os.listdir(tmp_path) == []
 
 
@@ -458,6 +465,8 @@ class TestParser:
             (["bside", "--genus", "2"], "the following arguments are required: --omega"),
             (["witten"], "the following arguments are required: --genus, --exps"),
             (["bside", "--genus", "x", "--omega", "1"], "argument --genus: invalid int value: 'x'"),
+            # a negative decimal is a value, as in argparse, and no int
+            (["hodge", "--genus", "-.5", "--exps", "1"], "argument --genus: invalid int value: '-.5'"),
             (
                 ["verify", "--genus", "1", "--format", "xml"],
                 "argument --format: invalid choice: 'xml' (choose from 'json', 'csv')",
@@ -473,7 +482,8 @@ class TestParser:
             (["verify", "--gen", "1"], "the following arguments are required: --genus"),
         ],
         ids=[
-            "missing-value", "option-as-value", "missing-option", "missing-options", "bad-int", "bad-format",
+            "missing-value", "option-as-value", "missing-option", "missing-options", "bad-int", "decimal-int",
+            "bad-format",
             "unknown-subcommand", "no-arguments", "flag-with-value", "abbreviation",
         ],
     )
@@ -485,6 +495,15 @@ class TestParser:
         assert captured.out == ""
         assert captured.err.startswith("usage: gdr ")
         assert captured.err.endswith(f"\ngdr: error: {wording}\n")
+
+    def test_negative_decimal_is_a_value(self, capsys):
+        # argparse takes -1.5 as the value of --exps, and the exponent list
+        # then rejects it: exit 2 from main, not a usage error
+        assert cli._parse(["hodge", "--genus", "2", "--exps", "-1.5"]).exps == "-1.5"
+        assert main(["hodge", "--genus", "2", "--exps", "-1.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad exponent list '-1.5'")
 
     @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["verify", "--genus", "2", "--help"]])
     def test_help_prints_the_module_docstring(self, capsys, argv):
@@ -518,7 +537,17 @@ class TestParser:
         assert len(json.loads(capsys.readouterr().out)["records"]) == 2
 
 
+# sha256 of ``gdr bamboos --genus 8`` (43,263 lines); CI pins g = 9 the same way
+BAMBOOS_G8_SHA256 = "82017b34a073f14d48cbbd464daf89722899658808e303d274336cce6182defe"
+
+
 class TestBamboos:
+    def test_genus_8_matches_its_digest(self, capsys):
+        assert main(["bamboos", "--genus", "8"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 43263
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == BAMBOOS_G8_SHA256
+
     @pytest.mark.parametrize("g", range(1, 8))
     def test_lists_enumerate_bamboos(self, capsys, g):
         assert main(["bamboos", "--genus", str(g)]) == 0

@@ -10,7 +10,6 @@ from gdr.core import (
     Bamboo,
     ChainVertex,
     DecoratedChain,
-    PsiKappaMonomial,
     compositions,
     format_rational,
     kappa_degree,
@@ -20,6 +19,7 @@ from gdr.core import (
     multinomial,
     parse_rational,
 )
+import bamboo_oracle
 
 fractions_st = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
 
@@ -72,66 +72,80 @@ class TestRational:
 
 
 class TestPsiKappaMonomial:
+    """A psi/kappa monomial is the decoration of a ChainVertex: its degree,
+    canonical kappa map and omega grammar."""
+
     @pytest.mark.parametrize(
         "d1,d2,kappa,codim",
         [(0, 0, {}, 0), (1, 0, {1: 1}, 2), (2, 1, {2: 1}, 5)],
     )
     def test_codim(self, d1, d2, kappa, codim):
-        assert PsiKappaMonomial(d1, d2, kappa_map(kappa)).codim == codim
+        assert ChainVertex(3, d1, d2, kappa_map(kappa)).decoration_degree == codim
 
     def test_codim_additive_under_product(self):
         # the parser multiplies repeated factors, the one product of monomials
-        a = PsiKappaMonomial.parse("psi1 kappa1")
-        b = PsiKappaMonomial.parse("psi2^2 kappa1 kappa3^2")
-        product = PsiKappaMonomial.parse("psi1 kappa1 psi2^2 kappa1 kappa3^2")
-        assert product == PsiKappaMonomial(1, 2, kappa_map({1: 2, 3: 2}))
-        assert product.codim == a.codim + b.codim
+        a = ChainVertex.parse(2, "psi1 kappa1")
+        b = ChainVertex.parse(2, "psi2^2 kappa1 kappa3^2")
+        product = ChainVertex.parse(2, "psi1 kappa1 psi2^2 kappa1 kappa3^2")
+        assert product == ChainVertex(2, 1, 2, kappa_map({1: 2, 3: 2}))
+        assert product.decoration_degree == a.decoration_degree + b.decoration_degree
 
     def test_kappa_canonical_sorted_no_zeros(self):
-        m = PsiKappaMonomial(0, 0, ((3, 1), (1, 2), (2, 0)))
+        m = ChainVertex(1, 0, 0, ((3, 1), (1, 2), (2, 0)))
         assert m.kappa == ((1, 2), (3, 1))
 
     def test_structural_equality(self):
-        assert PsiKappaMonomial(1, 2, ((1, 1),)) == PsiKappaMonomial(1, 2, kappa_map({1: 1}))
+        assert ChainVertex(2, 1, 2, ((1, 1),)) == ChainVertex(2, 1, 2, kappa_map({1: 1}))
+        assert ChainVertex(2, 1, 2) != ChainVertex(3, 1, 2)
 
     def test_negative_exponents_rejected(self):
         with pytest.raises(ValueError):
-            PsiKappaMonomial(-1, 0)
+            ChainVertex(1, -1, 0)
         with pytest.raises(ValueError):
-            PsiKappaMonomial(0, 0, ((1, -1),))
+            ChainVertex(1, 0, 0, ((1, -1),))
         with pytest.raises(ValueError):
-            PsiKappaMonomial(0, 0, ((0, 1),))
+            ChainVertex(1, 0, 0, ((0, 1),))
 
     @pytest.mark.parametrize(
         "text,expected",
         [
-            ("1", PsiKappaMonomial(0, 0)),
-            ("", PsiKappaMonomial(0, 0)),
-            ("psi1", PsiKappaMonomial(1, 0)),
-            ("psi1^2 psi2 kappa1^3 kappa2", PsiKappaMonomial(2, 1, kappa_map({1: 3, 2: 1}))),
-            ("psi1 psi1", PsiKappaMonomial(2, 0)),
+            ("1", ChainVertex(3, 0, 0)),
+            ("", ChainVertex(3, 0, 0)),
+            ("psi1", ChainVertex(3, 1, 0)),
+            ("psi1^2 psi2 kappa1^3 kappa2", ChainVertex(3, 2, 1, kappa_map({1: 3, 2: 1}))),
+            ("psi1 psi1", ChainVertex(3, 2, 0)),
         ],
     )
     def test_parse(self, text, expected):
-        assert PsiKappaMonomial.parse(text) == expected
+        assert ChainVertex.parse(3, text) == expected
 
     def test_str_round_trip(self):
         for m in (
-            PsiKappaMonomial(0, 0),
-            PsiKappaMonomial(2, 1, kappa_map({1: 2, 4: 1})),
-            PsiKappaMonomial(0, 3),
+            ChainVertex(1, 0, 0),
+            ChainVertex(4, 2, 1, kappa_map({1: 2, 4: 1})),
+            ChainVertex(2, 0, 3),
         ):
-            assert PsiKappaMonomial.parse(str(m)) == m
+            assert ChainVertex.parse(m.genus, str(m)) == m
+        assert str(ChainVertex(4, 2, 1, kappa_map({1: 2, 4: 1}))) == "psi1^2 psi2 kappa1^2 kappa4"
+        assert str(ChainVertex(1)) == "1"
 
     @pytest.mark.parametrize("bad", ["psi3", "kappa0", "psi1^x", "tau2", "kappa^2"])
     def test_parse_rejects_unknown(self, bad):
         with pytest.raises(ValueError):
-            PsiKappaMonomial.parse(bad)
+            ChainVertex.parse(3, bad)
+
+    def test_parse_rejects_genus_zero(self):
+        with pytest.raises(ValueError, match="genus must be >= 1"):
+            ChainVertex.parse(0, "psi1")
 
 
 class TestBamboo:
+    """The terms of the bamboo class and the reference checks of
+    bamboo_oracle.check, which every enumerated term must pass."""
+
     def test_single_vertex(self):
         b = Bamboo(((1, 2),))
+        bamboo_oracle.check(b)
         assert b.sign == 1 and sum(g for g, _ in b.vertices) == 1
 
     def test_sign_alternates_with_length(self):
@@ -139,24 +153,29 @@ class TestBamboo:
         assert Bamboo(((1, 0), (1, 1), (1, 3))).sign == 1
 
     def test_degree_equation_enforced(self):
-        with pytest.raises(ValueError):
-            Bamboo(((1, 1),))  # needs d = 2g = 2
-        with pytest.raises(ValueError):
-            Bamboo(((1, 0), (1, 0)))
+        with pytest.raises(ValueError, match="degree equation"):
+            bamboo_oracle.check(Bamboo(((1, 1),)))  # needs d = 2g = 2
+        with pytest.raises(ValueError, match="degree equation"):
+            bamboo_oracle.check(Bamboo(((1, 0), (1, 0))))
 
     def test_prefix_constraint_enforced(self):
         # reversal of the valid (1,0),(1,3): prefix d1 <= 2g1 - 1 = 1 fails
-        with pytest.raises(ValueError):
-            Bamboo(((1, 3), (1, 0)))
+        with pytest.raises(ValueError, match="prefix constraint"):
+            bamboo_oracle.check(Bamboo(((1, 3), (1, 0))))
 
     def test_constraint_is_orientation_sensitive(self):
-        Bamboo(((1, 1), (1, 2)))  # valid
-        with pytest.raises(ValueError):
-            Bamboo(((1, 2), (1, 1)))  # reversed: 2 + 0 > 2*1 - 1
+        bamboo_oracle.check(Bamboo(((1, 1), (1, 2))))  # valid
+        with pytest.raises(ValueError, match="prefix constraint"):
+            bamboo_oracle.check(Bamboo(((1, 2), (1, 1))))  # reversed: 2 + 0 > 2*1 - 1
 
     def test_genus_zero_vertex_rejected(self):
-        with pytest.raises(ValueError):
-            Bamboo(((0, 1), (2, 4)))
+        with pytest.raises(ValueError, match="genus"):
+            bamboo_oracle.check(Bamboo(((0, 1), (2, 4))))
+
+    def test_malformed_terms_rejected(self):
+        for vertices in ((), ((1, 3), (1, -1)), ((1, 2.0),)):
+            with pytest.raises(ValueError):
+                bamboo_oracle.check(Bamboo(vertices))
 
     def test_str(self):
         assert str(Bamboo(((1, 0), (1, 3)))) == "-1 1:0|1:3"

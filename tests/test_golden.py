@@ -15,7 +15,8 @@ Regenerate one (only when a change of values is intended):
 then replace each ``"ms": <n>`` by ``"ms": 0``.
 
 Above that range the whole report, too large to check in, is pinned by
-the sha256 of the same text: g = 9 here, g = 10 (5.5 MB) in CI.
+the sha256 of the same text: g = 9 here, g = 10 (5.5 MB) in CI. Every
+golden label also parses back, through ChainVertex.parse, to its class.
 """
 import hashlib
 import json
@@ -24,10 +25,12 @@ import re
 
 import pytest
 
-from gdr.cli import main, verify
-from gdr.core import format_rational
+from gdr.cli import enumerate_omegas, main, verify
+from gdr.core import ChainVertex, format_rational
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+# a boundary label: delta(h)[left decoration | right decoration]
+BOUNDARY_LABEL = re.compile(r"^delta\((\d+)\)\[(.*) \| (.*)\]$")
 # sha256 of ``verify --genus 9 --kappa --boundary --out`` with every ms 0
 REPORT_G9_SHA256 = "3ce2156bf9ea31708c7ddad553f5da25e8ee24e5880425234d804698b8fd01f6"
 
@@ -54,3 +57,25 @@ def test_verify_report_at_genus_9_matches_its_digest(capsys, tmp_path):
     assert "PASS: 16571/16571" in capsys.readouterr().err
     text = re.sub(r'"ms": [0-9]+', '"ms": 0', path.read_text(encoding="utf-8"))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_G9_SHA256
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_every_golden_label_round_trips(g):
+    """Each label of the golden report parses, in the omega grammar, to the
+    vertices of the class that enumerate_omegas yields for it, and str gives
+    the label back: a one-vertex label at genus g, and each side of
+    ``delta(h)[L | R]`` at genus h and g - h."""
+    with open(os.path.join(GOLDEN_DIR, f"verify_g{g}_kappa_boundary.json"), encoding="utf-8") as handle:
+        labels = [r["omega"] for r in json.load(handle)["records"]]
+    classes = list(enumerate_omegas(g, include_kappa=True, include_boundary=True))
+    assert [c.label for c in classes] == labels
+    for test_class in classes:
+        match = BOUNDARY_LABEL.match(test_class.label)
+        if match is None:
+            sides = [(g, test_class.label)]
+        else:
+            h = int(match.group(1))
+            sides = [(h, match.group(2)), (g - h, match.group(3))]
+        vertices = tuple(ChainVertex.parse(genus, text) for genus, text in sides)
+        assert vertices == test_class.chain.vertices, test_class.label
+        assert [str(v) for v in vertices] == [text for _, text in sides]

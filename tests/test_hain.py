@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from gdr.bamboo import pair_bamboo_boundary, pair_bamboo_side
 from gdr.cli import enumerate_omegas
 from gdr import hain
-from gdr.core import ChainVertex, DecoratedChain, PsiKappaMonomial, kappa_degree, kappa_distributions, kappa_map
+from gdr.core import ChainVertex, DecoratedChain, kappa_degree, kappa_distributions, kappa_map
 from gdr.hain import (
     evaluate_chain,
     expand_divisor_power,
@@ -302,28 +302,26 @@ class TestEvaluation:
 
 class TestPairing:
     def test_genus_1_unit(self):
-        assert pair_dr_side(1, PsiKappaMonomial()) == Fraction(1, 24)
+        assert pair_dr_side(ChainVertex(1)) == Fraction(1, 24)
 
     def test_genus_2_psi_values(self):
-        assert pair_dr_side(2, PsiKappaMonomial(0, 1)) == Fraction(1, 1152)
-        assert pair_dr_side(2, PsiKappaMonomial(1, 0)) == Fraction(1, 1152)
+        assert pair_dr_side(ChainVertex(2, 0, 1)) == Fraction(1, 1152)
+        assert pair_dr_side(ChainVertex(2, 1, 0)) == Fraction(1, 1152)
 
     def test_genus_2_kappa_cross_pipeline(self):
-        omega = PsiKappaMonomial(0, 0, kappa_map({1: 1}))
-        assert pair_dr_side(2, omega) == pair_bamboo_side(2, omega)
+        omega = ChainVertex(2, 0, 0, kappa_map({1: 1}))
+        assert pair_dr_side(omega) == pair_bamboo_side(omega)
 
     def test_degree_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            pair_dr_side(2, PsiKappaMonomial())
-        with pytest.raises(ValueError):
-            pair_dr_side(1, PsiKappaMonomial(1, 0))
+        with pytest.raises(ValueError, match="omega must have codim"):
+            pair_dr_side(ChainVertex(2))
+        with pytest.raises(ValueError, match="omega must have codim"):
+            pair_dr_side(ChainVertex(1, 1, 0))
 
     def test_marking_swap_is_manifest(self):
         for g in (2, 3):
             for a in range(g):
-                assert pair_dr_side(g, PsiKappaMonomial(a, g - 1 - a)) == pair_dr_side(
-                    g, PsiKappaMonomial(g - 1 - a, a)
-                )
+                assert pair_dr_side(ChainVertex(g, a, g - 1 - a)) == pair_dr_side(ChainVertex(g, g - 1 - a, a))
 
 
 @st.composite
@@ -400,16 +398,16 @@ class TestBoundaryPairing:
 
     def test_one_vertex_class_pairs_as_its_monomial_on_both_sides(self):
         # verify pairs a monomial as a one-vertex chain, bside and drside as
-        # a monomial: both entries to each side must give the same value
+        # its vertex, parsed from the label: both entries to each side must
+        # give the same value
         count = 0
         for g in range(1, 7):
             for t in enumerate_omegas(g, include_kappa=True, include_boundary=True):
                 if len(t.chain.vertices) == 1:
-                    (v,) = t.chain.vertices
-                    monomial = PsiKappaMonomial(v.left_psi, v.right_psi, v.kappa)
-                    assert str(monomial) == t.label and v.genus == g
-                    assert pair_dr_boundary(t.chain) == pair_dr_side(g, monomial), (g, t.label)
-                    assert pair_bamboo_boundary(t.chain) == pair_bamboo_side(g, monomial), (g, t.label)
+                    vertex = ChainVertex.parse(g, t.label)
+                    assert t.chain.vertices == (vertex,)
+                    assert pair_dr_boundary(t.chain) == pair_dr_side(vertex), (g, t.label)
+                    assert pair_bamboo_boundary(t.chain) == pair_bamboo_side(vertex), (g, t.label)
                     count += 1
         assert count == 1 + 3 + 7 + 14 + 26 + 45
 
@@ -448,9 +446,8 @@ class TestBoundaryPairing:
         # the D^g enumeration in test_matches_enumeration is. This pins the
         # two-vertex case on the classes `verify` enumerates. A side whose
         # decoration has the wrong codimension contributes 0.
-        def side(genus, vertex):
-            monomial = PsiKappaMonomial(vertex.left_psi, vertex.right_psi, vertex.kappa)
-            return pair_dr_side(genus, monomial) if monomial.codim == genus - 1 else 0
+        def side(vertex):
+            return pair_dr_side(vertex) if vertex.decoration_degree == vertex.genus - 1 else 0
 
         classes = [
             t.chain
@@ -460,7 +457,7 @@ class TestBoundaryPairing:
         assert len(classes) == count
         for omega in classes:
             left, right = omega.vertices
-            assert pair_dr_boundary(omega) == side(left.genus, left) * side(right.genus, right)
+            assert pair_dr_boundary(omega) == side(left) * side(right)
 
 
 def divisor_values(classes):
