@@ -2,7 +2,7 @@
 classes, compare exactly, and emit JSON or CSV reports.
 
 Subcommands:
-    verify  --genus G [--kappa] [--boundary] [--out PATH --format json|csv]
+    verify  --genus G [--kappa] [--boundary] [--out PATH] [--format json|csv]
     bside   --genus G --omega SPEC         one bamboo-side pairing
     drside  --genus G --omega SPEC         one divisor-side pairing
     witten  --genus G --exps K1,K2,...     one psi correlator
@@ -14,7 +14,9 @@ Options follow the subcommand in any order, as ``--opt value`` or
 They are read against one table, ``_COMMANDS``, of each subcommand's
 options and the int or str converters of their values. ``-h``/``--help``
 prints this text. A usage error prints the usage line and the error in
-argparse's wording to stderr, and exits 2.
+argparse's wording to stderr, and exits 2. As in argparse, a value may
+start with ``-`` when it is a negative number or holds a space, and is
+not one of the subcommand's options.
 
 The omega grammar is whitespace-separated ``psi1^a psi2^b kappa1^c ...``
 (exponent 1 omissible, ``1`` for the unit), the decoration of one
@@ -290,7 +292,7 @@ def _parse(argv: List[str]) -> SimpleNamespace:
         else:
             if not explicit:
                 text = next(tokens, None)
-                if text is None or _is_option(text):
+                if text is None or _is_option(text, options):
                     _usage_error(command, f"argument {name}: expected one argument")
             if convert is int:
                 try:
@@ -309,10 +311,14 @@ def _parse(argv: List[str]) -> SimpleNamespace:
     return SimpleNamespace(command=command, **{name[2:]: value for name, value in values.items()})
 
 
-def _is_option(token: str) -> bool:
-    """Whether `token` reads as an option rather than a value; as in
-    argparse, a negative number, decimals too, is a value."""
-    return len(token) > 1 and token[0] == "-" and not _NEGATIVE_NUMBER.match(token)
+def _is_option(token: str, options: dict) -> bool:
+    """Whether `token` reads as an option rather than a value, in
+    argparse's order: one of `options` or of _HELP, also as
+    ``--opt=value``, is an option; otherwise a negative number, decimals
+    too, or a token with a space is a value."""
+    if token.partition("=")[0] in (*options, *_HELP):
+        return True
+    return len(token) > 1 and token[0] == "-" and not _NEGATIVE_NUMBER.match(token) and " " not in token
 
 
 def _choices(values: Iterable[str]) -> str:

@@ -10,7 +10,8 @@ here are immutable values, safe to share freely:
 - :class:`Bamboo` -- one signed chain term of the bamboo class expansion.
 - :class:`ChainVertex` -- a vertex of genus g with psi powers on its two
   legs and kappa classes; alone, it is the test class psi1^a psi2^b prod
-  kappa_i^c_i on the two-pointed genus-g space.
+  kappa_i^c_i on the two-pointed genus-g space. Vertices order by their
+  fields, so the D^g expansion sorts its chains as tuples of them.
 - :class:`DecoratedChain` -- a compact-type chain of such vertices with
   a rational coefficient: each test class of both pipelines, and each
   term of the D^g expansion of gdr.hain.
@@ -94,9 +95,10 @@ class Bamboo:
         return f"{self.sign:+d} {body}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ChainVertex:
-    """Vertex of a chain stratum: genus, psi powers on its two legs, kappa."""
+    """Vertex of a chain stratum: genus, psi powers on its two legs, kappa,
+    ordered by these fields in this order."""
 
     genus: int
     left_psi: int = 0
@@ -132,12 +134,13 @@ class ChainVertex:
         tokens = text.split()
         for token in [] if tokens == ["1"] else tokens:
             base, caret, exp_text = token.partition("^")
-            if caret and not exp_text.isdigit():
+            # ASCII digits only: str.isdigit also takes digits such as "²" or "٣"
+            if caret and not (exp_text.isascii() and exp_text.isdigit()):
                 raise ValueError(f"bad exponent in {token!r}")
             exp = int(exp_text) if caret else 1
             if base in psi:
                 psi[base] += exp
-            elif base.startswith("kappa") and base[5:].isdigit() and int(base[5:]) >= 1:
+            elif base.startswith("kappa") and base[5:].isascii() and base[5:].isdigit() and int(base[5:]) >= 1:
                 kappa.append((int(base[5:]), exp))
             else:
                 raise ValueError(f"unknown factor {token!r}")
@@ -169,14 +172,6 @@ class DecoratedChain:
     @property
     def genus(self) -> int:
         return sum(v.genus for v in self.vertices)
-
-    def scaled(self, factor: Fraction) -> "DecoratedChain":
-        return DecoratedChain(self.vertices, self.coefficient * factor)
-
-    def with_vertex(self, index: int, vertex: ChainVertex) -> "DecoratedChain":
-        vs = list(self.vertices)
-        vs[index] = vertex
-        return DecoratedChain(tuple(vs), self.coefficient)
 
 
 # ---------------------------------------------------------------------------

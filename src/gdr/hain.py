@@ -83,6 +83,7 @@ against.
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
@@ -127,14 +128,13 @@ def multiply_by_divisor(chain: DecoratedChain, term: DivisorTerm) -> List[Decora
     at an existing node: two terms with coefficient * (-1) and one extra
     psi power on either node branch.
     """
-    vertices = chain.vertices
+    vertices, coefficient = chain.vertices, chain.coefficient
     if term == "psi1":
-        v = vertices[0]
-        return [chain.with_vertex(0, ChainVertex(v.genus, v.left_psi + 1, v.right_psi, v.kappa))]
+        first = replace(vertices[0], left_psi=vertices[0].left_psi + 1)
+        return [DecoratedChain((first,) + vertices[1:], coefficient)]
     if term == "psi2":
-        last = len(vertices) - 1
-        v = vertices[last]
-        return [chain.with_vertex(last, ChainVertex(v.genus, v.left_psi, v.right_psi + 1, v.kappa))]
+        last = replace(vertices[-1], right_psi=vertices[-1].right_psi + 1)
+        return [DecoratedChain(vertices[:-1] + (last,), coefficient)]
     if not (isinstance(term, tuple) and len(term) == 2 and term[0] == "delta"):
         raise ValueError(f"malformed divisor term {term!r}")
     h = term[1]
@@ -146,17 +146,12 @@ def multiply_by_divisor(chain: DecoratedChain, term: DivisorTerm) -> List[Decora
         cumulative += v.genus
         if h == cumulative and j < len(vertices) - 1:
             # excess: -psi' - psi'' at the existing node
-            right_of_node = vertices[j + 1]
-            bumped_left = ChainVertex(v.genus, v.left_psi, v.right_psi + 1, v.kappa)
-            bumped_right = ChainVertex(
-                right_of_node.genus,
-                right_of_node.left_psi + 1,
-                right_of_node.right_psi,
-                right_of_node.kappa,
-            )
+            nxt = vertices[j + 1]
+            bumped_left = replace(v, right_psi=v.right_psi + 1)
+            bumped_right = replace(nxt, left_psi=nxt.left_psi + 1)
             return [
-                chain.with_vertex(j, bumped_left).scaled(Fraction(-1)),
-                chain.with_vertex(j + 1, bumped_right).scaled(Fraction(-1)),
+                DecoratedChain(vertices[:j] + (bumped_left, nxt) + vertices[j + 2:], -coefficient),
+                DecoratedChain(vertices[:j] + (v, bumped_right) + vertices[j + 2:], -coefficient),
             ]
         if below < h < cumulative:
             out = []
@@ -164,14 +159,15 @@ def multiply_by_divisor(chain: DecoratedChain, term: DivisorTerm) -> List[Decora
                 left = ChainVertex(h - below, v.left_psi, 0, kappa_l)
                 right = ChainVertex(cumulative - h, 0, v.right_psi, kappa_r)
                 refined = vertices[:j] + (left, right) + vertices[j + 1:]
-                out.append(DecoratedChain(refined, chain.coefficient * mult))
+                out.append(DecoratedChain(refined, coefficient * mult))
             return out
     raise AssertionError("unreachable: every 1 <= h <= g-1 hits a node or a vertex")
 
 
 def expand_divisor_power(g: int) -> List[DecoratedChain]:
     """All chain strata of D^g with aggregated coefficients (without the
-    final 1/g! normalization), deterministically ordered."""
+    final 1/g! normalization), in the order of their vertex tuples
+    (a :class:`ChainVertex` orders by its fields)."""
     chains = [DecoratedChain((ChainVertex(g),), Fraction(1))]
     terms = hain_divisor_terms(g)
     for _ in range(g):
@@ -183,14 +179,10 @@ def expand_divisor_power(g: int) -> List[DecoratedChain]:
                     acc[product.vertices] = acc.get(product.vertices, Fraction(0)) + coeff
         chains = [
             DecoratedChain(vs, coeff)
-            for vs, coeff in sorted(acc.items(), key=lambda kv: _chain_sort_key(kv[0]))
+            for vs, coeff in sorted(acc.items())
             if coeff
         ]
     return chains
-
-
-def _chain_sort_key(vertices: tuple) -> tuple:
-    return tuple((v.genus, v.left_psi, v.right_psi, v.kappa) for v in vertices)
 
 
 def evaluate_chain(chain: DecoratedChain) -> Fraction:

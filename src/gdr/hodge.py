@@ -6,8 +6,13 @@ The top-Chern-class cap admits a closed form on a genus-g vertex:
         = multinomial(2g-3+n; k1,...,kn) * b_g,
 
 nonzero exactly when sum(k_i) = 2g-3+n, with the one-point constant
+b_g = int psi^(2g-2) lambda_g read off Faber-Pandharipande's series
 
-    b_g = int psi^(2g-2) lambda_g = (2^(2g-1)-1)/2^(2g-1) * |B_{2g}|/(2g)!.
+    sum_g b_g t^(2g) = (t/2) / sin(t/2).
+
+Multiplying by sin(t/2)/(t/2) = sum_k (-1)^k t^(2k) / (4^k (2k+1)!)
+gives the recurrence b_0 = 1, b_g = -sum_{k=1..g} (-1)^k/(4^k (2k+1)!)
+b_(g-k); in Bernoulli numbers, b_g = (2^(2g-1)-1)/2^(2g-1) |B_2g|/(2g)!.
 
 lambda_0 = 1 is folded in, so genus 0 uses the same entry point and
 reduces to the genus-0 correlator closed form. No chain vertex has genus
@@ -17,44 +22,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
-from typing import Dict, Iterable
+from math import factorial
+from typing import Iterable
 
 from .core import multinomial
-
-_bernoulli_memo: Dict[int, Fraction] = {0: Fraction(1), 1: Fraction(-1, 2)}
-
-
-def bernoulli(m: int) -> Fraction:
-    """Bernoulli number B_m (B_1 = -1/2 convention; B_2 = 1/6, B_4 = -1/30).
-
-    Odd m > 1 is rejected: those values are zero and never needed here.
-    """
-    if m < 0:
-        raise ValueError("Bernoulli index must be >= 0")
-    if m % 2 == 1 and m > 1:
-        raise ValueError(f"odd Bernoulli index {m} not supported")
-    if m in _bernoulli_memo:
-        return _bernoulli_memo[m]
-    # binomial recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0
-    for even in range(2, m + 1, 2):
-        if even in _bernoulli_memo:
-            continue
-        total = Fraction(comb(even + 1, 0)) + Fraction(comb(even + 1, 1)) * Fraction(-1, 2)
-        for j in range(2, even, 2):
-            total += comb(even + 1, j) * _bernoulli_memo[j]
-        _bernoulli_memo[even] = -total / (even + 1)
-    return _bernoulli_memo[m]
 
 
 @lru_cache(maxsize=None)
 def lambda_g_constant(g: int) -> Fraction:
-    """One-point constant b_g = (2^(2g-1)-1)/2^(2g-1) * |B_{2g}|/(2g)!,
-    memoized for the whole process."""
+    """One-point constant b_g = [t^(2g)] (t/2)/sin(t/2), by the recurrence
+    of the module docstring, memoized for the whole process."""
     if g < 1:
         raise ValueError("genus must be >= 1")
-    power = 2 ** (2 * g - 1)
-    return Fraction(power - 1, power) * abs(bernoulli(2 * g)) / factorial(2 * g)
+    b = [Fraction(1)] + [lambda_g_constant(h) for h in range(1, g)]
+    return -sum(Fraction((-1) ** k, 4**k * factorial(2 * k + 1)) * b[g - k] for k in range(1, g + 1))
 
 
 def psi_lambda_g_integral(g: int, exponents: Iterable[int]) -> Fraction:

@@ -204,6 +204,15 @@ class TestMain:
         code = main(["bside", "--genus", "2", "--omega", "tau3"])
         assert code == 2
         assert "error" in capsys.readouterr().err
+        # only ASCII digits are numbers; str.isdigit would take these
+        for omega, message in (
+            ("psi1^\u00b2", "bad exponent in 'psi1^\u00b2'"),
+            ("psi1^\u0663", "bad exponent in 'psi1^\u0663'"),
+            ("kappa\u00b2", "unknown factor 'kappa\u00b2'"),
+        ):
+            for side in ("bside", "drside"):
+                assert main([side, "--genus", "4", "--omega", omega]) == 2
+                assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_degree_mismatch_is_an_error(self, capsys, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)
@@ -504,6 +513,19 @@ class TestParser:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: bad exponent list '-1.5'")
+
+    def test_value_with_a_space_is_a_value(self, capsys):
+        # as in argparse: a known option, also as --opt=value, is an option
+        # even with a space; any other token with a space is a value
+        assert cli._parse(["bside", "--genus", "2", "--omega", "-psi1 psi2"]).omega == "-psi1 psi2"
+        assert main(["bside", "--genus", "2", "--omega", "-psi1 psi2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown factor '-psi1'\n"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bside", "--genus", "2", "--omega", "--genus=2 psi2"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.endswith("\ngdr: error: argument --omega: expected one argument\n")
 
     @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["verify", "--genus", "2", "--help"]])
     def test_help_prints_the_module_docstring(self, capsys, argv):

@@ -285,10 +285,7 @@ class TestEvaluation:
         (split,) = multiply_by_divisor(trivial_chain(2), ("delta", 1))
         piece3 = Fraction(0)
         for chain in multiply_by_divisor(split, ("delta", 1)):
-            last = chain.vertices[-1]
-            bumped = chain.with_vertex(
-                1, ChainVertex(last.genus, last.left_psi, last.right_psi + 1, last.kappa)
-            )
+            (bumped,) = multiply_by_divisor(chain, "psi2")
             piece3 += evaluate_chain(bumped)
         assert piece3 == Fraction(-1, 576)
         # assembled: quarter bracket, then the 1/2! normalization
@@ -395,6 +392,33 @@ class TestBoundaryPairing:
     def test_unbalanced_boundary_agrees_on_zero(self):
         omega = DecoratedChain((ChainVertex(1, 1, 0), ChainVertex(2)))
         assert pair_dr_boundary(omega) == pair_bamboo_boundary(omega) == 0
+
+    def test_a_vertex_off_its_degree_pairs_to_zero(self):
+        # lambda_h D^k vanishes on a genus-h vertex for k > h. A boundary
+        # class has g - 2 of decoration in all, so a vertex with less than
+        # its genus - 1 leaves D more than its genus in powers there, and
+        # the other vertex has more. Both sides pair such a class to 0, and
+        # the divisor side's factor of the under-decorated vertex is 0 by
+        # cancellation: the runs it sums are not all 0
+        counts = []
+        under = set()
+        for g in range(3, 9):
+            count = 0
+            for t in enumerate_omegas(g, include_kappa=True, include_boundary=True):
+                vertices = t.chain.vertices
+                if len(vertices) == 1 or all(v.decoration_degree == v.genus - 1 for v in vertices):
+                    continue
+                assert pair_dr_boundary(t.chain) == pair_bamboo_boundary(t.chain) == 0, (g, t.label)
+                under.update(v for v in vertices if v.decoration_degree < v.genus - 1)
+                count += 1
+            counts.append(count)
+        assert counts == [6, 46, 210, 740, 2210, 5880]
+        assert len(under) == 188
+        for v in under:
+            top = 2 * v.genus - 1 - v.decoration_degree
+            assert top > v.genus
+            assert hain._capped_run(v.genus, v.left_psi, v.kappa, v.right_psi) == 0, v
+            assert any(hain._run(v.genus, a + v.left_psi, v.kappa, v.right_psi) for a in range(top + 1)), v
 
     def test_one_vertex_class_pairs_as_its_monomial_on_both_sides(self):
         # verify pairs a monomial as a one-vertex chain, bside and drside as

@@ -7,10 +7,30 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gdr.correlators import correlator
-from gdr.hodge import bernoulli, lambda_g_constant, psi_lambda_g_integral
+from gdr.hodge import lambda_g_constant, psi_lambda_g_integral
+
+_BERNOULLI = {0: Fraction(1), 1: Fraction(-1, 2)}
+
+
+def bernoulli(m: int) -> Fraction:
+    """Bernoulli number B_m (B_1 = -1/2; B_2 = 1/6, B_4 = -1/30), the
+    oracle of the one-point constants b_g. Odd m > 1 is rejected: those
+    values are zero and never needed here."""
+    if m < 0:
+        raise ValueError("Bernoulli index must be >= 0")
+    if m % 2 == 1 and m > 1:
+        raise ValueError(f"odd Bernoulli index {m} not supported")
+    # binomial recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0, odd j > 1 giving 0
+    for even in range(2, m + 1, 2):
+        if even not in _BERNOULLI:
+            total = sum(comb(even + 1, j) * _BERNOULLI[j] for j in [0, 1, *range(2, even, 2)])
+            _BERNOULLI[even] = -total / (even + 1)
+    return _BERNOULLI[m]
 
 
 class TestBernoulli:
+    """The oracle itself, against known values and its defining identity."""
+
     @pytest.mark.parametrize(
         "m,expected",
         [
@@ -29,8 +49,6 @@ class TestBernoulli:
 
     def test_recurrence_holds(self):
         # sum_{j=0}^{m-1} C(m, j) B_j = 0 for m >= 2, odd j > 1 contributing 0
-        from math import comb
-
         for m in range(2, 16):
             total = Fraction(0)
             for j in range(m):
@@ -67,6 +85,14 @@ class TestLambdaConstant:
     def test_invalid_genus(self):
         with pytest.raises(ValueError):
             lambda_g_constant(0)
+
+    def test_series_recurrence_matches_the_bernoulli_form(self):
+        # the production recurrence in (t/2)/sin(t/2) against the Bernoulli
+        # closed form (2^(2g-1) - 1)/2^(2g-1) |B_2g|/(2g)! of the oracle
+        for g in range(1, 41):
+            power = 2 ** (2 * g - 1)
+            expected = Fraction(power - 1, power) * abs(bernoulli(2 * g)) / factorial(2 * g)
+            assert lambda_g_constant(g) == expected, g
 
 
 class TestPsiLambdaIntegral:
