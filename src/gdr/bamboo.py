@@ -187,20 +187,23 @@ def _tail(genus: int, left: int, right_psi: int, kappa: KappaMap) -> int:
     with psi^left on the left leg of the first vertex, psi^right_psi on the
     right leg of the last one and `kappa` shared out over the vertices,
     each vertex placed by the dimension constraint and every prefix by the
-    bound of the module docstring."""
+    bound of the module docstring. The first vertex is the last one when it
+    takes all of the genus and kappa, in one way; that term comes first,
+    and the loop over the kappa splits places only vertices that a node
+    follows."""
     degree = kappa_degree(kappa)
-    total = 0
+    # the last vertex's right leg carries d_v + d_2, with d_v >= 0
+    right = 3 * genus - 1 - left - degree
+    total = _scaled_vertex(genus, left, right, kappa) if right >= right_psi else 0
     for mult, share, rest, share_degree in kappa_splits(kappa):
-        # a vertex of genus f gets right = 3f - offset (d_v, plus d_2 at the
-        # end); one before the last needs right >= 0 and leaves a genus
-        # >= 1 + right_psi + deg rest after it, which bounds f both ways
+        # a vertex of genus f that a node follows gets right = 3f - offset
+        # >= 0 and leaves a genus >= 1 + right_psi + deg rest after it,
+        # which bounds f both ways
         offset = 1 + left + share_degree
         for first in range(max(1, (offset + 2) // 3), genus - right_psi - (degree - share_degree)):
             value = _scaled_vertex(first, left, 3 * first - offset, share)
             if value:
                 total += mult * value * _node(genus, first) * _tail(genus - first, 0, right_psi, rest)
-        if not rest and 3 * genus - offset >= right_psi:
-            total += mult * _scaled_vertex(genus, left, 3 * genus - offset, share)
     return total
 
 

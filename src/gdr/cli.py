@@ -239,10 +239,11 @@ def _parse_exps(text: str) -> tuple:
     parts = text.split(",")
     if len(parts) > MAX_POINTS:
         raise ValueError(f"{len(parts)} exponents exceed the maximum {MAX_POINTS}")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise ValueError(f"bad exponent list {text!r}: {exc}") from exc
+    for part in parts:
+        # ASCII digits only: int() also takes "1_0", "+1", " 1" and other scripts' digits
+        if not re.fullmatch(r"-?[0-9]+", part):
+            raise ValueError(f"bad exponent list {text!r}: {part!r} is not an integer")
+    return tuple(map(int, parts))
 
 
 # Each subcommand's options, in usage order. An option maps to the

@@ -64,8 +64,8 @@ an integer, and beta_h, the lcm of den(b_h) and den(b_f) beta_(h-f)
 over 1 <= f < h, clears every prod b_(g_v) over the ways to split h.
 So :func:`_run` returns beta_h 2^t t! sum_i w_i/(2^i i!), an integer,
 w_i being the weight of outgoing power i. A vertex contributes
-beta_h b_f / beta_(h-f) times its integral over b_f, a closing vertex
-1 for its outgoing power (t = i there), and a node of D
+beta_h b_f / beta_(h-f) times its integral over b_f, the vertex that
+closes the run 1 for its outgoing power (t = i there), and a node of D
 -C(m-1, i) C(t, m). :func:`_capped_run` builds one Fraction per vertex
 key: with top = a + t, D's whole power on omega's vertex, it divides
 sum_a C(top, a) times the run by beta_h 2^top top!.
@@ -234,27 +234,26 @@ def _run(genus: int, incoming: int, kappa: KappaMap, right_psi: int) -> int:
     capped vertex integrals times the weights of D's nodes inside the run
     and of i, as the integer on the scale beta_genus 2^t t!, t being D's
     power inside the run and on its outgoing leg.
+
+    The first vertex closes the run when it takes all of the run's genus
+    and kappa, in one way; that term comes first, and the loop over the
+    kappa splits places only vertices that a node of D follows.
     """
-    total = 0
-    for first in range(1, genus + 1):
-        closes_run = first == genus
+    # the closing vertex: D's part of its outgoing power is i = outgoing -
+    # right_psi >= 0, t = i, and (1/2)^i/i! is 1 on the scale 2^i i!
+    outgoing = 2 * genus - 1 - incoming - kappa_degree(kappa)
+    total = _vertex(genus, incoming, outgoing, kappa) * _vertex_weight(genus, genus) if outgoing >= right_psi else 0
+    for first in range(1, genus):
         weight = _vertex_weight(genus, first)
         for mult, share, rest, share_degree in kappa_splits(kappa):
-            if closes_run and rest:
-                continue
-            # the cap's support fixes the outgoing leg power; i is D's part of it
-            outgoing = 2 * first - 1 - incoming - share_degree
-            i = outgoing - right_psi if closes_run else outgoing
+            # the cap's support fixes the outgoing leg power, all of it D's
+            # part i; t is the same for the run and its transfer
+            i = 2 * first - 1 - incoming - share_degree
             if i < 0:
                 continue
-            value = mult * _vertex(first, incoming, outgoing, share)
-            if not value:
-                continue
-            if not closes_run:
-                # a node of D follows; t is the same for the run and its transfer
-                value *= _transfer(i, genus - first, rest, right_psi)
-            # on a closing vertex t = i, and (1/2)^i/i! is 1 on the scale 2^i i!
-            total += value * weight
+            value = mult * _vertex(first, incoming, i, share)
+            if value:
+                total += value * weight * _transfer(i, genus - first, rest, right_psi)
     return total
 
 

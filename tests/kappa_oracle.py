@@ -1,10 +1,12 @@
 """Reference expansions of kappa decorations, the oracles that
 :func:`gdr.kappa.kappa_to_psi` (and through it the vertex integrator both
-pipelines share) is tested against. They share no code with gdr.kappa:
-:func:`iterated_pushforward` removes one kappa factor per forgetful map,
-and :func:`set_partition_expansion` sums the closed form over the set
-partitions of the factors, as gdr.kappa did before it enumerated
-multiset partitions. Both aggregate their own terms.
+pipelines share) is tested against. They share no code with gdr.kappa,
+and both keep equal kappa factors distinguishable, where gdr.kappa
+counts them with binomial weights: :func:`iterated_pushforward` removes
+one factor per forgetful map, as gdr.kappa does, but merges every subset
+of the remaining factors one at a time, and :func:`set_partition_expansion`
+sums the closed form over the set partitions of the factors. Both
+aggregate their own terms.
 """
 from collections import defaultdict
 from fractions import Fraction

@@ -236,6 +236,21 @@ class TestMain:
         assert "error:" in capsys.readouterr().err
         assert main(["hodge", "--genus", "2", "--exps", ""]) == 2
         assert "error:" in capsys.readouterr().err
+        # int() would read each of these entries as a number
+        for command, genus, exps in (
+            ("witten", "4", "1_0"),
+            ("witten", "1", "\u0661"),
+            ("hodge", "1", "\u0660"),
+            ("witten", "1", "+1"),
+            ("hodge", "2", "1, 2"),
+        ):
+            assert main([command, "--genus", genus, "--exps", exps]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: bad exponent list {exps!r}")
+        # a negative entry is an integer, rejected by the integral itself
+        assert main(["witten", "--genus", "1", "--exps=1,-2"]) == 2
+        assert capsys.readouterr().err == "error: psi exponents must be >= 0\n"
 
         # a genus above the maximum is rejected before any enumeration or
         # recursion starts

@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 from gdr.bamboo import vertex_integral
-from gdr.cli import enumerate_omegas
+from gdr.cli import MAX_GENUS, enumerate_omegas
 from gdr.correlators import correlator
 from gdr.core import kappa_degree, kappa_map, kappa_splits
 from gdr.hodge import capped_unit, lambda_g_constant, psi_lambda_g_integral
-from gdr.kappa import _multiset_partitions, integrate, kappa_to_psi
+from gdr.kappa import _extension, integrate, kappa_to_psi
 from kappa_oracle import iterated_pushforward, set_partition_expansion, set_partitions
 
 
@@ -115,26 +115,43 @@ class TestKappaToPsi:
 
 
 class TestMultisetPartitions:
-    @pytest.mark.parametrize(
-        "counts,number",
-        [((), 1), ((1,), 1), ((3,), 3), ((11,), 56), ((2, 1), 4), ((1, 1, 1), 5), ((2, 2), 9)],
-    )
-    def test_counts(self, counts, number):
-        # p(11) = 56 for kappa_1^11; a multiset of distinct indices has
-        # Bell-many partitions (5 for three), and {1,1,2,2} has 9
-        partitions = list(_multiset_partitions(counts, counts))
-        assert len(partitions) == len(set(partitions)) == number
-        for blocks in partitions:
-            assert all(map(any, blocks))
-            assert tuple(map(sum, zip(*blocks))) == (counts if blocks else ())
+    """Equal kappa indices make many set partitions of the factors give the
+    same term; the expansion, which never lists them, against the sums over
+    set partitions and over the integer partitions of a power of kappa_1."""
 
     @pytest.mark.parametrize("k", range(10))
     def test_powers_of_kappa1_match_set_partitions(self, k):
         assert kappa_to_psi(2, (1, 0), {1: k}) == set_partition_expansion(2, (1, 0), {1: k})
 
     def test_every_kappa_map_of_verify_matches_set_partitions(self):
-        for kappa in verify_kappa_maps(8):
-            assert kappa_to_psi(2, (0, 0), kappa) == set_partition_expansion(2, (0, 0), kappa), kappa
+        # every canonical map of degree <= MAX_GENUS - 1, so every map that
+        # a vertex of a `verify` class can carry at any genus it accepts
+        maps = [kappa_map(counts) for counts in _kappa_cases(MAX_GENUS - 1, MAX_GENUS - 1)]
+        assert len(maps) == len(set(maps)) == 97
+        for kappa in maps:
+            assert list(_extension(kappa)) == set_partition_expansion(0, (), kappa), kappa
+
+    def test_powers_of_kappa1_match_integer_partitions(self):
+        # the set partitions of m equal factors with block sizes lambda number
+        # m!/(prod lambda_i! prod_r mult_r(lambda)!), each with the sign
+        # (-1)^(m - len(lambda)); Bell(20) of them are out of the oracle's reach
+        def partitions(m, largest):
+            if not m:
+                yield ()
+            for part in range(min(m, largest), 0, -1):
+                for rest in partitions(m - part, part):
+                    yield (part,) + rest
+
+        for m in range(1, 21):
+            expected = []
+            for lam in partitions(m, m):
+                ways = math.factorial(m)
+                for part in lam:
+                    ways //= math.factorial(part)
+                for part in set(lam):
+                    ways //= math.factorial(lam.count(part))
+                expected.append(((-1) ** (m - len(lam)) * ways, tuple(sorted(part + 1 for part in lam))))
+            assert _extension(((1, m),)) == tuple(sorted(expected, key=lambda term: term[1])), m
 
 
 def verify_kappa_maps(max_genus):
