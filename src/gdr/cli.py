@@ -12,11 +12,13 @@ Subcommands:
 Options follow the subcommand in any order, as ``--opt value`` or
 ``--opt=value``; the last occurrence wins and names are not abbreviated.
 They are read against one table, ``_COMMANDS``, of each subcommand's
-options and the int or str converters of their values. ``-h``/``--help``
-prints this text. A usage error prints the usage line and the error in
-argparse's wording to stderr, and exits 2. As in argparse, a value may
-start with ``-`` when it is a negative number or holds a space, and is
-not one of the subcommand's options.
+options and the int or str converters of their values. One grammar,
+ASCII ``-?[0-9]+``, reads every int value and every --exps entry, so
+``1_0``, ``+2``, `` 2`` and other scripts' digits are not integers.
+``-h``/``--help`` prints this text. A usage error prints the usage line
+and the error in argparse's wording to stderr, and exits 2. As in
+argparse, a value may start with ``-`` when it is a negative number or
+holds a space, and is not one of the subcommand's options.
 
 The omega grammar is whitespace-separated ``psi1^a psi2^b kappa1^c ...``
 (exponent 1 omissible, ``1`` for the unit), the decoration of one
@@ -27,11 +29,13 @@ verify's --out; its memos live only as long as the process.
 
 verify writes each record as it is produced, to stdout or, with --out,
 to a temporary file in the target's directory that replaces the target
-once the report is complete. The temporary file is opened before the
-first pairing, so a path that cannot be written (the empty one too)
-fails with exit code 2 before any work, and a run that stops part-way
-leaves any previous report as it was and no temporary file behind. A
-closed stdout pipe ends any subcommand with exit code 1, silently.
+once the report is complete. Both destinations get the same bytes, the
+JSON or CSV text with its one final newline. The temporary file is
+opened before the first pairing, so a path that cannot be written (the
+empty one too) fails with exit code 2 before any work, and a run that
+stops part-way leaves any previous report as it was and no temporary
+file behind. A closed stdout pipe ends any subcommand with exit code 1,
+silently.
 """
 from __future__ import annotations
 
@@ -192,13 +196,14 @@ def verify(g: int, include_kappa: bool = False, include_boundary: bool = False) 
 def _write_report(
     handle: TextIO, fmt: str, genus: int, records: Iterable[VerificationRecord], aborted: List[str]
 ) -> Tuple[int, int]:
-    """Write the report of `records` in format ``json`` or ``csv``, each
-    record as it arrives, and return (equal records, records).
+    """Write the whole report of `records` in format ``json`` or ``csv``,
+    each record as it arrives, and return (equal records, records).
 
-    The JSON text is that of ``json.dumps(payload, indent=2)``, with the
-    ``pass`` flag last; it is known only once `records` is exhausted and
-    `aborted` complete. Neither format ends with a newline of its own
-    beyond the CSV row terminator.
+    The JSON text is that of ``json.dumps(payload, indent=2)`` and a
+    newline, with the ``pass`` flag last; it is known only once `records`
+    is exhausted and `aborted` complete. The CSV text is one row per
+    record after the header, each ending in a newline. Either text ends
+    with its one final newline, whatever the handle.
     """
     if fmt == "csv":
         return _write_csv(handle, genus, records)
@@ -218,7 +223,7 @@ def _write_report(
         total += 1
     close = "\n  ]" if total else "]"
     passed_text = "true" if not aborted and equal == total else "false"
-    write(f'{close},\n  "pass": {passed_text}\n}}')
+    write(f'{close},\n  "pass": {passed_text}\n}}\n')
     return equal, total
 
 
@@ -235,13 +240,18 @@ def _write_csv(handle: TextIO, genus: int, records: Iterable[VerificationRecord]
     return equal, total
 
 
+# The one grammar of an integer on the command line, for --genus and each
+# --exps entry: ASCII digits only, as int() also takes "1_0", "+1", " 1"
+# and other scripts' digits.
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def _parse_exps(text: str) -> tuple:
     parts = text.split(",")
     if len(parts) > MAX_POINTS:
         raise ValueError(f"{len(parts)} exponents exceed the maximum {MAX_POINTS}")
     for part in parts:
-        # ASCII digits only: int() also takes "1_0", "+1", " 1" and other scripts' digits
-        if not re.fullmatch(r"-?[0-9]+", part):
+        if not _INTEGER.fullmatch(part):
             raise ValueError(f"bad exponent list {text!r}: {part!r} is not an integer")
     return tuple(map(int, parts))
 
@@ -296,10 +306,9 @@ def _parse(argv: List[str]) -> SimpleNamespace:
                 if text is None or _is_option(text, options):
                     _usage_error(command, f"argument {name}: expected one argument")
             if convert is int:
-                try:
-                    values[name] = int(text)
-                except ValueError:
+                if not _INTEGER.fullmatch(text):
                     _usage_error(command, f"argument {name}: invalid int value: {text!r}")
+                values[name] = int(text)
             elif convert is str or text in convert:
                 values[name] = text
             else:
@@ -390,24 +399,22 @@ def _run_command(args: SimpleNamespace) -> int:
     classes = enumerate_omegas(args.genus, include_kappa=args.kappa, include_boundary=args.boundary)
     aborted: List[str] = []
     records = _records(classes, aborted)
-    if args.out is not None:
-        try:
-            handle, temporary = _open_beside(args.out)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 2
-        try:
-            with handle:
-                equal, total = _write_report(handle, args.format, args.genus, records, aborted)
-                if args.format == "json":
-                    handle.write("\n")
+    # stdout, or a temporary file that replaces --out only once the report is complete
+    try:
+        handle, temporary = (sys.stdout, None) if args.out is None else _open_beside(args.out)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return 2
+    try:
+        equal, total = _write_report(handle, args.format, args.genus, records, aborted)
+        if temporary is not None:
+            handle.close()
             os.replace(temporary, args.out)
-        except BaseException:
+    except BaseException:
+        if temporary is not None:
+            handle.close()
             os.unlink(temporary)
-            raise
-    else:
-        equal, total = _write_report(sys.stdout, args.format, args.genus, records, aborted)
-        sys.stdout.write("\n")  # the newline print() put after the whole report
+        raise
     passed = not aborted and equal == total
     print(
         f"{'PASS' if passed else 'FAIL'}: {equal}/{total} test classes equal at genus {args.genus}",

@@ -28,6 +28,19 @@ def _golden(g: int) -> str:
         return handle.read()
 
 
+def _forbid_work(monkeypatch) -> None:
+    """Make every entry point of work in gdr.cli fail the test if it is called."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("started work on input that should have been rejected")
+
+    for name in (
+        "correlator", "_bamboos", "enumerate_omegas", "_records", "pair_bamboo_side", "pair_dr_side",
+        "psi_lambda_g_integral",
+    ):
+        monkeypatch.setattr(cli, name, no_work)
+
+
 def _strip_ms(payload: dict) -> dict:
     return {
         "genus": payload["genus"],
@@ -254,14 +267,7 @@ class TestMain:
 
         # a genus above the maximum is rejected before any enumeration or
         # recursion starts
-        def no_work(*args, **kwargs):
-            raise AssertionError("started work on a genus above the maximum")
-
-        for name in (
-            "correlator", "_bamboos", "enumerate_omegas", "_records", "pair_bamboo_side", "pair_dr_side",
-            "psi_lambda_g_integral",
-        ):
-            monkeypatch.setattr(cli, name, no_work)
+        _forbid_work(monkeypatch)
         for argv in (
             ["witten", "--genus", "16", "--exps", "46"],
             ["bamboos", "--genus", "40"],
@@ -318,10 +324,20 @@ class TestStreamedReport:
         assert len(lines) == 1 + len(list(enumerate_omegas(g, include_kappa=True, include_boundary=True)))
         path = tmp_path / "report.csv"
         assert main(argv + ["--out", str(path)]) == 0
-        assert _zero_ms(path.read_text(encoding="utf-8")) == expected
-        # on stdout, print's newline follows the report, as before streaming
+        written = _zero_ms(path.read_bytes().decode("utf-8"))
         assert main(argv) == 0
-        assert _zero_ms(capsys.readouterr().out) == expected + "\n"
+        out = _zero_ms(capsys.readouterr().out)
+        # both destinations carry the same bytes, and stdout ends in no empty row
+        assert out == written == expected
+        assert all(csv.reader(io.StringIO(out)))
+
+    @pytest.mark.parametrize("g", range(1, 6))
+    def test_json_stdout_matches_out_file(self, capsys, tmp_path, g):
+        argv = ["verify", "--genus", str(g), "--kappa", "--boundary"]
+        path = tmp_path / "report.json"
+        assert main(argv + ["--out", str(path)]) == 0
+        assert main(argv) == 0
+        assert _zero_ms(capsys.readouterr().out) == _zero_ms(path.read_bytes().decode("utf-8"))
 
     def test_failed_pairing_streams_no_records_and_fails(self, capsys, monkeypatch):
         def broken(omega):
@@ -519,6 +535,23 @@ class TestParser:
         assert captured.out == ""
         assert captured.err.startswith("usage: gdr ")
         assert captured.err.endswith(f"\ngdr: error: {wording}\n")
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0661", " +2", "+2"])
+    @pytest.mark.parametrize("equals", [False, True], ids=["spaced", "equals"])
+    @pytest.mark.parametrize("command", ["verify", "bside", "witten", "bamboos"])
+    def test_genus_outside_the_integer_grammar_is_a_usage_error(self, capsys, monkeypatch, command, equals, value):
+        _forbid_work(monkeypatch)
+        # int() reads each of these values as a number; the grammar of
+        # --exps entries reads none of them
+        genus = [f"--genus={value}"] if equals else ["--genus", value]
+        rest = {"bside": ["--omega", "psi1"], "witten": ["--exps", "1"]}.get(command, [])
+        with pytest.raises(SystemExit) as exit_info:
+            main([command] + genus + rest)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: gdr {command} ")
+        assert captured.err.endswith(f"\ngdr: error: argument --genus: invalid int value: {value!r}\n")
 
     def test_negative_decimal_is_a_value(self, capsys):
         # argparse takes -1.5 as the value of --exps, and the exponent list
