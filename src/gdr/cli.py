@@ -11,10 +11,12 @@ Subcommands:
 
 Options follow the subcommand in any order, as ``--opt value`` or
 ``--opt=value``; the last occurrence wins and names are not abbreviated.
-They are read against one table, ``_COMMANDS``, of each subcommand's
-options and the int or str converters of their values. One grammar,
-ASCII ``-?[0-9]+``, reads every int value and every --exps entry, so
-``1_0``, ``+2``, `` 2`` and other scripts' digits are not integers.
+They are read against one table, ``_COMMANDS``: each subcommand's row
+holds its options, with the converter of each value (bool for a flag,
+int, str or a tuple of choices), and the action that runs it. One
+grammar, ASCII ``-?[0-9]+``, reads every int value and every --exps
+entry, so ``1_0``, ``+2``, `` 2`` and other scripts' digits are not
+integers.
 ``-h``/``--help`` prints this text. A usage error prints the usage line
 and the error in argparse's wording to stderr, and exits 2. As in
 argparse, a value may start with ``-`` when it is a negative number or
@@ -22,19 +24,22 @@ holds a space, and is not one of the subcommand's options.
 
 The omega grammar is whitespace-separated ``psi1^a psi2^b kappa1^c ...``
 (exponent 1 omissible, ``1`` for the unit), the decoration of one
-genus-G vertex (gdr.core.ChainVertex.parse). Every subcommand rejects a
-genus above MAX_GENUS, and witten/hodge an exponent list longer than
-MAX_POINTS, with exit code 2. A call reads and writes no file other than
-verify's --out; its memos live only as long as the process.
+genus-G vertex (gdr.core.ChainVertex.parse). Bad input found after
+parsing (a genus above MAX_GENUS, which every subcommand rejects before
+any work, an exponent list longer than MAX_POINTS, an omega or an --out
+path that cannot be used) prints ``error: ...`` to stderr and exits 2.
+A call reads and writes no file other than verify's --out; its memos
+live only as long as the process.
 
 verify writes each record as it is produced, to stdout or, with --out,
 to a temporary file in the target's directory that replaces the target
-once the report is complete. Both destinations get the same bytes, the
-JSON or CSV text with its one final newline. The temporary file is
-opened before the first pairing, so a path that cannot be written (the
-empty one too) fails with exit code 2 before any work, and a run that
-stops part-way leaves any previous report as it was and no temporary
-file behind. A closed stdout pipe ends any subcommand with exit code 1,
+once the report is complete, with the mode ``open(path, "w")`` would
+leave: an existing target's permission bits. Both destinations get the
+same bytes, the JSON or CSV text with its one final newline. The
+temporary file is opened before the first pairing, so a path that
+cannot be written (the empty one too) fails with exit code 2 before any
+work, and a run that stops part-way leaves any previous report as it
+was and no temporary file behind. A closed stdout pipe ends any subcommand with exit code 1,
 silently.
 """
 from __future__ import annotations
@@ -256,17 +261,64 @@ def _parse_exps(text: str) -> tuple:
     return tuple(map(int, parts))
 
 
-# Each subcommand's options, in usage order. An option maps to the
-# converter of its value (int or str), to the tuple of values it accepts,
-# or to _FLAG when it takes no value.
-_FLAG = "flag"
+def _print_value(value: Fraction) -> int:
+    """The one printer of bside, drside, witten and hodge."""
+    print(format_rational(value))
+    return 0
+
+
+def _run_bamboos(args: SimpleNamespace) -> int:
+    for bamboo in _bamboos(args.genus):
+        print(bamboo)
+    return 0
+
+
+def _run_verify(args: SimpleNamespace) -> int:
+    aborted: List[str] = []
+    # a bad genus is rejected here, before any output
+    records = _records(enumerate_omegas(args.genus, args.kappa, args.boundary), aborted)
+    # stdout, or a temporary file that replaces --out only once the report is complete
+    try:
+        handle, temporary = (sys.stdout, None) if args.out is None else _open_beside(args.out)
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.out}: {exc}") from exc
+    try:
+        equal, total = _write_report(handle, args.format, args.genus, records, aborted)
+        if temporary is not None:
+            handle.close()
+            os.replace(temporary, args.out)
+    except BaseException:
+        if temporary is not None:
+            handle.close()
+            os.unlink(temporary)
+        raise
+    passed = not aborted and equal == total
+    print(
+        f"{'PASS' if passed else 'FAIL'}: {equal}/{total} test classes equal at genus {args.genus}",
+        file=sys.stderr,
+    )
+    return 0 if passed else 1
+
+
+# Each subcommand's row: its options, in usage order, and the action that
+# runs it on the parsed values and returns the exit status. An option maps
+# to the converter of its value (int or str; bool for a flag, which takes
+# no value) or to the tuple of values it accepts. The actions look the
+# pipeline functions up in this module's globals when they run, never when
+# the table is built: a function rebound here, by perfbench's tracer or by
+# a test, is the one called.
 _COMMANDS = {
-    "verify": {"--genus": int, "--kappa": _FLAG, "--boundary": _FLAG, "--out": str, "--format": ("json", "csv")},
-    "bside": {"--genus": int, "--omega": str},
-    "drside": {"--genus": int, "--omega": str},
-    "witten": {"--genus": int, "--exps": str},
-    "hodge": {"--genus": int, "--exps": str},
-    "bamboos": {"--genus": int},
+    "verify": ({"--genus": int, "--kappa": bool, "--boundary": bool, "--out": str, "--format": ("json", "csv")},
+               _run_verify),
+    "bside": ({"--genus": int, "--omega": str},
+              lambda args: _print_value(pair_bamboo_side(ChainVertex.parse(args.genus, args.omega)))),
+    "drside": ({"--genus": int, "--omega": str},
+               lambda args: _print_value(pair_dr_side(ChainVertex.parse(args.genus, args.omega)))),
+    "witten": ({"--genus": int, "--exps": str},
+               lambda args: _print_value(correlator(args.genus, _parse_exps(args.exps)))),
+    "hodge": ({"--genus": int, "--exps": str},
+              lambda args: _print_value(psi_lambda_g_integral(args.genus, _parse_exps(args.exps)))),
+    "bamboos": ({"--genus": int}, _run_bamboos),
 }
 # The values of the options that may be left out; every other option is required.
 _DEFAULTS = {"--kappa": False, "--boundary": False, "--out": None, "--format": "json"}
@@ -283,9 +335,9 @@ def _parse(argv: List[str]) -> SimpleNamespace:
     if not argv:
         _usage_error(None, "the following arguments are required: command")
     command = argv[0]
-    options = _COMMANDS.get(command)
-    if options is None:
+    if command not in _COMMANDS:
         _usage_error(None, f"argument command: invalid choice: {command!r} (choose from {_choices(_COMMANDS)})")
+    options = _COMMANDS[command][0]
     values = {name: _DEFAULTS[name] for name in options if name in _DEFAULTS}
     unrecognized = []
     tokens = iter(argv[1:])
@@ -296,7 +348,7 @@ def _parse(argv: List[str]) -> SimpleNamespace:
         convert = options.get(name)
         if convert is None:
             unrecognized.append(token)
-        elif convert is _FLAG:
+        elif convert is bool:
             if explicit:
                 _usage_error(command, f"argument {name}: ignored explicit argument {text!r}")
             values[name] = True
@@ -347,9 +399,9 @@ def _usage_error(command: Optional[str], message: str) -> NoReturn:
         usage = f"[-h] {{{','.join(_COMMANDS)}}} ..."
     else:
         words = [command, "[-h]"]
-        for name, convert in _COMMANDS[command].items():
+        for name, convert in _COMMANDS[command][0].items():
             word = name
-            if convert is not _FLAG:
+            if convert is not bool:
                 word += " " + (name[2:].upper() if convert in (int, str) else f"{{{','.join(convert)}}}")
             words.append(f"[{word}]" if name in _DEFAULTS else word)
         usage = " ".join(words)
@@ -359,11 +411,11 @@ def _usage_error(command: Optional[str], message: str) -> NoReturn:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
-    if args.genus > MAX_GENUS:
-        print(f"error: genus {args.genus} exceeds the maximum {MAX_GENUS}", file=sys.stderr)
-        return 2
+    # after parsing, a ValueError means bad input: an error line and exit 2
     try:
-        status = _run_command(args)
+        if args.genus > MAX_GENUS:
+            raise ValueError(f"genus {args.genus} exceeds the maximum {MAX_GENUS}")
+        status = _COMMANDS[args.command][1](args)
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit
         return status
     except ValueError as exc:
@@ -376,56 +428,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
 
 
-def _run_command(args: SimpleNamespace) -> int:
-    """Run one subcommand; a ValueError means bad input and reaches main."""
-    if args.command == "bamboos":
-        for bamboo in _bamboos(args.genus):
-            print(bamboo)
-        return 0
-    if args.command == "hodge":
-        print(format_rational(psi_lambda_g_integral(args.genus, _parse_exps(args.exps))))
-        return 0
-    if args.command == "witten":
-        print(format_rational(correlator(args.genus, _parse_exps(args.exps))))
-        return 0
-    if args.command == "bside":
-        print(format_rational(pair_bamboo_side(ChainVertex.parse(args.genus, args.omega))))
-        return 0
-    if args.command == "drside":
-        print(format_rational(pair_dr_side(ChainVertex.parse(args.genus, args.omega))))
-        return 0
-
-    # a bad genus is rejected here, before any output
-    classes = enumerate_omegas(args.genus, include_kappa=args.kappa, include_boundary=args.boundary)
-    aborted: List[str] = []
-    records = _records(classes, aborted)
-    # stdout, or a temporary file that replaces --out only once the report is complete
-    try:
-        handle, temporary = (sys.stdout, None) if args.out is None else _open_beside(args.out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        equal, total = _write_report(handle, args.format, args.genus, records, aborted)
-        if temporary is not None:
-            handle.close()
-            os.replace(temporary, args.out)
-    except BaseException:
-        if temporary is not None:
-            handle.close()
-            os.unlink(temporary)
-        raise
-    passed = not aborted and equal == total
-    print(
-        f"{'PASS' if passed else 'FAIL'}: {equal}/{total} test classes equal at genus {args.genus}",
-        file=sys.stderr,
-    )
-    return 0 if passed else 1
-
-
 def _open_beside(path: str) -> Tuple[TextIO, str]:
     """Create a new file beside `path`, named after it and this process,
-    with the mode that ``open(path, "w")`` would give; return it open for
+    with the mode that ``open(path, "w")`` would give: an existing file's
+    permission bits, else 0o666 less the umask. Return it open for
     writing, with its name."""
     if not path:
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
@@ -434,4 +440,6 @@ def _open_beside(path: str) -> Tuple[TextIO, str]:
     temporary = f"{path}.{os.getpid()}.tmp"
     # O_EXCL: never write through a file or link that is already there
     fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    if os.path.exists(path):  # open(path, "w") keeps an existing file's mode
+        os.fchmod(fd, os.stat(path).st_mode & 0o777)
     return os.fdopen(fd, "w", encoding="utf-8"), temporary

@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Iterable, Iterator
 
-_FRACTION_RE = re.compile(r"^(-?\d+)/(\d+)$")
+_FRACTION_RE = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 
 def format_rational(value: Fraction) -> str:
@@ -35,7 +35,7 @@ def format_rational(value: Fraction) -> str:
 
 def parse_rational(text: str) -> Fraction:
     """Parse the strict ``num/den`` encoding produced by :func:`format_rational`."""
-    m = _FRACTION_RE.match(text)
+    m = _FRACTION_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"malformed rational {text!r}, expected num/den")
     num, den = int(m.group(1)), int(m.group(2))

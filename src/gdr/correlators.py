@@ -239,7 +239,7 @@ class CacheError(ValueError):
     """Raised when a cache file fails to parse; the whole file is rejected."""
 
 
-_INT_RE = re.compile(r"^\d+$")
+_INT_RE = re.compile(r"[0-9]+")
 
 
 def _parse_line(line: str, lineno: int) -> tuple:
@@ -247,10 +247,10 @@ def _parse_line(line: str, lineno: int) -> tuple:
     if len(fields) != 3:
         raise CacheError(f"line {lineno}: expected 3 ';'-separated fields")
     genus_text, exps_text, frac_text = fields
-    if not _INT_RE.match(genus_text):
+    if not _INT_RE.fullmatch(genus_text):
         raise CacheError(f"line {lineno}: malformed genus {genus_text!r}")
     parts = exps_text.split(",")
-    if not all(_INT_RE.match(p) for p in parts):
+    if not all(_INT_RE.fullmatch(p) for p in parts):
         raise CacheError(f"line {lineno}: malformed exponents {exps_text!r}")
     exps = tuple(int(p) for p in parts)
     if exps != tuple(sorted(exps)):

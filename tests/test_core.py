@@ -52,7 +52,8 @@ class TestRational:
         for q in (Fraction(0), Fraction(-7, 3), Fraction(1, 24), Fraction(5)):
             assert parse_rational(format_rational(q)) == q
 
-    @pytest.mark.parametrize("bad", ["", "1", "1/0", "1/-2", "a/b", "1/2/3", " 1/2", "1/2 "])
+    # ASCII digits only, and no trailing newline: "$" and \d would take both
+    @pytest.mark.parametrize("bad", ["", "1", "1/0", "1/-2", "a/b", "1/2/3", " 1/2", "1/2 ", "\u0661/\u0662", "1/2\n"])
     def test_parse_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)
