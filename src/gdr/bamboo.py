@@ -35,16 +35,17 @@ vertex, and multiplies by -1 for the node after it. :func:`_pair` is
 its top call. :func:`enumerate_bamboos` lists the terms explicitly.
 
 The program runs in integers, from the leaves up. A vertex of genus h
-evaluates, through :func:`gdr.kappa.integrate` with integer coefficients,
-to an integer combination of in-dimension correlators <tau_k>_h, and each
-of these is itself an integer on a scale B_h that depends on h alone. The
-string and dilaton equations have integer coefficients and keep the
-genus, so every in-dimension genus-h correlator is an integer combination
-of genus-h correlators whose exponents are all >= 2, or of <tau_1>_1 =
-1/24 at genus 1. Such a key has sum(k_i - 1) = 3h - 3, and
-gdr.correlators shows that 2^(4h-1) prod (2k_i+1)!! <tau_k>_h is an
-integer. So, with P(w) the lcm of prod (2k_i+1)!! over the tuples with
-every k_i >= 2 and sum(k_i - 1) = w,
+evaluates, through the kappa expansion of gdr.kappa, whose coefficients
+are integers, to an integer combination of in-dimension correlators
+<tau_k>_h, and each of these is itself an integer on a scale B_h that
+depends on h alone. The string and dilaton equations have integer
+coefficients and keep the genus, so every in-dimension genus-h
+correlator is an integer combination of genus-h correlators whose
+exponents are all >= 2, or of <tau_1>_1 = 1/24 at genus 1. Such a key
+has sum(k_i - 1) = 3h - 3, and gdr.correlators shows that
+2^(4h-1) prod (2k_i+1)!! <tau_k>_h is an integer. So, with P(w) the lcm
+of prod (2k_i+1)!! over the tuples with every k_i >= 2 and
+sum(k_i - 1) = w,
 
     B_1 = 24,    B_h = 2^(4h-1) P(3h-3)   (h >= 2),
 
@@ -78,7 +79,7 @@ evaluated, and a boundary class the lower-genus pairings of its sides.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import lcm
 from typing import Iterator, List
 
@@ -93,7 +94,7 @@ from .core import (
     kappa_splits,
 )
 from .correlators import times_correlator
-from .kappa import integrate
+from .kappa import _extension
 
 
 def enumerate_bamboos(g: int) -> List[Bamboo]:
@@ -175,10 +176,11 @@ def _node(genus: int, first: int) -> int:
 def _scaled_vertex(genus: int, left: int, right: int, kappa: KappaMap) -> int:
     """B_genus times the vertex integral of psi_l^left psi_r^right * kappa,
     an integer, for a canonical `kappa` in dimension (left + right +
-    deg kappa = 3 genus - 1), as :func:`_tail` places every vertex. Each
-    correlator is read as B_genus <tau_k>_genus, an integer that
-    :func:`gdr.correlators.times_correlator` checks."""
-    return integrate(partial(times_correlator, _scale(genus)), genus, (left, right), kappa)
+    deg kappa = 3 genus - 1), as :func:`_tail` places every vertex: the sum
+    over the kappa expansion's terms (c, e) of c times the correlator of
+    (left, right) + e. Each correlator is read as B_genus <tau_k>_genus,
+    an integer that :func:`gdr.correlators.times_correlator` checks."""
+    return sum(c * times_correlator(_scale(genus), genus, (left, right) + e) for c, e in _extension(kappa))
 
 
 @lru_cache(maxsize=None)

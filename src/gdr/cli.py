@@ -34,12 +34,15 @@ live only as long as the process.
 verify writes each record as it is produced, to stdout or, with --out,
 to a temporary file in the target's directory that replaces the target
 once the report is complete, with the mode ``open(path, "w")`` would
-leave: an existing target's permission bits. Both destinations get the
-same bytes, the JSON or CSV text with its one final newline. The
-temporary file is opened before the first pairing, so a path that
-cannot be written (the empty one too) fails with exit code 2 before any
-work, and a run that stops part-way leaves any previous report as it
-was and no temporary file behind. A closed stdout pipe ends any subcommand with exit code 1,
+leave: an existing target's permission bits. The target is the path
+with its symbolic links resolved, so a link stays a link; a target that
+is not a regular file, such as a FIFO, is written directly, as
+``open(path, "w")`` would. Both destinations get the same bytes, the
+JSON or CSV text with its one final newline. The report file is opened
+before the first pairing, so a path that cannot be written (the empty
+one too) fails with exit code 2 before any work, and a run that stops
+part-way leaves any previous report as it was and no temporary file
+behind. A closed stdout pipe ends any subcommand with exit code 1,
 silently.
 """
 from __future__ import annotations
@@ -279,17 +282,19 @@ def _run_verify(args: SimpleNamespace) -> int:
     records = _records(enumerate_omegas(args.genus, args.kappa, args.boundary), aborted)
     # stdout, or a temporary file that replaces --out only once the report is complete
     try:
-        handle, temporary = (sys.stdout, None) if args.out is None else _open_beside(args.out)
+        handle, temporary, target = (sys.stdout, None, None) if args.out is None else _open_beside(args.out)
     except OSError as exc:
         raise ValueError(f"cannot write {args.out}: {exc}") from exc
     try:
         equal, total = _write_report(handle, args.format, args.genus, records, aborted)
-        if temporary is not None:
+        if handle is not sys.stdout:
             handle.close()
-            os.replace(temporary, args.out)
+        if temporary is not None:
+            os.replace(temporary, target)
     except BaseException:
-        if temporary is not None:
+        if handle is not sys.stdout:
             handle.close()
+        if temporary is not None:
             os.unlink(temporary)
         raise
     passed = not aborted and equal == total
@@ -428,18 +433,24 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
 
 
-def _open_beside(path: str) -> Tuple[TextIO, str]:
-    """Create a new file beside `path`, named after it and this process,
-    with the mode that ``open(path, "w")`` would give: an existing file's
-    permission bits, else 0o666 less the umask. Return it open for
-    writing, with its name."""
+def _open_beside(path: str) -> Tuple[TextIO, Optional[str], str]:
+    """Open the report file for `path`, resolved through any symbolic
+    links to its target: a new file beside the target, named after it and
+    this process, with the mode that ``open(path, "w")`` would give (an
+    existing file's permission bits, else 0o666 less the umask), or, for a
+    target that exists and is not a regular file (a FIFO, a device), the
+    target itself, as ``open(path, "w")`` would. Return the open handle,
+    the new file's name (None for the target itself) and the target."""
     if not path:
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-    if os.path.isdir(path):
+    target = os.path.realpath(path)
+    if os.path.isdir(target):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    temporary = f"{path}.{os.getpid()}.tmp"
+    if os.path.exists(target) and not os.path.isfile(target):
+        return open(target, "w", encoding="utf-8"), None, target
+    temporary = f"{target}.{os.getpid()}.tmp"
     # O_EXCL: never write through a file or link that is already there
     fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    if os.path.exists(path):  # open(path, "w") keeps an existing file's mode
-        os.fchmod(fd, os.stat(path).st_mode & 0o777)
-    return os.fdopen(fd, "w", encoding="utf-8"), temporary
+    if os.path.exists(target):  # open(path, "w") keeps an existing file's mode
+        os.fchmod(fd, os.stat(target).st_mode & 0o777)
+    return os.fdopen(fd, "w", encoding="utf-8"), temporary, target

@@ -12,7 +12,24 @@ the coefficient of a^(2g) in the capped cycle pairs as (1/g!) int D^g ....
 The cap vanishes outside compact type, so only chain strata ever appear;
 on a chain it distributes as the top lambda class of each vertex, which
 is what :func:`gdr.hodge.psi_lambda_g_integral` evaluates:
-multinomial(exps) b_g in dimension, b_g times :func:`gdr.hodge.capped_unit`.
+multinomial(exps) b_g in dimension.
+
+A two-leg vertex of genus f with psi powers l and r and kappa K is in
+dimension when l + r + deg K = 2f - 1. The kappa expansion turns K into
+new markings e_1..e_p with sum e_j = deg K + p, each block adding one,
+so its integral over b_f is the sum over the expansion of
+(2f - 1 + p)!/(l! r! prod e_j!): U(2f - 1, K)/(l! r!), with
+
+    U(points, K) = sum over the expansion of (points + p)!/prod e_j!,
+
+which depends on f and K alone. :func:`_vertex_table` is that table,
+built by a one-factor pushforward of its own that reads neither
+gdr.kappa nor :func:`gdr.core.kappa_splits`, so a fault in the bamboo
+side's kappa expansion moves one side only. The division is exact:
+every term of U(2f - 1, K) over l! r! is the multinomial of
+(l, r, e_1..e_p), and inside the recursion the rest's table, at
+points + 1, divides by the new marking's m! term by term, as
+points >= deg K keeps every term a multinomial times an integer.
 
 Distinct delta_h meet transversally and the excess rule gives
 delta_h^m = delta_h (-psi' - psi'')^(m-1), so the multinomial expansion
@@ -66,7 +83,10 @@ So :func:`_run` returns beta_h 2^t t! sum_i w_i/(2^i i!), an integer,
 w_i being the weight of outgoing power i. A vertex contributes
 beta_h b_f / beta_(h-f) times its integral over b_f, the vertex that
 closes the run 1 for its outgoing power (t = i there), and a node of D
--C(m-1, i) C(t, m). :func:`_capped_run` builds one Fraction per vertex
+-C(m-1, i) C(t, m). Every vertex that a run places first has the run's
+`incoming` power on its left leg, so :func:`_run` takes U(2f - 1, K)
+over the outgoing power's factorial for each and divides the sum by
+incoming! once. :func:`_capped_run` builds one Fraction per vertex
 key: with top = a + t, D's whole power on omega's vertex, it divides
 sum_a C(top, a) times the run by beta_h 2^top top!.
 :func:`pair_dr_boundary` multiplies the memoized factors of omega's
@@ -97,8 +117,8 @@ from .core import (
     kappa_distributions,
     kappa_splits,
 )
-from .hodge import capped_unit, lambda_g_constant, psi_lambda_g_integral
-from .kappa import integrate
+from .hodge import lambda_g_constant, psi_lambda_g_integral
+from .kappa import _extension
 
 DivisorTerm = Union[str, Tuple[str, int]]  # "psi1" | "psi2" | ("delta", h)
 
@@ -193,7 +213,7 @@ def evaluate_chain(chain: DecoratedChain) -> Fraction:
         # support of the capped evaluation: decoration degree = 2g - 3 + n
         if not value or v.decoration_degree != 2 * v.genus - 1:
             return Fraction(0)
-        value *= integrate(psi_lambda_g_integral, v.genus, (v.left_psi, v.right_psi), v.kappa)
+        value *= sum(c * psi_lambda_g_integral(v.genus, (v.left_psi, v.right_psi) + e) for c, e in _extension(v.kappa))
     return value
 
 
@@ -216,10 +236,25 @@ def _vertex_weight(genus: int, first: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _vertex(genus: int, left: int, right: int, kappa: KappaMap) -> int:
-    """Capped two-leg vertex integral over b_genus, an integer, memoized for
-    the whole process."""
-    return integrate(capped_unit, genus, (left, right), kappa)
+def _vertex_table(points: int, kappa: KappaMap) -> int:
+    """U(points, kappa): the sum over the kappa expansion of
+    (points + p)!/prod e_j!, p being the number of new markings e_j, an
+    integer when deg kappa <= points; memoized for the whole process.
+
+    It is its own one-factor pushforward: the last factor kappa_b takes
+    t_i more factors of each index i, in prod C(c_i, t_i) ways with the
+    sign (-1)^(sum t), into one marking m = b + 1 + sum i t_i, so the rest
+    adds its markings to points + 1 and the table of the rest divides by
+    m!, exactly, term by term."""
+    if not kappa:
+        return factorial(points)
+    index, count = kappa[-1]
+    # (signed ways w, marking m, rest r) for every choice of the t_i; r
+    # keeps an index whose factors all merge, with count 0, until the end
+    terms = [(1, index + 1, ())]
+    for i, c in kappa[:-1] + ((index, count - 1),):
+        terms = [(w * (-1) ** t * comb(c, t), m + i * t, r + ((i, c - t),)) for w, m, r in terms for t in range(c + 1)]
+    return sum(w * (_vertex_table(points + 1, tuple(e for e in r if e[1])) // factorial(m)) for w, m, r in terms)
 
 
 @lru_cache(maxsize=None)
@@ -242,7 +277,9 @@ def _run(genus: int, incoming: int, kappa: KappaMap, right_psi: int) -> int:
     # the closing vertex: D's part of its outgoing power is i = outgoing -
     # right_psi >= 0, t = i, and (1/2)^i/i! is 1 on the scale 2^i i!
     outgoing = 2 * genus - 1 - incoming - kappa_degree(kappa)
-    total = _vertex(genus, incoming, outgoing, kappa) * _vertex_weight(genus, genus) if outgoing >= right_psi else 0
+    total = 0
+    if outgoing >= right_psi:
+        total = _vertex_table(2 * genus - 1, kappa) // factorial(outgoing) * _vertex_weight(genus, genus)
     for first in range(1, genus):
         weight = _vertex_weight(genus, first)
         for mult, share, rest, share_degree in kappa_splits(kappa):
@@ -251,10 +288,10 @@ def _run(genus: int, incoming: int, kappa: KappaMap, right_psi: int) -> int:
             i = 2 * first - 1 - incoming - share_degree
             if i < 0:
                 continue
-            value = mult * _vertex(first, incoming, i, share)
+            value = mult * (_vertex_table(2 * first - 1, share) // factorial(i))
             if value:
                 total += value * weight * _transfer(i, genus - first, rest, right_psi)
-    return total
+    return total // factorial(incoming)
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
-"""Hodge-capped psi integrals: the leaf evaluator of the Hain pipeline.
+"""Hodge-capped psi integrals and the one-point constants b_g of the
+Hain pipeline.
 
 The top-Chern-class cap admits a closed form on a genus-g vertex:
 
@@ -13,6 +14,11 @@ b_g = int psi^(2g-2) lambda_g read off Faber-Pandharipande's series
 Multiplying by sin(t/2)/(t/2) = sum_k (-1)^k t^(2k) / (4^k (2k+1)!)
 gives the recurrence b_0 = 1, b_g = -sum_{k=1..g} (-1)^k/(4^k (2k+1)!)
 b_(g-k); in Bernoulli numbers, b_g = (2^(2g-1)-1)/2^(2g-1) |B_2g|/(2g)!.
+
+:func:`psi_lambda_g_integral` is the leaf of the D^g reference
+(:func:`gdr.hain.evaluate_chain`) and of ``gdr hodge``. The divisor
+side's dynamic program reads b_g here and the multinomial part from a
+table of its own (:func:`gdr.hain._vertex_table`).
 
 lambda_0 = 1 is folded in, so genus 0 uses the same entry point and
 reduces to the genus-0 correlator closed form. No chain vertex has genus
@@ -49,10 +55,4 @@ def psi_lambda_g_integral(g: int, exponents: Iterable[int]) -> Fraction:
         raise ValueError("genus must be >= 0")
     if any(k < 0 for k in exps):
         raise ValueError("psi exponents must be >= 0")
-    return capped_unit(g, exps) * (lambda_g_constant(g) if g else Fraction(1))
-
-
-def capped_unit(g: int, exps: tuple) -> int:
-    """int psi^exps lambda_g / b_g, unchecked: multinomial(exps) in
-    dimension, else 0. The integer leaf of the divisor side."""
-    return multinomial(exps) if sum(exps) == 2 * g - 3 + len(exps) else 0
+    return (multinomial(exps) if sum(exps) == 2 * g - 3 + len(exps) else 0) * (lambda_g_constant(g) if g else Fraction(1))

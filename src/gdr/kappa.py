@@ -1,8 +1,8 @@
 """Conversion of kappa decorations into pure-psi insertions.
 
-Both leaf evaluators understand only psi exponents, so a vertex integral
-carrying kappa_b = pi_*(psi^(b+1)) factors is rewritten on a space with
-extra markings by :func:`kappa_to_psi`. Pushing one factor kappa_b
+The correlator recursion understands only psi exponents, so a vertex
+integral carrying kappa_b = pi_*(psi^(b+1)) factors is rewritten on a
+space with extra markings by :func:`kappa_to_psi`. Pushing one factor kappa_b
 forward along the map that forgets a new marking gives psi_new^(b+1),
 and every factor kappa_c kept on the smaller space picks up the
 correction -psi_new^c, so any sub-multiset S of the other factors K may
@@ -28,15 +28,17 @@ canonical maps of degree <= 18 expand in 0.23 s from a cold memo
 (Python 3.11, 2-vCPU VM). :func:`kappa_to_psi` returns the psi prefix
 followed by each memoized extension.
 
-The pipelines use it through :func:`integrate`, the vertex integrator
-both share. It reads the memoized extensions of a canonical kappa map
-directly and hands each psi prefix plus extension to the caller's leaf.
-With an integer leaf (the bamboo side's B_h <tau_k>_h, the divisor
-side's capped unit) the sum stays an integer. :func:`kappa_to_psi` is
-the same expansion as an explicit list of terms. Its correctness is
-gated in the tests by the set-partition form, by the closed form over
-the integer partitions for powers of kappa_1, and by the brute-force
-pushforward, which keeps equal factors distinguishable. The expansion
+The bamboo side's vertices (and the D^g reference of gdr.hain) read the
+memoized extensions of a canonical kappa map directly and sum a leaf
+integral over the psi prefix plus each extension; with the bamboo
+side's integer leaf B_h <tau_k>_h the sum stays an integer. The divisor
+side's dynamic program does not use it: gdr.hain evaluates its capped
+vertices from a table of its own, so a fault here moves only one side
+of a comparison. :func:`kappa_to_psi` is the same expansion as an
+explicit list of terms. Its correctness is gated in the tests by the
+set-partition form, by the closed form over the integer partitions for
+powers of kappa_1, and by the brute-force pushforward, which keeps
+equal factors distinguishable. The expansion
 is valid verbatim under a top-Chern cap because lambda classes pull
 back along forgetful maps.
 """
@@ -44,11 +46,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .core import KappaMap, kappa_map
-
-Term = Tuple[int, tuple]
 
 
 @lru_cache(maxsize=None)
@@ -79,7 +79,7 @@ def _extension(kappa: KappaMap) -> tuple:
     return tuple((coeff, extension) for extension, coeff in sorted(acc.items()) if coeff)
 
 
-def kappa_to_psi(n: int, psi: Sequence[int], kappa: KappaMap | dict) -> List[Term]:
+def kappa_to_psi(n: int, psi: Sequence[int], kappa: KappaMap | dict) -> List[Tuple[int, tuple]]:
     """Expand a kappa decoration into extra psi insertions.
 
     Returns terms (coefficient, exponent tuple), sorted by exponent tuple;
@@ -93,17 +93,3 @@ def kappa_to_psi(n: int, psi: Sequence[int], kappa: KappaMap | dict) -> List[Ter
         raise ValueError(f"expected {n} psi exponents, got {len(psi)}")
     base = tuple(int(k) for k in psi)
     return [(coeff, base + extension) for coeff, extension in _extension(kappa_map(kappa))]
-
-
-def integrate(leaf: Callable, genus: int, psi: Sequence[int], kappa: KappaMap):
-    """int of prod psi_i^psi[i] * kappa over the genus-g space with len(psi)
-    markings: the :func:`kappa_to_psi` terms summed through `leaf`, a pure
-    psi integral ``leaf(genus, exponents)``. `kappa` must be canonical (a
-    :func:`gdr.core.kappa_map` result), as its memoized extensions are
-    read directly. The coefficients are integers, so an integer leaf gives
-    an integer."""
-    base = tuple(psi)
-    total = 0
-    for coeff, extension in _extension(kappa):
-        total += coeff * leaf(genus, base + extension)
-    return total

@@ -5,8 +5,9 @@ as an exact rational, (1/2)^m/m! at a node of D and the capped vertex
 integral itself at a vertex, so it needs none of the scales
 beta_h 2^t t! of gdr.hain. It keeps a run as a vector {i: w_i} over D's
 psi power i on the run's outgoing leg, where gdr.hain sums i out inside
-the run; it shares only the vertex integrator and the closed form of
-the capped integral with it.
+the run. It evaluates each capped vertex through the kappa expansion and
+:func:`gdr.hodge.psi_lambda_g_integral`, where gdr.hain reads its own
+capped-vertex table, so the two share only the constants b_g.
 """
 from fractions import Fraction
 from functools import lru_cache
@@ -14,12 +15,13 @@ from math import comb, factorial
 
 from gdr.core import KappaMap, kappa_degree, kappa_distributions
 from gdr.hodge import psi_lambda_g_integral
-from gdr.kappa import integrate
+from gdr.kappa import _extension
 
 
 @lru_cache(maxsize=None)
 def _vertex(genus: int, left: int, right: int, kappa: KappaMap) -> Fraction:
-    return integrate(psi_lambda_g_integral, genus, (left, right), kappa)
+    """The capped two-leg vertex integral, summed over the kappa expansion."""
+    return sum(c * psi_lambda_g_integral(genus, (left, right) + e) for c, e in _extension(kappa))
 
 
 def _half_power(m: int) -> Fraction:

@@ -1,6 +1,6 @@
 """Reference expansions of kappa decorations, the oracles that
-:func:`gdr.kappa.kappa_to_psi` (and through it the vertex integrator both
-pipelines share) is tested against. They share no code with gdr.kappa,
+:func:`gdr.kappa.kappa_to_psi` (and through it the expansion that the
+bamboo side's vertices read) is tested against. They share no code with gdr.kappa,
 and both keep equal kappa factors distinguishable, where gdr.kappa
 counts them with binomial weights: :func:`iterated_pushforward` removes
 one factor per forgetful map, as gdr.kappa does, but merges every subset

@@ -22,6 +22,7 @@ def clear_memos():
         bamboo._tail,
         hain._run,
         hain._transfer,
+        hain._vertex_table,
         core.kappa_splits,
         kappa._extension,
     } <= set(memos)

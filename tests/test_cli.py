@@ -4,8 +4,10 @@ import io
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -426,6 +428,34 @@ class TestOutPath:
         assert main(["verify", "--genus", "1", "--out", str(out)]) == 2
         assert "error: cannot write" in capsys.readouterr().err
         assert victim.read_text(encoding="utf-8") == "keep\n" and not out.exists()
+
+    def test_out_writes_through_a_symlink(self, capsys, tmp_path):
+        # as open(path, "w") would: the link stays a link, its target gets the report
+        argv = ["verify", "--genus", "3", "--kappa", "--boundary"]
+        real = tmp_path / "real.json"
+        real.write_text("previous report\n", encoding="utf-8")
+        link = tmp_path / "link.json"
+        os.symlink(real, link)
+        assert main(argv + ["--out", str(link)]) == 0
+        assert main(argv) == 0
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert _zero_ms(real.read_text(encoding="utf-8")) == _zero_ms(capsys.readouterr().out)
+        assert sorted(os.listdir(tmp_path)) == ["link.json", "real.json"]
+
+    def test_out_writes_into_a_fifo(self, capsys, tmp_path):
+        # a pipe is written, not replaced by a regular file; a thread reads it
+        argv = ["verify", "--genus", "3", "--kappa", "--boundary"]
+        fifo = tmp_path / "report.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main(argv + ["--out", str(fifo)]) == 0
+        reader.join(timeout=60)
+        assert not reader.is_alive() and stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert main(argv) == 0
+        assert _zero_ms(received[0].decode("utf-8")) == _zero_ms(capsys.readouterr().out)
+        assert os.listdir(tmp_path) == ["report.fifo"]
 
     def test_interrupted_run_keeps_previous_report(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "report.json"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from gdr.bamboo import pair_bamboo_boundary, pair_bamboo_side
 from gdr.cli import enumerate_omegas
 from gdr import hain
-from gdr.core import ChainVertex, DecoratedChain, kappa_degree, kappa_distributions, kappa_map
+from gdr.core import ChainVertex, DecoratedChain, kappa_degree, kappa_distributions, kappa_map, multinomial
 from gdr.hain import (
     evaluate_chain,
     expand_divisor_power,
@@ -19,6 +19,7 @@ from gdr.hain import (
     pair_dr_side,
 )
 from gdr.hodge import psi_lambda_g_integral
+from gdr.kappa import _extension
 import hain_oracle
 from memos import clear_memos
 
@@ -516,8 +517,8 @@ class TestSharedMemos:
 
     @pytest.mark.parametrize(
         "g,sizes",
-        [(6, {"_run": 902, "_transfer": 1043, "_capped_run": 300, "_vertex": 425}),
-         (8, {"_run": 3809, "_transfer": 5188, "_capped_run": 1317, "_vertex": 1562})],
+        [(6, {"_run": 902, "_transfer": 1043, "_capped_run": 300, "_vertex_table": 127}),
+         (8, {"_run": 3809, "_transfer": 5188, "_capped_run": 1317, "_vertex_table": 362})],
     )
     def test_memo_key_sets_are_pinned(self, g, sizes):
         # the memo keys are those of the per-run program, whatever a run
@@ -555,6 +556,36 @@ def recorded_runs(monkeypatch, genera):
     for g in genera:
         divisor_values(enumerate_omegas(g, include_kappa=True, include_boundary=True))
     return seen
+
+
+def kappa_maps(degree, smallest=1):
+    """Every canonical kappa map of the given degree with indices >= smallest."""
+    if degree == 0:
+        yield ()
+    for index in range(smallest, degree + 1):
+        for count in range(1, degree // index + 1):
+            for rest in kappa_maps(degree - index * count, index + 1):
+                yield ((index, count),) + rest
+
+
+class TestVertexTable:
+    def test_matches_the_kappa_expansion_on_every_two_leg_key(self):
+        # every in-dimension key (f, l, r, K) with f <= 10, l + r + deg K =
+        # 2f - 1: the table over l! r!, exact, against the sum of the
+        # capped unit multinomial(l, r, e) over the kappa expansion, which
+        # the table never reads
+        keys = 0
+        for f in range(1, 11):
+            for degree in range(2 * f):
+                for kappa in kappa_maps(degree):
+                    for left in range(2 * f - degree):
+                        right = 2 * f - 1 - degree - left
+                        expected = sum(c * multinomial((left, right) + e) for c, e in _extension(kappa))
+                        legs = math.factorial(left) * math.factorial(right)
+                        value, remainder = divmod(hain._vertex_table(2 * f - 1, kappa), legs)
+                        assert (value, remainder) == (expected, 0), (f, left, kappa)
+                        keys += 1
+        assert keys == 17650
 
 
 class TestScaledIntegers:

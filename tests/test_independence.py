@@ -3,19 +3,43 @@ agreeing with each other.
 
 A fault in code that both pipelines share could make them agree while
 both are wrong. Each such shared piece gets a test here showing that a
-fault in it reaches the comparison. And closed forms that share no code
-with either pipeline give every psi-only record, and every record with
-one kappa factor, a third value.
+fault in it reaches the comparison: the kappa splits and the kappa
+degree. The kappa expansion is not shared: the bamboo side reads it and
+the divisor side its own capped-vertex table, and a test here shows that
+a wrong expansion coefficient makes the two sides differ. And closed
+forms that share no code with either pipeline give every psi-only
+record, and every record with one kappa factor, a third value.
 """
+import inspect
 import math
 from fractions import Fraction
 
 import pytest
 
-from gdr import bamboo, hain
+import gdr
+from gdr import bamboo, hain, kappa
 from gdr.cli import verify
-from gdr.core import ChainVertex, kappa_splits
+from gdr.core import ChainVertex, kappa_degree, kappa_splits
 from memos import clear_memos
+
+
+def unequal_at_genus_4(monkeypatch, modules, name, fault):
+    """The omegas of the unequal records of verify(4, include_kappa=True)
+    with `name` bound to `fault` in each of `modules`, from cold memos, all
+    of them cleared again after the run. The report must fail, with all
+    of its 14 records and none aborted."""
+    for module in modules:
+        monkeypatch.setattr(module, name, fault)
+    clear_memos()
+    try:
+        report = verify(4, include_kappa=True)
+    finally:
+        clear_memos()
+    assert report.aborted == [] and not report.passed and len(report.records) == 14
+    return [r.omega for r in report.records if not r.equal]
+
+
+SIDES = {"bamboo": bamboo, "hain": hain}
 
 
 def _unit_multiplicity_splits(kappa):
@@ -27,17 +51,57 @@ def _unit_multiplicity_splits(kappa):
 def test_kappa_splits_fault_reaches_the_comparison(monkeypatch, sides):
     # both chain programs place a vertex's kappa share through kappa_splits;
     # they use the multiplicity differently, so a wrong one makes them differ
-    modules = {"bamboo": bamboo, "hain": hain}
-    for side in sides:
-        monkeypatch.setattr(modules[side], "kappa_splits", _unit_multiplicity_splits)
-    clear_memos()
-    try:
-        report = verify(4, include_kappa=True)
-    finally:
-        clear_memos()
-    assert report.aborted == [] and not report.passed
-    assert [r.omega for r in report.records if not r.equal] == ["psi1 kappa1^2", "psi2 kappa1^2", "kappa1^3"]
-    assert len(report.records) == 14
+    modules = [SIDES[side] for side in sides]
+    unequal = unequal_at_genus_4(monkeypatch, modules, "kappa_splits", _unit_multiplicity_splits)
+    assert unequal == ["psi1 kappa1^2", "psi2 kappa1^2", "kappa1^3"]
+
+
+def _degree_off_by_one(kappa):
+    """kappa_degree, one too high for a map with an index >= 2."""
+    return kappa_degree(kappa) + any(index >= 2 for index, _ in kappa)
+
+
+@pytest.mark.parametrize("sides", [("bamboo",), ("hain",), ("bamboo", "hain")], ids="+".join)
+def test_kappa_degree_fault_reaches_the_comparison(monkeypatch, sides):
+    # both chain programs read a vertex's kappa degree through kappa_degree
+    # to place its legs; the bamboo side's dimension is 3g - 1 and the
+    # divisor side's 2g - 1, so a wrong degree makes them differ
+    modules = [SIDES[side] for side in sides]
+    unequal = unequal_at_genus_4(monkeypatch, modules, "kappa_degree", _degree_off_by_one)
+    assert unequal == ["psi1 kappa2", "psi2 kappa2", "kappa1 kappa2", "kappa3"]
+
+
+_EXTENSION_SOURCE = inspect.getsource(kappa._extension)
+
+
+def extension_mutant(old, new):
+    """kappa._extension with `old` replaced by `new` in its source, compiled
+    in a copy of the gdr.kappa namespace, so that it recurses into itself
+    and keeps a memo of its own."""
+    assert _EXTENSION_SOURCE.count(old) == 1
+    namespace = dict(vars(kappa))
+    exec(_EXTENSION_SOURCE.replace(old, new), namespace)
+    return namespace["_extension"]
+
+
+def modules_binding_the_expansion():
+    """Every gdr module that binds the name `_extension`."""
+    return [module for module in vars(gdr).values() if inspect.ismodule(module) and "_extension" in vars(module)]
+
+
+# the sign (-1)^|S| of a merge dropped, and the weight 2^|S| in its place
+EXTENSION_MUTANTS = {"sign-dropped": ("(-1) ** t * ", ""), "weight-2^|S|": ("(-1) ** t", "2 ** t")}
+
+
+@pytest.mark.parametrize("mutant", EXTENSION_MUTANTS.values(), ids=EXTENSION_MUTANTS.keys())
+def test_kappa_expansion_fault_reaches_the_comparison(monkeypatch, mutant):
+    # the bamboo side expands each vertex's kappa factors into psi
+    # insertions; the divisor side reads its own capped-vertex table, so a
+    # wrong coefficient moves one side only
+    modules = modules_binding_the_expansion()
+    assert {module.__name__ for module in modules} == {"gdr.bamboo", "gdr.hain", "gdr.kappa"}
+    unequal = unequal_at_genus_4(monkeypatch, modules, "_extension", extension_mutant(*mutant))
+    assert unequal == ["psi1 kappa1^2", "psi2 kappa1^2", "kappa1^3", "kappa1 kappa2"]
 
 
 @pytest.mark.parametrize("g", range(1, 11))

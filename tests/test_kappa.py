@@ -8,8 +8,9 @@ from gdr.bamboo import vertex_integral
 from gdr.cli import MAX_GENUS, enumerate_omegas
 from gdr.correlators import correlator
 from gdr.core import kappa_degree, kappa_map, kappa_splits
-from gdr.hodge import capped_unit, lambda_g_constant, psi_lambda_g_integral
-from gdr.kappa import _extension, integrate, kappa_to_psi
+from gdr.hain import _vertex_table
+from gdr.hodge import lambda_g_constant, psi_lambda_g_integral
+from gdr.kappa import _extension, kappa_to_psi
 from kappa_oracle import iterated_pushforward, set_partition_expansion, set_partitions
 
 
@@ -246,9 +247,29 @@ class TestPushforwardEquivalence:
         assert closed == brute != 0
 
 
+def integrate(leaf, genus, psi, kappa):
+    """int of prod psi_i^psi[i] * kappa over the genus-g space with len(psi)
+    markings, as the bamboo side and the D^g reference evaluate a vertex:
+    the kappa expansion summed through `leaf`, a pure psi integral."""
+    return sum(coeff * leaf(genus, tuple(psi) + extension) for coeff, extension in _extension(kappa))
+
+
+def capped_unit(genus, exps):
+    """int psi^exps lambda_g / b_g: multinomial(exps) in dimension, else 0."""
+    return psi_lambda_g_integral(genus, exps) / lambda_g_constant(genus)
+
+
+def table_vertex(genus, psi, kappa):
+    """The capped vertex over b_g from the divisor side's table, which
+    never reads the kappa expansion: U(2g - 3 + n, kappa) / prod psi_i!,
+    n = len(psi), a multinomial sum when the vertex is in dimension."""
+    return _vertex_table(2 * genus - 3 + len(psi), kappa) // math.prod(map(math.factorial, psi))
+
+
 class TestIntegrate:
-    """integrate() is the vertex integrator both pipelines share, so it is
-    checked against the brute-force pushforward with each leaf integral."""
+    """A vertex integral through the kappa expansion is checked against the
+    brute-force pushforward with each leaf integral, and the divisor side's
+    capped-vertex table against the same pushforward with the capped unit."""
 
     @pytest.mark.parametrize(
         "leaf,dimension,max_genus",
@@ -270,15 +291,18 @@ class TestIntegrate:
                     # term of the expansion is in dimension or none is
                     if degree != dimension(g, len(psi)):
                         continue
-                    value = integrate(leaf, g, psi, kappa)
                     brute = sum(
                         coeff * leaf(g, exps)
                         for coeff, exps in iterated_pushforward(len(psi), psi, kappa)
                     )
-                    assert value == brute
                     if leaf is capped_unit:
-                        # the divisor side's integer leaf stays integral
+                        # the divisor side's table, an integer
+                        value = table_vertex(g, psi, kappa)
                         assert type(value) is int
+                        assert value == integrate(leaf, g, psi, kappa)
+                    else:
+                        value = integrate(leaf, g, psi, kappa)
+                    assert value == brute
                     nonzero += value != 0
         assert nonzero >= 50
 
@@ -294,3 +318,4 @@ class TestIntegrate:
         assert integrate(correlator, 2, (1, 4), ()) == correlator(2, (1, 4))
         assert integrate(psi_lambda_g_integral, 2, (3, 0), ()) == psi_lambda_g_integral(2, (3, 0))
         assert integrate(capped_unit, 2, (3, 0), ()) == psi_lambda_g_integral(2, (3, 0)) / lambda_g_constant(2)
+        assert table_vertex(2, (3, 0), ()) == integrate(capped_unit, 2, (3, 0), ())
