@@ -1,8 +1,8 @@
 """Command-line verifier: run both pipelines over families of test
-classes, compare exactly, and emit JSON or CSV reports.
+classes, compare exactly, and emit a JSON report.
 
 Subcommands:
-    verify  --genus G [--kappa] [--boundary] [--out PATH] [--format json|csv]
+    verify  --genus G [--kappa] [--boundary] [--out PATH]
     bside   --genus G --omega SPEC         one bamboo-side pairing
     drside  --genus G --omega SPEC         one divisor-side pairing
     witten  --genus G --exps K1,K2,...     one psi correlator
@@ -13,10 +13,9 @@ Options follow the subcommand in any order, as ``--opt value`` or
 ``--opt=value``; the last occurrence wins and names are not abbreviated.
 They are read against one table, ``_COMMANDS``: each subcommand's row
 holds its options, with the converter of each value (bool for a flag,
-int, str or a tuple of choices), and the action that runs it. One
-grammar, ASCII ``-?[0-9]+``, reads every int value and every --exps
-entry, so ``1_0``, ``+2``, `` 2`` and other scripts' digits are not
-integers.
+int or str), and the action that runs it. One grammar, ASCII
+``-?[0-9]+``, reads every int value and every --exps entry, so ``1_0``,
+``+2``, `` 2`` and other scripts' digits are not integers.
 ``-h``/``--help`` prints this text. A usage error prints the usage line
 and the error in argparse's wording to stderr, and exits 2. As in
 argparse, a value may start with ``-`` when it is a negative number or
@@ -34,20 +33,19 @@ live only as long as the process.
 verify writes each record as it is produced, to stdout or, with --out,
 to a temporary file in the target's directory that replaces the target
 once the report is complete, with the mode ``open(path, "w")`` would
-leave: an existing target's permission bits. The target is the path
-with its symbolic links resolved, so a link stays a link; a target that
-is not a regular file, such as a FIFO, is written directly, as
-``open(path, "w")`` would. Both destinations get the same bytes, the
-JSON or CSV text with its one final newline. The report file is opened
-before the first pairing, so a path that cannot be written (the empty
-one too) fails with exit code 2 before any work, and a run that stops
-part-way leaves any previous report as it was and no temporary file
-behind. A closed stdout pipe ends any subcommand with exit code 1,
-silently.
+leave: an existing target's permission bits. A path that exists and is
+not a regular file, such as a FIFO, ``/dev/stdout`` or a shell's
+``>(...)``, is written directly, as ``open(path, "w")`` would; otherwise
+the target is the path with its symbolic links resolved, so a link
+stays a link. Both destinations get the same bytes, the JSON text with
+its one final newline. The report file is opened before the first
+pairing, so a path that cannot be written (the empty one too) fails
+with exit code 2 before any work, and a run that stops part-way leaves
+any previous report as it was and no temporary file behind. A closed
+stdout pipe ends any subcommand with exit code 1, silently.
 """
 from __future__ import annotations
 
-import csv
 import errno
 import json
 import os
@@ -202,19 +200,15 @@ def verify(g: int, include_kappa: bool = False, include_boundary: bool = False) 
 
 
 def _write_report(
-    handle: TextIO, fmt: str, genus: int, records: Iterable[VerificationRecord], aborted: List[str]
+    handle: TextIO, genus: int, records: Iterable[VerificationRecord], aborted: List[str]
 ) -> Tuple[int, int]:
-    """Write the whole report of `records` in format ``json`` or ``csv``,
-    each record as it arrives, and return (equal records, records).
+    """Write the whole JSON report of `records`, each record as it
+    arrives, and return (equal records, records).
 
-    The JSON text is that of ``json.dumps(payload, indent=2)`` and a
+    The text is that of ``json.dumps(payload, indent=2)`` and one final
     newline, with the ``pass`` flag last; it is known only once `records`
-    is exhausted and `aborted` complete. The CSV text is one row per
-    record after the header, each ending in a newline. Either text ends
-    with its one final newline, whatever the handle.
+    is exhausted and `aborted` complete.
     """
-    if fmt == "csv":
-        return _write_csv(handle, genus, records)
     write = handle.write
     write(f'{{\n  "genus": {json.dumps(genus)},\n  "records": [')
     separator = "\n"
@@ -232,19 +226,6 @@ def _write_report(
     close = "\n  ]" if total else "]"
     passed_text = "true" if not aborted and equal == total else "false"
     write(f'{close},\n  "pass": {passed_text}\n}}\n')
-    return equal, total
-
-
-def _write_csv(handle: TextIO, genus: int, records: Iterable[VerificationRecord]) -> Tuple[int, int]:
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(["genus", "omega", "bamboo", "dr", "equal", "ms"])
-    equal = total = 0
-    for r in records:
-        writer.writerow(
-            [genus, r.omega, format_rational(r.bamboo), format_rational(r.dr), "true" if r.equal else "false", r.ms]
-        )
-        equal += r.equal
-        total += 1
     return equal, total
 
 
@@ -284,9 +265,9 @@ def _run_verify(args: SimpleNamespace) -> int:
     try:
         handle, temporary, target = (sys.stdout, None, None) if args.out is None else _open_beside(args.out)
     except OSError as exc:
-        raise ValueError(f"cannot write {args.out}: {exc}") from exc
+        raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     try:
-        equal, total = _write_report(handle, args.format, args.genus, records, aborted)
+        equal, total = _write_report(handle, args.genus, records, aborted)
         if handle is not sys.stdout:
             handle.close()
         if temporary is not None:
@@ -307,14 +288,13 @@ def _run_verify(args: SimpleNamespace) -> int:
 
 # Each subcommand's row: its options, in usage order, and the action that
 # runs it on the parsed values and returns the exit status. An option maps
-# to the converter of its value (int or str; bool for a flag, which takes
-# no value) or to the tuple of values it accepts. The actions look the
-# pipeline functions up in this module's globals when they run, never when
-# the table is built: a function rebound here, by perfbench's tracer or by
-# a test, is the one called.
+# to the converter of its value: int or str, or bool for a flag, which
+# takes no value. The actions look the pipeline functions up in this
+# module's globals when they run, never when the table is built: a
+# function rebound here, by perfbench's tracer or by a test, is the one
+# called.
 _COMMANDS = {
-    "verify": ({"--genus": int, "--kappa": bool, "--boundary": bool, "--out": str, "--format": ("json", "csv")},
-               _run_verify),
+    "verify": ({"--genus": int, "--kappa": bool, "--boundary": bool, "--out": str}, _run_verify),
     "bside": ({"--genus": int, "--omega": str},
               lambda args: _print_value(pair_bamboo_side(ChainVertex.parse(args.genus, args.omega)))),
     "drside": ({"--genus": int, "--omega": str},
@@ -326,7 +306,7 @@ _COMMANDS = {
     "bamboos": ({"--genus": int}, _run_bamboos),
 }
 # The values of the options that may be left out; every other option is required.
-_DEFAULTS = {"--kappa": False, "--boundary": False, "--out": None, "--format": "json"}
+_DEFAULTS = {"--kappa": False, "--boundary": False, "--out": None}
 _HELP = ("-h", "--help")
 # argparse's pattern of a negative number (Python 3.10-3.12)
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
@@ -362,14 +342,9 @@ def _parse(argv: List[str]) -> SimpleNamespace:
                 text = next(tokens, None)
                 if text is None or _is_option(text, options):
                     _usage_error(command, f"argument {name}: expected one argument")
-            if convert is int:
-                if not _INTEGER.fullmatch(text):
-                    _usage_error(command, f"argument {name}: invalid int value: {text!r}")
-                values[name] = int(text)
-            elif convert is str or text in convert:
-                values[name] = text
-            else:
-                _usage_error(command, f"argument {name}: invalid choice: {text!r} (choose from {_choices(convert)})")
+            if convert is int and not _INTEGER.fullmatch(text):
+                _usage_error(command, f"argument {name}: invalid int value: {text!r}")
+            values[name] = convert(text)
     missing = [name for name in options if name not in values]
     if missing:
         _usage_error(command, f"the following arguments are required: {', '.join(missing)}")
@@ -407,7 +382,7 @@ def _usage_error(command: Optional[str], message: str) -> NoReturn:
         for name, convert in _COMMANDS[command][0].items():
             word = name
             if convert is not bool:
-                word += " " + (name[2:].upper() if convert in (int, str) else f"{{{','.join(convert)}}}")
+                word += " " + name[2:].upper()
             words.append(f"[{word}]" if name in _DEFAULTS else word)
         usage = " ".join(words)
     sys.stderr.write(f"usage: gdr {usage}\ngdr: error: {message}\n")
@@ -434,20 +409,20 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _open_beside(path: str) -> Tuple[TextIO, Optional[str], str]:
-    """Open the report file for `path`, resolved through any symbolic
-    links to its target: a new file beside the target, named after it and
+    """Open the report file for `path`. A path that exists and is not a
+    regular file (a FIFO, a device, ``/dev/stdout``, a directory) is
+    opened itself, as ``open(path, "w")`` would, and fails as it would.
+    Otherwise the path is resolved through any symbolic links to its
+    target, and a new file is made beside the target, named after it and
     this process, with the mode that ``open(path, "w")`` would give (an
-    existing file's permission bits, else 0o666 less the umask), or, for a
-    target that exists and is not a regular file (a FIFO, a device), the
-    target itself, as ``open(path, "w")`` would. Return the open handle,
-    the new file's name (None for the target itself) and the target."""
+    existing file's permission bits, else 0o666 less the umask). Return
+    the open handle, the new file's name (None for the path itself) and
+    the target."""
     if not path:
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        return open(path, "w", encoding="utf-8"), None, path
     target = os.path.realpath(path)
-    if os.path.isdir(target):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if os.path.exists(target) and not os.path.isfile(target):
-        return open(target, "w", encoding="utf-8"), None, target
     temporary = f"{target}.{os.getpid()}.tmp"
     # O_EXCL: never write through a file or link that is already there
     fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)

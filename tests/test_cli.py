@@ -1,6 +1,4 @@
-import csv
 import hashlib
-import io
 import json
 import os
 import re
@@ -22,8 +20,8 @@ GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 def _zero_ms(text: str) -> str:
-    """A JSON or CSV report with its ms fields set to 0."""
-    return re.sub(r",\d+$", ",0", re.sub(r'"ms": \d+', '"ms": 0', text), flags=re.M)
+    """A JSON report with its ms fields set to 0."""
+    return re.sub(r'"ms": \d+', '"ms": 0', text)
 
 
 def _golden(g: int) -> str:
@@ -122,13 +120,6 @@ class TestReports:
         assert record["equal"] is True
         assert isinstance(record["ms"], int)
 
-    def test_csv_layout(self, capsys):
-        assert main(["verify", "--genus", "1", "--format", "csv"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "genus,omega,bamboo,dr,equal,ms"
-        fields = lines[1].split(",")
-        assert fields[:5] == ["1", "1", "1/24", "1/24", "true"]
-
     def test_reports_deterministic_modulo_timing(self, capsys):
         payloads = []
         for _ in range(2):
@@ -163,23 +154,13 @@ class TestMain:
         assert "PASS: 1/1" in out.err
 
     def test_verify_writes_out_file(self, capsys, tmp_path):
-        out_path = tmp_path / "report.csv"
-        code = main(
-            [
-                "verify",
-                "--genus",
-                "2",
-                "--kappa",
-                "--format",
-                "csv",
-                "--out",
-                str(out_path),
-            ]
-        )
+        out_path = tmp_path / "report.json"
+        code = main(["verify", "--genus", "2", "--kappa", "--out", str(out_path)])
         assert code == 0
-        lines = out_path.read_text().splitlines()
-        assert lines[0] == "genus,omega,bamboo,dr,equal,ms"
-        assert len(lines) == 4  # psi1, psi2, kappa1
+        payload = json.loads(out_path.read_text(encoding="utf-8"))
+        assert payload["genus"] == 2 and payload["pass"] is True
+        assert [r["omega"] for r in payload["records"]] == ["psi1", "psi2", "kappa1"]
+        assert capsys.readouterr().out == ""
 
     def test_bside_and_drside(self, capsys):
         assert main(["bside", "--genus", "2", "--omega", "psi2"]) == 0
@@ -326,7 +307,7 @@ class TestMain:
 
 class TestStreamedReport:
     """The command line writes each record as it is produced; the report
-    is the golden file, or rows built from it, byte for byte."""
+    is the golden file byte for byte."""
 
     @pytest.mark.parametrize("g", range(1, 9))
     def test_out_file_matches_golden(self, capsys, tmp_path, g):
@@ -340,27 +321,6 @@ class TestStreamedReport:
     def test_stdout_matches_golden(self, capsys, g):
         assert main(["verify", "--genus", str(g), "--kappa", "--boundary"]) == 0
         assert _zero_ms(capsys.readouterr().out) == _golden(g)
-
-    @pytest.mark.parametrize("g", range(1, 6))
-    def test_csv_matches_golden_rows(self, capsys, tmp_path, g):
-        argv = ["verify", "--genus", str(g), "--kappa", "--boundary", "--format", "csv"]
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["genus", "omega", "bamboo", "dr", "equal", "ms"])
-        for r in json.loads(_golden(g))["records"]:
-            writer.writerow([g, r["omega"], r["bamboo"], r["dr"], "true" if r["equal"] else "false", r["ms"]])
-        expected = buffer.getvalue()
-        lines = expected.splitlines()
-        assert lines[0] == "genus,omega,bamboo,dr,equal,ms"
-        assert len(lines) == 1 + len(list(enumerate_omegas(g, include_kappa=True, include_boundary=True)))
-        path = tmp_path / "report.csv"
-        assert main(argv + ["--out", str(path)]) == 0
-        written = _zero_ms(path.read_bytes().decode("utf-8"))
-        assert main(argv) == 0
-        out = _zero_ms(capsys.readouterr().out)
-        # both destinations carry the same bytes, and stdout ends in no empty row
-        assert out == written == expected
-        assert all(csv.reader(io.StringIO(out)))
 
     @pytest.mark.parametrize("g", range(1, 6))
     def test_json_stdout_matches_out_file(self, capsys, tmp_path, g):
@@ -402,9 +362,11 @@ class TestStreamedReport:
 
 class TestOutPath:
     @pytest.mark.parametrize(
-        "target", ["missing/x.csv", ".", ""], ids=["missing-directory", "a-directory", "an-empty-path"]
+        "target, reason",
+        [("missing/x.json", "No such file or directory"), (".", "Is a directory"), ("", "No such file or directory")],
+        ids=["missing-directory", "a-directory", "an-empty-path"],
     )
-    def test_unwritable_out_fails_before_any_work(self, capsys, monkeypatch, tmp_path, target):
+    def test_unwritable_out_fails_before_any_work(self, capsys, monkeypatch, tmp_path, target, reason):
         def no_work(*args, **kwargs):
             raise AssertionError("paired a class for a report that cannot be written")
 
@@ -413,10 +375,10 @@ class TestOutPath:
         # an empty path is not the working directory: it names no file
         monkeypatch.chdir(tmp_path)
         out = str(tmp_path / target) if target else target
-        code = main(["verify", "--genus", "3", "--kappa", "--boundary", "--format", "csv", "--out", out])
-        err = capsys.readouterr().err
+        code = main(["verify", "--genus", "3", "--kappa", "--boundary", "--out", out])
+        # the error names the path given and the reason, never the temporary file
         assert code == 2
-        assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
+        assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
         assert os.listdir(tmp_path) == []
 
     def test_out_never_writes_through_an_existing_temporary_name(self, capsys, monkeypatch, tmp_path):
@@ -456,6 +418,28 @@ class TestOutPath:
         assert main(argv) == 0
         assert _zero_ms(received[0].decode("utf-8")) == _zero_ms(capsys.readouterr().out)
         assert os.listdir(tmp_path) == ["report.fifo"]
+
+    def test_out_writes_into_a_pipe_named_by_its_descriptor(self, capsys, tmp_path):
+        # /dev/fd/N of a pipe, as a shell's >(...) or /dev/stdout into a pipe
+        # passes it, is written, not resolved to a name that does not exist
+        argv = ["verify", "--genus", "3", "--kappa", "--boundary"]
+        read_end, write_end = os.pipe()
+        received = []
+
+        def drain():
+            with os.fdopen(read_end, "rb") as pipe:
+                received.append(pipe.read())
+
+        reader = threading.Thread(target=drain, daemon=True)
+        reader.start()
+        try:
+            assert main(argv + ["--out", f"/dev/fd/{write_end}"]) == 0
+        finally:
+            os.close(write_end)
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert main(argv) == 0
+        assert _zero_ms(received[0].decode("utf-8")) == _zero_ms(capsys.readouterr().out)
 
     def test_interrupted_run_keeps_previous_report(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "report.json"
@@ -516,7 +500,7 @@ class TestCache:
 # Every option of each subcommand, with a value, and the options of the
 # other subcommands as they would be given.
 OWN_OPTIONS = {
-    "verify": ["--genus", "2", "--kappa", "--boundary", "--out", "r.json", "--format", "csv"],
+    "verify": ["--genus", "2", "--kappa", "--boundary", "--out", "r.json"],
     "bside": ["--genus", "2", "--omega", "psi2"],
     "drside": ["--genus", "2", "--omega", "psi1"],
     "witten": ["--genus", "2", "--exps", "1,4"],
@@ -524,7 +508,7 @@ OWN_OPTIONS = {
     "bamboos": ["--genus", "2"],
 }
 ANY_OPTION = {
-    "--kappa": [], "--boundary": [], "--out": ["r.json"], "--format": ["csv"], "--omega": ["psi1"], "--exps": ["1"],
+    "--kappa": [], "--boundary": [], "--out": ["r.json"], "--omega": ["psi1"], "--exps": ["1"],
 }
 
 
@@ -549,10 +533,10 @@ class TestParser:
 
     def test_values_and_defaults(self):
         assert vars(cli._parse(["verify"] + OWN_OPTIONS["verify"])) == {
-            "command": "verify", "genus": 2, "kappa": True, "boundary": True, "out": "r.json", "format": "csv",
+            "command": "verify", "genus": 2, "kappa": True, "boundary": True, "out": "r.json",
         }
         assert vars(cli._parse(["verify", "--genus", "-1"])) == {
-            "command": "verify", "genus": -1, "kappa": False, "boundary": False, "out": None, "format": "json",
+            "command": "verify", "genus": -1, "kappa": False, "boundary": False, "out": None,
         }
 
     def test_equals_form_any_order_and_last_occurrence(self):
@@ -576,10 +560,10 @@ class TestParser:
             (["bside", "--genus", "x", "--omega", "1"], "argument --genus: invalid int value: 'x'"),
             # a negative decimal is a value, as in argparse, and no int
             (["hodge", "--genus", "-.5", "--exps", "1"], "argument --genus: invalid int value: '-.5'"),
-            (
-                ["verify", "--genus", "1", "--format", "xml"],
-                "argument --format: invalid choice: 'xml' (choose from 'json', 'csv')",
-            ),
+            # verify writes JSON only: --format is an option of no subcommand
+            (["verify", "--genus", "1", "--format", "xml"], "unrecognized arguments: --format xml"),
+            (["verify", "--genus", "1", "--format", "csv"], "unrecognized arguments: --format csv"),
+            (["verify", "--format=json", "--genus", "1"], "unrecognized arguments: --format=json"),
             (
                 ["frobnicate", "--genus", "1"],
                 "argument command: invalid choice: 'frobnicate' "
@@ -592,11 +576,12 @@ class TestParser:
         ],
         ids=[
             "missing-value", "option-as-value", "missing-option", "missing-options", "bad-int", "decimal-int",
-            "bad-format",
+            "bad-format", "format-csv", "format-equals-json",
             "unknown-subcommand", "no-arguments", "flag-with-value", "abbreviation",
         ],
     )
-    def test_usage_error_exits_2_with_argparse_wording(self, capsys, argv, wording):
+    def test_usage_error_exits_2_with_argparse_wording(self, capsys, monkeypatch, argv, wording):
+        _forbid_work(monkeypatch)
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
