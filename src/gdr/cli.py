@@ -42,7 +42,11 @@ its one final newline. The report file is opened before the first
 pairing, so a path that cannot be written (the empty one too) fails
 with exit code 2 before any work, and a run that stops part-way leaves
 any previous report as it was and no temporary file behind. A closed
-stdout pipe ends any subcommand with exit code 1, silently.
+stdout pipe ends any subcommand with exit code 1, silently. Any other
+failed write, to --out or to stdout (a full disk, ``/dev/full``), ends it
+with ``error: cannot write PATH: REASON``, where PATH is the --out path
+given or ``stdout``, and exit code 2, with no traceback; verify then
+prints no verdict and leaves any previous report as it was.
 """
 from __future__ import annotations
 
@@ -262,19 +266,20 @@ def _run_verify(args: SimpleNamespace) -> int:
     # a bad genus is rejected here, before any output
     records = _records(enumerate_omegas(args.genus, args.kappa, args.boundary), aborted)
     # stdout, or a temporary file that replaces --out only once the report is complete
-    try:
-        handle, temporary, target = (sys.stdout, None, None) if args.out is None else _open_beside(args.out)
-    except OSError as exc:
-        raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
+    handle, temporary, target = (sys.stdout, None, None) if args.out is None else _open_beside(args.out)
     try:
         equal, total = _write_report(handle, args.genus, records, aborted)
+        handle.flush()  # a failed write ends the run here, before the verdict
         if handle is not sys.stdout:
             handle.close()
         if temporary is not None:
             os.replace(temporary, target)
     except BaseException:
         if handle is not sys.stdout:
-            handle.close()
+            try:
+                handle.close()  # closes the file even when its flush fails again
+            except OSError:
+                pass  # the first error is the one reported
         if temporary is not None:
             os.unlink(temporary)
         raise
@@ -406,6 +411,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         # point stdout at devnull so that the flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except OSError as exc:
+        # no command reads a file, so this is a failed open or write of the
+        # report: verify's --out, or stdout
+        out = getattr(args, "out", None)
+        if out is None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write {'stdout' if out is None else out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 def _open_beside(path: str) -> Tuple[TextIO, Optional[str], str]:

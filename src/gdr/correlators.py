@@ -3,9 +3,20 @@
 These are the integrals of psi-class monomials over the compactified
 moduli space of stable curves, the leaf evaluator of the bamboo pipeline.
 Evaluation order: dimension gate, genus-0 closed form (n-3)!/prod(k_i!),
-string equation, dilaton equation, then the Dijkgraaf-Verlinde-Verlinde
-recursion on the largest exponent. The two initial conditions are
-<tau_0^3>_0 = 1 (inside the closed form) and <tau_1>_1 = 1/24.
+dilaton equation, then one Virasoro constraint on a pivot exponent k. The
+two initial conditions are <tau_0^3>_0 = 1 (inside the closed form) and
+<tau_1>_1 = 1/24.
+
+The string equation is the constraint L_(-1) and the Dijkgraaf-Verlinde-
+Verlinde recursion is L_(k-1), and their joining terms have one form: each
+other point tau_kj joins the pivot into tau_(k+kj-1), weighted
+(2k+2kj-1)!!/((2k+1)!! (2kj-1)!!), which is 1 at k = 0. So one loop runs
+both, with the pivot a tau_0 when there is one (k = 0, where kj = 0 joins
+nothing) and otherwise the largest exponent (k >= 2). The joined exponent
+takes the first kj's place at k = 0 and goes last at k >= 2, so every key
+is sorted without a sort. Only at k >= 2 do DVV's lowered-genus and split
+terms follow. The dilaton equation keeps its closed factor 3(2g-2+n-1):
+run through the loop as well, it cost about a tenth of the recursion.
 
 The DVV split term sums <tau_a L>_{g1} <tau_b R>_{g-g1} over the ways to
 share the remaining points between two factors. A factor is nonzero only
@@ -15,30 +26,29 @@ the other factor is then in dimension too. Every exponent is >= 2 at this
 point, so both genera come out >= 1, both factors are stable and neither
 is ever zero. Points with equal exponents are interchangeable: a sharing
 takes c of the n points of each exponent value and stands for prod C(n, c)
-subsets, and the joining and string terms likewise count each value once
-with its multiplicity. The lowered-genus and split terms of a and of
-b = k-2-a are equal (swap the two factors), so each pair a <= b is
-evaluated once and counted twice when a < b.
+subsets, and the joining loop likewise counts each value once with its
+multiplicity. The lowered-genus and split terms of a and of b = k-2-a are
+equal (swap the two factors), so each pair a <= b is evaluated once and
+counted twice when a < b.
 
-The joining terms and the sharings depend only on the remaining points,
-not on a, so :func:`_shape` lists them once per DVV evaluation, building
-the sharings one exponent value at a time. Whether a sharing's left factor
-is in dimension depends on a only through a mod 3: the sharings fall into
-three residue classes, and at a = 3q + r only class r is visited, each
-sharing with its g1 at a = r plus q. The shapes are not kept across
-evaluations: the slowest 30-point key at genus 10 meets 2,244 of them,
-each about twice, and a process-wide table of them took no less time and
-raised that key's peak RSS from 34 to 58 MB.
+The sharings depend only on the remaining points, not on a, so
+:func:`_shape` lists them once per DVV evaluation, one exponent value at a
+time. Whether a sharing's left factor is in dimension depends on a only
+through a mod 3: the sharings fall into three residue classes, and at
+a = 3q + r only class r is visited, each sharing with its g1 at a = r plus
+q. The shapes are not kept across evaluations: the slowest 30-point key at
+genus 10 meets 2,244 of them, each about twice, and a process-wide table
+of them took no less time and raised that key's peak RSS from 34 to 58 MB.
 
 The recursion runs in integers, on the scaled correlator
 
     M_g(k) = 2^(4g-1) prod_i (2k_i+1)!! <tau_k>_g        (g >= 1).
 
 Multiplying the string, dilaton and DVV equations through by the scale
-of their left-hand side leaves only integer weights: string 2k_j+1 per
-lowered point, dilaton 3(2g-2+n), the joining term 2k_j+1 (the ratio
-(2k+2k_j-1)!!/(2k_j-1)!! with (2k+2k_j-1)!! absorbed into the joined
-point's scale), the lowered-genus term 2^(4g-1-1-(4g-5)) = 8 and the
+of their left-hand side leaves only integer weights: dilaton 3(2g-2+n),
+the joining term 2k_j+1 per joined point at every k, string equation
+included (the ratio (2k+2k_j-1)!!/(2k_j-1)!! with (2k+2k_j-1)!! absorbed
+into the joined point's scale), the lowered-genus term 2^(4g-1-1-(4g-5)) = 8 and the
 split term 2^(4g-1-1-(4g1-1)-(4g2-1)) = 1, since g1 + g2 = g. The
 recursion never leaves genus >= 1: string and dilaton keep the genus,
 DVV runs only at g >= 2 (at genus 1 the dimension, sum(k) = n, forces an
@@ -156,33 +166,26 @@ def _evaluate(genus: int, exps: tuple) -> int:
     n = len(exps)
     if (genus, n) == (1, 1):
         return 1
-    if exps[0] == 0:
-        # string equation: remove one tau_0, lower each remaining exponent;
-        # lowering the first of equal exponents keeps the tuple sorted
-        rest = exps[1:]
-        total = 0
-        j = rest.count(0)
-        while j < len(rest):
-            kj = rest[j]
-            multiplicity = rest.count(kj)
-            total += multiplicity * (2 * kj + 1) * _scaled(genus, rest[:j] + (kj - 1,) + rest[j + 1:])
-            j += multiplicity
-        return total
     if exps[0] == 1:
         # dilaton equation; n >= 2 here since (1,1) was handled above
         return 3 * (2 * genus - 2 + (n - 1)) * _scaled(genus, exps[1:])
-    return _dvv(genus, exps)
-
-
-def _dvv(genus: int, exps: tuple) -> int:
-    """Virasoro recursion on the largest exponent (all exponents >= 2, so
-    genus >= 2)."""
-    k = exps[-1]
-    rest = exps[:-1]
-    joins, by_residue = _shape(rest)
+    # the pivot: a tau_0 (string equation, L_-1), else the largest exponent
+    # (DVV, L_(k-1)); every exponent is >= 2 in the latter case
+    k, rest = (0, exps[1:]) if exps[0] == 0 else (exps[-1], exps[:-1])
+    # joining term: each distinct kj of the other points joins the pivot
+    # into k + kj - 1, which takes the first kj's place at k = 0 and goes
+    # last at k >= 2, so the key stays sorted; kj = 0 joins nothing at k = 0
     total = 0
-    for kj, multiplicity, others in joins:
-        total += multiplicity * (2 * kj + 1) * _scaled(genus, others + (k + kj - 1,))
+    j = rest.count(0)
+    while j < len(rest):
+        kj = rest[j]
+        multiplicity = rest.count(kj)
+        key = rest[:j] + rest[j + 1:] + (k + kj - 1,) if k else rest[:j] + (kj - 1,) + rest[j + 1:]
+        total += multiplicity * (2 * kj + 1) * _scaled(genus, key)
+        j += multiplicity
+    if not k:
+        return total
+    by_residue = _shape(rest)
     for a in range(k // 2):
         b = k - 2 - a
         term = 8 * _scaled(genus - 1, tuple(sorted(rest + (a, b))))
@@ -199,24 +202,21 @@ def _dvv(genus: int, exps: tuple) -> int:
 
 
 def _shape(rest: tuple) -> tuple:
-    """The DVV terms that depend only on `rest`, the sorted exponents beside
-    the largest one: (joins, by_residue).
+    """The sharings of DVV's split term, which depend only on `rest`, the
+    sorted exponents beside the largest one, by residue class.
 
-    joins holds (kj, multiplicity, others) per distinct exponent kj, with
-    others = rest less one kj. by_residue[r] lists the sharings
-    (g1, left, right, prod C(n, c)), left and right sorted, whose left
-    factor <tau_r left>_{g1} is in dimension; at a = 3q + r the same sharing
-    has g1 + q. Each distinct exponent extends every sharing of the smaller
-    ones by c = 0..n of its n points, so the sharings come in the order of
-    the counts (c_1, c_2, ...) and no sharing is skipped or repeated.
+    by_residue[r] lists the sharings (g1, left, right, prod C(n, c)), left
+    and right sorted, whose left factor <tau_r left>_{g1} is in dimension;
+    at a = 3q + r the same sharing has g1 + q. Each distinct exponent
+    extends every sharing of the smaller ones by c = 0..n of its n points,
+    so the sharings come in the order of the counts (c_1, c_2, ...) and no
+    sharing is skipped or repeated.
     """
-    joins = []
     sharings = [((), (), 0, 1)]  # left, right, sum(k - 1) over left, weight
     j = 0
     while j < len(rest):
         kj = rest[j]
         n = rest.count(kj)
-        joins.append((kj, n, rest[:j] + rest[j + 1:]))
         parts = [((kj,) * c, (kj,) * (n - c), (kj - 1) * c, comb(n, c)) for c in range(n + 1)]
         sharings = [
             (left + more_left, right + more_right, excess + more_excess, weight * ways)
@@ -228,7 +228,7 @@ def _shape(rest: tuple) -> tuple:
     for left, right, excess, weight in sharings:
         residue = (1 - excess) % 3
         by_residue[residue].append(((excess + residue + 2) // 3, left, right, weight))
-    return joins, by_residue
+    return by_residue
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -17,6 +18,9 @@ from gdr.core import ChainVertex, format_rational
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+# every write to it fails with ENOSPC, the error of a full disk
+_FULL = "/dev/full"
+needs_dev_full = pytest.mark.skipif(not os.path.exists(_FULL), reason=f"{_FULL} is absent")
 
 
 def _zero_ms(text: str) -> str:
@@ -304,6 +308,17 @@ class TestMain:
         assert os.listdir(tmp_path) == []
         assert len(cli._parse_exps(",".join(["0"] * cli.MAX_POINTS))) == cli.MAX_POINTS
 
+    @pytest.mark.parametrize("out", [[], ["--out", "r.json"]], ids=["stdout", "out"])
+    @pytest.mark.parametrize("genus", ["0", "-1"])
+    def test_verify_rejects_a_genus_below_1(self, capsys, monkeypatch, tmp_path, genus, out):
+        # rejected by enumerate_omegas, before the report file is opened
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "--genus", genus, *out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: genus must be >= 1\n"
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == []
+
 
 class TestStreamedReport:
     """The command line writes each record as it is produced; the report
@@ -440,6 +455,44 @@ class TestOutPath:
         assert not reader.is_alive()
         assert main(argv) == 0
         assert _zero_ms(received[0].decode("utf-8")) == _zero_ms(capsys.readouterr().out)
+
+    @needs_dev_full
+    def test_out_device_that_fails_to_write_is_an_error(self, capsys):
+        # /dev/full is written directly, as a device; the error is the write's
+        assert main(["verify", "--genus", "2", "--out", _FULL]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {_FULL}: {os.strerror(errno.ENOSPC)}\n"
+        assert captured.out == ""
+
+    @needs_dev_full
+    @pytest.mark.parametrize(
+        "argv",
+        [["--genus", "2"], ["--genus", "4", "--kappa", "--boundary"]],
+        ids=["fails-at-the-flush", "fails-part-way"],
+    )
+    def test_out_file_that_fails_to_write_keeps_previous_report(self, capsys, monkeypatch, tmp_path, argv):
+        # the temporary file's descriptor is pointed at /dev/full as the
+        # report starts, as if the disk filled up. A 1 kB report fails at
+        # the flush after it, an 11 kB one (more than the 8 kB buffer)
+        # part-way; closing the file then fails again, and the first error
+        # is the one shown
+        path = tmp_path / "report.json"
+        path.write_text("previous report\n", encoding="utf-8")
+        write_report = cli._write_report
+
+        def on_a_full_disk(handle, *args):
+            full = os.open(_FULL, os.O_WRONLY)
+            os.dup2(full, handle.fileno())
+            os.close(full)
+            return write_report(handle, *args)
+
+        monkeypatch.setattr(cli, "_write_report", on_a_full_disk)
+        assert main(["verify", *argv, "--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {path}: {os.strerror(errno.ENOSPC)}\n"
+        assert captured.out == ""
+        assert path.read_text(encoding="utf-8") == "previous report\n"
+        assert os.listdir(tmp_path) == ["report.json"]
 
     def test_interrupted_run_keeps_previous_report(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "report.json"
@@ -717,20 +770,42 @@ def test_closed_pipe_ends_without_a_traceback(tmp_path, argv):
     # the reader closes after one line, long before the output (about 1 MB
     # and 0.4 MB) fits in the pipe: the next write fails with EPIPE
     env = dict(os.environ, PYTHONPATH=SRC)
-    process = subprocess.Popen(
+    # leaving the block closes both pipes and waits for the child
+    with subprocess.Popen(
         [sys.executable, "-m", "gdr", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         cwd=str(tmp_path),
         env=env,
-    )
-    try:
-        assert process.stdout.readline()
-        process.stdout.close()
-        err = process.stderr.read().decode()
-        assert process.wait(timeout=60) == 1
-    finally:
-        process.kill()
-        process.wait()
+    ) as process:
+        try:
+            assert process.stdout.readline()
+            process.stdout.close()
+            err = process.stderr.read().decode()
+            assert process.wait(timeout=60) == 1
+        finally:
+            process.kill()
     assert err == ""
+    assert os.listdir(tmp_path) == []
+
+
+@needs_dev_full
+@pytest.mark.parametrize(
+    "argv", [["bamboos", "--genus", "3"], ["verify", "--genus", "3"]], ids=["bamboos", "verify"]
+)
+def test_full_stdout_ends_with_an_error_not_a_traceback(tmp_path, argv):
+    # the flush at exit must not raise the error again
+    env = dict(os.environ, PYTHONPATH=SRC)
+    with open(_FULL, "w", encoding="utf-8") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "gdr", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            cwd=str(tmp_path),
+            env=env,
+            timeout=60,
+        )
+    assert result.returncode == 2
+    assert result.stderr == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
     assert os.listdir(tmp_path) == []
