@@ -54,17 +54,22 @@ delta_h is D_left + D_right. So the pairing is a product over the runs:
   shares out its kappa, the capped vertex integrals times the weights of
   D's nodes inside the run and the weight (1/2)^i/i! of D's part i of
   the psi power on the run's outgoing leg, whether that leg is a marking
-  or a node of omega. It depends on the run alone (genus, incoming psi
-  power, kappa, omega's psi power on its right leg) and returns one
-  number, scaled to an integer as below.
-- :func:`_transfer` is the node of D after a vertex with outgoing power
+  or a node of omega. Its key is the run alone (genus, kappa, omega's
+  psi power on its right leg), and it returns a vector: one integer,
+  scaled as below, for each psi power the run's incoming leg can carry,
+  built in one pass over the first vertex, the kappa split and that
+  power.
+- :func:`_transfers` is the node of D after a vertex with outgoing power
   i: the weights -(1/2)^m/m! C(m-1, i) times the rest of the run,
-  summed over the power entering the next vertex.
-- :func:`_capped_run` sums a vertex's runs against the weight
+  summed over the power entering the next vertex. The rest's memo entry
+  keeps a list T(0), T(1), ... beside its vector, and a parent that
+  needs a longer list extends it in place.
+- :func:`_capped_run` sums a vertex's run vector against the weight
   (1/2)^a/a! of D's psi power a on its left leg.
 
-These are memoized for the whole process, so every class of a `verify`
-run reuses the runs that earlier classes computed.
+:func:`_run` and :func:`_capped_run` are memoized for the whole
+process, so every class of a `verify` run reuses the runs that earlier
+classes computed.
 
 The runs are integers. The cap's support fixes D's total power in a
 run: its vertices have degrees 2g_v - 1, so a run of genus h and kappa
@@ -79,16 +84,18 @@ has denominator 2^m m!, and these m sum to t, so 2^t t! clears them all
 (t!/prod m! is a multinomial). The vertex integrals are b_(g_v) times
 an integer, and beta_h, the lcm of den(b_h) and den(b_f) beta_(h-f)
 over 1 <= f < h, clears every prod b_(g_v) over the ways to split h.
-So :func:`_run` returns beta_h 2^t t! sum_i w_i/(2^i i!), an integer,
-w_i being the weight of outgoing power i. A vertex contributes
-beta_h b_f / beta_(h-f) times its integral over b_f, the vertex that
-closes the run 1 for its outgoing power (t = i there), and a node of D
--C(m-1, i) C(t, m). Every vertex that a run places first has the run's
-`incoming` power on its left leg, so :func:`_run` takes U(2f - 1, K)
-over the outgoing power's factorial for each and divides the sum by
-incoming! once. :func:`_capped_run` builds one Fraction per vertex
-key: with top = a + t, D's whole power on omega's vertex, it divides
-sum_a C(top, a) times the run by beta_h 2^top top!.
+So entry `incoming` of :func:`_run`'s vector is
+beta_h 2^t t! sum_i w_i/(2^i i!), an integer, w_i being the weight of
+outgoing power i. A vertex contributes beta_h b_f / beta_(h-f) times
+its integral over b_f, the vertex that closes the run 1 for its
+outgoing power (t = i there), and a node of D -C(m-1, i) C(t, m).
+Every vertex that a run places first has the entry's `incoming` power
+on its left leg, so :func:`_run` takes U(2f - 1, K) over the outgoing
+power's factorial for each and divides each entry by incoming! once.
+A rest with no room for D's power, its t below 0, contributes 0 and is
+never built. :func:`_capped_run` builds one Fraction per vertex key:
+with top = a + t, D's whole power on omega's vertex, it divides
+sum_a C(top, a) times the run's entry a + left_psi by beta_h 2^top top!.
 :func:`pair_dr_boundary` multiplies the memoized factors of omega's
 vertices into the one Fraction of a pairing.
 
@@ -258,70 +265,78 @@ def _vertex_table(points: int, kappa: KappaMap) -> int:
 
 
 @lru_cache(maxsize=None)
-def _run(genus: int, incoming: int, kappa: KappaMap, right_psi: int) -> int:
+def _run(genus: int, kappa: KappaMap, right_psi: int) -> Tuple[Tuple[int, ...], List[int]]:
     """One run of omega, refined by D in every way, with D's psi power i on
-    its outgoing leg summed out against the weight (1/2)^i/i!.
+    its outgoing leg summed out against the weight (1/2)^i/i!, for every
+    psi power on its left leg at once; and the run's transfer list.
 
-    The run has genus `genus`, psi power `incoming` on the left leg of its
-    first vertex, the kappa decoration `kappa` and omega's psi power
-    `right_psi` on the right leg of its last vertex. The value sums, over
-    the ways D splits the run into vertices and shares out its kappa, the
+    The run has genus `genus`, the kappa decoration `kappa` and omega's psi
+    power `right_psi` on the right leg of its last vertex. Entry `incoming`
+    of the tuple, for incoming = 0..top with
+    top = 2 genus - 1 - deg kappa - right_psi, is the run with
+    psi^incoming on the left leg of its first vertex: the sum, over the
+    ways D splits the run into vertices and shares out its kappa, of the
     capped vertex integrals times the weights of D's nodes inside the run
-    and of i, as the integer on the scale beta_genus 2^t t!, t being D's
-    power inside the run and on its outgoing leg.
+    and of i, as the integer on the scale beta_genus 2^t t!,
+    t = top - incoming being D's power inside the run and on its outgoing
+    leg.
+
+    The list holds the run's transfers T(0), T(1), ...: it starts empty,
+    and :func:`_transfers` extends it in place when a parent asks for a
+    longer one, so it belongs to the memo's value, not to its key.
 
     The first vertex closes the run when it takes all of the run's genus
-    and kappa, in one way; that term comes first, and the loop over the
+    and kappa, in one way; those terms come first, and the loop over the
     kappa splits places only vertices that a node of D follows.
     """
-    # the closing vertex: D's part of its outgoing power is i = outgoing -
-    # right_psi >= 0, t = i, and (1/2)^i/i! is 1 on the scale 2^i i!
-    outgoing = 2 * genus - 1 - incoming - kappa_degree(kappa)
-    total = 0
-    if outgoing >= right_psi:
-        total = _vertex_table(2 * genus - 1, kappa) // factorial(outgoing) * _vertex_weight(genus, genus)
+    top = 2 * genus - 1 - kappa_degree(kappa) - right_psi
+    # the closing vertex: D's part of its outgoing power top + right_psi -
+    # incoming is i = top - incoming, and (1/2)^i/i! is 1 on the scale 2^i i!
+    closing = _vertex_table(2 * genus - 1, kappa) * _vertex_weight(genus, genus)
+    totals = [closing // factorial(top + right_psi - incoming) for incoming in range(top + 1)]
     for first in range(1, genus):
         weight = _vertex_weight(genus, first)
         for mult, share, rest, share_degree in kappa_splits(kappa):
             # the cap's support fixes the outgoing leg power, all of it D's
-            # part i; t is the same for the run and its transfer
-            i = 2 * first - 1 - incoming - share_degree
-            if i < 0:
-                continue
-            value = mult * (_vertex_table(2 * first - 1, share) // factorial(i))
-            if value:
-                total += value * weight * _transfer(i, genus - first, rest, right_psi)
-    return total // factorial(incoming)
+            # part i, at out - incoming; the rest's top is top - out - 1, and
+            # a rest with no room for D's power gives 0
+            out = 2 * first - 1 - share_degree
+            if 0 <= out < top:
+                transfers = _transfers(genus - first, rest, right_psi, out + 1)
+                value = mult * weight * _vertex_table(2 * first - 1, share)
+                for incoming in range(out + 1):
+                    totals[incoming] += value // factorial(out - incoming) * transfers[out - incoming]
+    return tuple(total // factorial(incoming) for incoming, total in enumerate(totals)), []
 
 
-@lru_cache(maxsize=None)
-def _transfer(i: int, genus: int, kappa: KappaMap, right_psi: int) -> int:
-    """A node of D inside a run, with psi'^i on its left branch, glued to
-    the rest of the run: the node weights -(1/2)^m/m! C(m-1, i) times the
-    rest's value, on the scale beta_genus 2^t t! with t = m + t', t' being
-    the rest's t. Rescaling the rest from 2^t' t'! turns the node weight
-    into -C(m-1, i) C(t, m)."""
-    # the rest's t' = top - nxt, so t = top + i + 1 whatever nxt is
-    top = 2 * genus - 1 - kappa_degree(kappa) - right_psi
-    t = top + i + 1
-    total = 0
-    for nxt in range(top + 1):
-        m = i + 1 + nxt
-        total -= comb(m - 1, i) * comb(t, m) * _run(genus, nxt, kappa, right_psi)
-    return total
+def _transfers(genus: int, kappa: KappaMap, right_psi: int, length: int) -> List[int]:
+    """The transfer list of a run, extended in its memo to at least `length`
+    entries. T(i) is a node of D inside a parent run, with psi'^i on its
+    left branch, glued to this run, the rest of the parent: the node
+    weights -(1/2)^m/m! C(m-1, i) times the rest's entry for the power
+    nxt = m - 1 - i entering it, on the scale beta_genus 2^t t! with
+    t = m + t', t' = top - nxt being the rest's t. Rescaling the rest from
+    2^t' t'! turns the node weight into -C(m-1, i) C(t, m)."""
+    runs, transfers = _run(genus, kappa, right_psi)
+    # t = top + i + 1 = len(runs) + i whatever nxt is
+    for i in range(len(transfers), length):
+        transfers.append(-sum(comb(i + nxt, i) * comb(len(runs) + i, i + 1 + nxt) * run for nxt, run in enumerate(runs)))
+    return transfers
 
 
 @lru_cache(maxsize=None)
 def _capped_run(genus: int, left_psi: int, kappa: KappaMap, right_psi: int) -> Fraction:
     """One vertex of omega, refined by D in every way, with D's psi powers
     on both of its outer legs summed out: the weight (1/2)^a/a! of psi^a
-    on the left leg times :func:`_run`, which sums out the right leg. D's
-    whole power on the vertex is top = a + t, so each term is
-    C(top, a) times the run over the one denominator beta_genus 2^top top!."""
+    on the left leg times the entry a + left_psi of :func:`_run`, which
+    sums out the right leg. D's whole power on the vertex is top = a + t,
+    so each term is C(top, a) times the run over the one denominator
+    beta_genus 2^top top!."""
     top = 2 * genus - 1 - kappa_degree(kappa) - left_psi - right_psi
     if top < 0:
         return Fraction(0)
-    total = sum(comb(top, a) * _run(genus, a + left_psi, kappa, right_psi) for a in range(top + 1))
+    runs = _run(genus, kappa, right_psi)[0]
+    total = sum(comb(top, a) * run for a, run in enumerate(runs[left_psi:]))
     return Fraction(total, _scale(genus) * 2 ** top * factorial(top))
 
 

@@ -1,11 +1,13 @@
 """Reference per-run dynamic program of the divisor side in Fractions, the
-oracle that the scaled-integer :func:`gdr.hain._run` and
-:func:`gdr.hain._capped_run` are tested against. It carries every weight
-as an exact rational, (1/2)^m/m! at a node of D and the capped vertex
-integral itself at a vertex, so it needs none of the scales
-beta_h 2^t t! of gdr.hain. It keeps a run as a vector {i: w_i} over D's
-psi power i on the run's outgoing leg, where gdr.hain sums i out inside
-the run. It evaluates each capped vertex through the kappa expansion and
+oracle that the scaled-integer :func:`gdr.hain._run`,
+:func:`gdr.hain._transfers` and :func:`gdr.hain._capped_run` are tested
+against. It carries every weight as an exact rational, (1/2)^m/m! at a
+node of D and the capped vertex integral itself at a vertex, so it needs
+none of the scales beta_h 2^t t! of gdr.hain. It keeps one run per
+incoming psi power, as a vector {i: w_i} over D's psi power i on the
+run's outgoing leg, where gdr.hain keeps one vector per run over the
+incoming power and sums i out inside the run. It evaluates each capped
+vertex through the kappa expansion and
 :func:`gdr.hodge.psi_lambda_g_integral`, where gdr.hain reads its own
 capped-vertex table, so the two share only the constants b_g.
 """

@@ -21,7 +21,6 @@ def clear_memos():
         bamboo._pair,
         bamboo._tail,
         hain._run,
-        hain._transfer,
         hain._vertex_table,
         core.kappa_splits,
         kappa._extension,

@@ -419,7 +419,9 @@ class TestBoundaryPairing:
             top = 2 * v.genus - 1 - v.decoration_degree
             assert top > v.genus
             assert hain._capped_run(v.genus, v.left_psi, v.kappa, v.right_psi) == 0, v
-            assert any(hain._run(v.genus, a + v.left_psi, v.kappa, v.right_psi) for a in range(top + 1)), v
+            runs = hain._run(v.genus, v.kappa, v.right_psi)[0]
+            assert len(runs) == top + v.left_psi + 1
+            assert any(runs[v.left_psi:]), v
 
     def test_one_vertex_class_pairs_as_its_monomial_on_both_sides(self):
         # verify pairs a monomial as a one-vertex chain, bside and drside as
@@ -508,25 +510,30 @@ class TestSharedMemos:
         assert forward == backward == isolated
 
     def test_run_memo_is_bounded(self):
-        # a run's value depends on the run alone; a key that also carried
+        # a run's vector depends on the run alone; a key that also carried
         # omega's following runs (as the memo before per-run values did)
-        # fills 15,097 entries here; per-run values fill 902
+        # fills 15,097 entries here, a key per incoming power 902, and a
+        # vector per run key 197
         clear_memos()
         divisor_values(enumerate_omegas(6, include_kappa=True, include_boundary=True))
-        assert hain._run.cache_info().currsize <= 5000
+        assert hain._run.cache_info().currsize == 197
 
     @pytest.mark.parametrize(
         "g,sizes",
-        [(6, {"_run": 902, "_transfer": 1043, "_capped_run": 300, "_vertex_table": 127}),
-         (8, {"_run": 3809, "_transfer": 5188, "_capped_run": 1317, "_vertex_table": 362})],
+        [(6, {"_run": 197, "transfer lists": 152, "transfers": 682, "_capped_run": 300, "_vertex_table": 127}),
+         (8, {"_run": 662, "transfer lists": 542, "transfers": 3060, "_capped_run": 1317, "_vertex_table": 362})],
     )
-    def test_memo_key_sets_are_pinned(self, g, sizes):
+    def test_memo_key_sets_are_pinned(self, monkeypatch, g, sizes):
         # the memo keys are those of the per-run program, whatever a run
-        # returns: a change to what a key carries, or to which keys the
-        # program reaches, moves these counts
-        clear_memos()
-        divisor_values(enumerate_omegas(g, include_kappa=True, include_boundary=True))
-        assert {name: getattr(hain, name).cache_info().currsize for name in sizes} == sizes
+        # returns, and the transfers are those its parents ask for: a change
+        # to what a key carries, to which keys the program reaches or to how
+        # far it grows a transfer list moves these counts
+        memos = {name: getattr(hain, name) for name in ("_run", "_capped_run", "_vertex_table")}
+        runs = recorded_runs(monkeypatch, [g])
+        found = {name: memo.cache_info().currsize for name, memo in memos.items()}
+        found["transfer lists"] = sum(1 for _, transfers in runs.values() if transfers)
+        found["transfers"] = sum(len(transfers) for _, transfers in runs.values())
+        assert found == sizes
 
 
 def vertex_keys(g):
@@ -541,21 +548,37 @@ def vertex_keys(g):
 
 
 def recorded_runs(monkeypatch, genera):
-    """{name: {key: value}} of every _run and _transfer call that the
-    divisor side of `verify --kappa --boundary` makes at each genus in
-    `genera`, from cold memos. The program calls both through the module,
-    so recorders in their place see each value, memo hits included."""
+    """{key: (runs, transfers)} of every _run call that the divisor side of
+    `verify --kappa --boundary` makes at each genus in `genera`, from cold
+    memos. The program calls _run through the module, so a recorder in its
+    place sees each value, memo hits included; the transfer lists are the
+    memo's own, grown as far as the whole computation asked."""
     clear_memos()
-    seen = {"_run": {}, "_transfer": {}}
-    for name, calls in seen.items():
-        def record(*key, cached=getattr(hain, name), calls=calls):
-            calls[key] = cached(*key)
-            return calls[key]
+    seen = {}
 
-        monkeypatch.setattr(hain, name, record)
+    def record(*key, cached=hain._run):
+        seen[key] = cached(*key)
+        return seen[key]
+
+    monkeypatch.setattr(hain, "_run", record)
     for g in genera:
         divisor_values(enumerate_omegas(g, include_kappa=True, include_boundary=True))
     return seen
+
+
+def scaled_oracle_transfers(key, length):
+    """T(0..length-1) of a run key from the oracle's transfer vectors:
+    beta_genus 2^t t! sum_j w_j/(2^j j!), t = top + i + 1 for T(i)."""
+    genus, kappa, right_psi = key
+    top = 2 * genus - 1 - kappa_degree(kappa) - right_psi
+    return [on_scale(genus, top + i + 1, hain_oracle.transfer(i, *key)) for i in range(length)]
+
+
+def on_scale(genus, t, vector):
+    """beta_genus 2^t t! sum_i w_i/(2^i i!) over an oracle vector
+    ((i, w_i), ...) of D's outgoing power i."""
+    weights = sum(Fraction(w, 2 ** i * math.factorial(i)) for i, w in vector)
+    return hain._scale(genus) * 2 ** t * math.factorial(t) * weights
 
 
 def kappa_maps(degree, smallest=1):
@@ -603,26 +626,49 @@ class TestScaledIntegers:
         assert 0 < len(keys) <= 2 * nonzero
 
     def test_runs_and_transfers_hold_only_integers(self, monkeypatch):
-        cached = {name: getattr(hain, name) for name in ("_run", "_transfer")}
-        for name, seen in recorded_runs(monkeypatch, [5]).items():
-            assert len(seen) == cached[name].cache_info().currsize > 100
-            for key, value in seen.items():
-                assert type(value) is int, (name, key)
+        cached = hain._run
+        seen = recorded_runs(monkeypatch, [5])
+        assert len(seen) == cached.cache_info().currsize > 50
+        for key, (runs, transfers) in seen.items():
+            genus, kappa, right_psi = key
+            assert type(runs) is tuple and type(transfers) is list, key
+            assert len(runs) == 2 * genus - kappa_degree(kappa) - right_psi > 0, key
+            for value in runs + tuple(transfers):
+                assert type(value) is int, key
 
     def test_run_matches_fraction_oracle_vectors(self, monkeypatch):
-        # the scalar run against the oracle's vector program, a different
+        # every entry of every run vector and transfer list the program
+        # computes, against the oracle's vector program, a different
         # formulation: beta_h 2^t t! sum_i w_i/(2^i i!) over its vector
-        runs = recorded_runs(monkeypatch, range(1, 7))["_run"]
-        assert len(runs) == 902
-        nonzero = 0
-        for key, value in runs.items():
-            genus, incoming, kappa, right_psi = key
-            t = 2 * genus - 1 - kappa_degree(kappa) - right_psi - incoming
-            assert t >= 0, key
-            weights = sum(Fraction(w, 2 ** i * math.factorial(i)) for i, w in hain_oracle.run(*key))
-            assert value == hain._scale(genus) * 2 ** t * math.factorial(t) * weights, key
-            nonzero += value != 0
-        assert 2 * nonzero >= len(runs)
+        seen = recorded_runs(monkeypatch, range(1, 7))
+        assert len(seen) == 197
+        entries = nonzero = 0
+        for key, (runs, transfers) in seen.items():
+            genus, kappa, right_psi = key
+            top = 2 * genus - 1 - kappa_degree(kappa) - right_psi
+            expected = [on_scale(genus, top - a, hain_oracle.run(genus, a, kappa, right_psi)) for a in range(top + 1)]
+            assert list(runs) == expected, key
+            assert transfers == scaled_oracle_transfers(key, len(transfers)), key
+            entries += len(runs) + len(transfers)
+            nonzero += sum(1 for value in runs + tuple(transfers) if value)
+        assert entries == nonzero == 1635
+
+    def test_transfer_list_is_the_same_whatever_order_its_lengths_are_asked_in(self, monkeypatch):
+        # a run's transfer list grows in place when a parent asks for a
+        # longer one: on every run key the divisor side reaches at g=6,
+        # asking for 2 entries and then 7 must give the list that 7 gives
+        # from a cold memo, entry by entry the oracle's, so an extension that
+        # started at a wrong index would show
+        keys = list(recorded_runs(monkeypatch, [6]))
+        monkeypatch.undo()
+        assert len(keys) == 197
+        for key in keys:
+            hain._run.cache_clear()
+            cold = list(hain._transfers(*key, 7))
+            hain._run.cache_clear()
+            hain._transfers(*key, 2)
+            grown = hain._transfers(*key, 7)
+            assert grown == cold == scaled_oracle_transfers(key, 7), key
 
     def test_capped_run_builds_one_fraction(self, monkeypatch):
         # the sum stays an integer and the one Fraction, built from two
