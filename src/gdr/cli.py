@@ -73,8 +73,8 @@ from .hodge import psi_lambda_g_integral
 MAX_GENUS = 10
 # Longest --exps list witten and hodge accept, checked before any recursion.
 # At genus MAX_GENUS the slowest list of this length found, 0^17 2^3 3^3
-# 4^2 5^2 6 8 10, takes about 0.5 s and 34 MB from the command line
-# (2-vCPU Xeon VM, Python 3.11);
+# 4^2 5^2 6 8 10, takes about 1.4 s and 34 MB from the command line, 1.2 s
+# of it in the recursion (2-vCPU Xeon VM, Python 3.11.7);
 # 3000 points overflowed the stack.
 MAX_POINTS = 3 * MAX_GENUS
 

@@ -22,7 +22,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from itertools import combinations, pairwise, product
+from math import comb, factorial, prod
 from typing import Iterable, Iterator
 
 _FRACTION_RE = re.compile(r"(-?[0-9]+)/([0-9]+)")
@@ -181,25 +182,21 @@ class DecoratedChain:
 def multinomial(parts: Iterable[int]) -> int:
     """Multinomial coefficient (sum parts)! / prod(parts!)."""
     ks = list(parts)
-    result = factorial(sum(ks))
-    for k in ks:
-        result //= factorial(k)
-    return result
+    return factorial(sum(ks)) // prod(map(factorial, ks))
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple]:
     """All ordered tuples of `parts` non-negative integers summing to `total`,
-    in lexicographic order."""
+    in lexicographic order: stars and bars, the `parts - 1` bars chosen
+    among `total + parts - 1` slots. One part is ``(total,)`` whatever its
+    sign; more parts of a negative total are none."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in compositions(total - head, parts - 1):
-            yield (head,) + tail
+    slots = total + parts - 1
+    for bars in combinations(range(slots), parts - 1):
+        yield tuple(b - a - 1 for a, b in pairwise((-1, *bars, slots)))
 
 
 def kappa_distributions(kappa: KappaMap, parts: int) -> Iterator[tuple]:
@@ -208,24 +205,12 @@ def kappa_distributions(kappa: KappaMap, parts: int) -> Iterator[tuple]:
     Yields (multiplicity, maps) where maps is a tuple of `parts` kappa maps
     and multiplicity is the product of multinomials prod_i C(c_i; e_1..e_k).
     This implements the restriction rule kappa_a -> sum over vertices of
-    kappa_a at that vertex, expanded for powers.
+    kappa_a at that vertex, expanded for powers. The distributions are the
+    product of each index's compositions, the first index outermost.
     """
-    indices = [i for i, _ in kappa]
-    exps = [c for _, c in kappa]
-
-    def rec(pos: int, mult: int, per_vertex: list) -> Iterator[tuple]:
-        if pos == len(indices):
-            yield mult, tuple(kappa_map(m) for m in per_vertex)
-            return
-        idx, c = indices[pos], exps[pos]
-        for split in compositions(c, parts):
-            nxt = [dict(m) for m in per_vertex]
-            for v, e in enumerate(split):
-                if e:
-                    nxt[v][idx] = e
-            yield from rec(pos + 1, mult * multinomial(split), nxt)
-
-    yield from rec(0, 1, [{} for _ in range(parts)])
+    for splits in product(*(compositions(c, parts) for _, c in kappa)):
+        maps = tuple(kappa_map((i, split[v]) for (i, _), split in zip(kappa, splits)) for v in range(parts))
+        yield prod(map(multinomial, splits)), maps
 
 
 @lru_cache(maxsize=None)
@@ -236,20 +221,17 @@ def kappa_splits(kappa: KappaMap) -> tuple:
     process. The chain programs of both pipelines place one vertex at a
     time through it.
 
-    It is built one index at a time: c_i factors kappa_i split as e to the
-    share and c_i - e to the rest in C(c_i, e) ways, for e = 0..c_i. The
-    canonical map lists its indices in order, so both parts stay canonical.
+    The c_i factors kappa_i split as e to the share and c_i - e to the
+    rest in C(c_i, e) ways, for e = 0..c_i, and the splits are the product
+    of these choices, the first index outermost. The canonical map lists
+    its indices in order, so both parts stay canonical.
     """
-    splits = [(1, (), (), 0)]
-    for index, c in kappa:
-        splits = [
-            (
-                mult * comb(c, e),
-                share + ((index, e),) if e else share,
-                rest + ((index, c - e),) if e < c else rest,
-                degree + index * e,
-            )
-            for mult, share, rest, degree in splits
-            for e in range(c + 1)
-        ]
-    return tuple(splits)
+    return tuple(
+        (
+            prod(comb(c, e) for (_, c), e in zip(kappa, shares)),
+            tuple((i, e) for (i, _), e in zip(kappa, shares) if e),
+            tuple((i, c - e) for (i, c), e in zip(kappa, shares) if e < c),
+            sum(i * e for (i, _), e in zip(kappa, shares)),
+        )
+        for shares in product(*(range(c + 1) for _, c in kappa))
+    )

@@ -219,6 +219,27 @@ class TestCombinatorics:
         out = list(compositions(3, 2))
         assert out == [(0, 3), (1, 2), (2, 1), (3, 0)]
 
+    def test_compositions_of_no_parts(self):
+        assert list(compositions(0, 0)) == [()]
+        assert list(compositions(2, 0)) == []
+
+    def test_compositions_of_one_part(self):
+        assert list(compositions(0, 1)) == [(0,)]
+        assert list(compositions(5, 1)) == [(5,)]
+
+    def test_compositions_of_a_negative_total(self):
+        # one part is the total itself, whatever its sign; more parts are none
+        assert list(compositions(-2, 1)) == [(-2,)]
+        for parts in (0, 2, 3, 4):
+            assert list(compositions(-1, parts)) == list(compositions(-2, parts)) == [], parts
+
+    @pytest.mark.parametrize("parts", [3, 4])
+    def test_compositions_in_lexicographic_order(self, parts):
+        # itertools.product counts up in lexicographic order
+        for total in range(7):
+            expected = [c for c in itertools.product(range(total + 1), repeat=parts) if sum(c) == total]
+            assert list(compositions(total, parts)) == expected, total
+
     @given(total=st.integers(0, 6), parts=st.integers(1, 4))
     def test_compositions_count(self, total, parts):
         out = list(compositions(total, parts))

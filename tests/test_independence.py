@@ -9,9 +9,14 @@ the divisor side its own capped-vertex table, and a test here shows that
 a wrong expansion coefficient makes the two sides differ. And closed
 forms that share no code with either pipeline give every psi-only
 record, and every record with one kappa factor, a third value.
+
+Not every record tests much: a boundary record is 0 on both sides by
+degree, or the product of two lower-genus monomial records, and a test
+here pins which.
 """
 import inspect
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -104,15 +109,18 @@ def test_kappa_expansion_fault_reaches_the_comparison(monkeypatch, mutant):
     assert unequal == ["psi1 kappa1^2", "psi2 kappa1^2", "kappa1^3", "kappa1 kappa2"]
 
 
+def psi_only_value(g, d1):
+    """int lambda_g DR_g(a,-a) psi_1^d1 psi_2^(g-1-d1), coefficient of
+    a^(2g): C(g-1, d1) / (24^g g!)."""
+    return Fraction(math.comb(g - 1, d1), 24**g * math.factorial(g))
+
+
 @pytest.mark.parametrize("g", range(1, 11))
 def test_psi_records_match_the_closed_form(g):
-    # int lambda_g DR_g(a,-a) psi_1^d psi_2^(g-1-d), coefficient of a^(2g):
-    # C(g-1, d) / (24^g g!)
     report = verify(g)
     assert len(report.records) == g
     for record in report.records:
-        d1 = ChainVertex.parse(g, record.omega).left_psi
-        expected = Fraction(math.comb(g - 1, d1), 24**g * math.factorial(g))
+        expected = psi_only_value(g, ChainVertex.parse(g, record.omega).left_psi)
         assert record.bamboo == record.dr == expected, record.omega
 
 
@@ -141,3 +149,47 @@ def test_single_factor_records_match_the_closed_form():
                 assert record.bamboo == record.dr == expected, (g, record.omega)
                 checked += 1
     assert checked == sum(g * (g - 1) // 2 for g in range(2, 11)) == 165
+
+
+_BOUNDARY_LABEL = re.compile(r"delta\(([0-9]+)\)\[(.*) \| (.*)\]")
+
+
+def boundary_record_kinds(g):
+    """Check every boundary record of verify(g, True, True) against the
+    monomial records of lower genus, and return how many records were off
+    degree and how many balanced.
+
+    A boundary record delta(h)[L | R] carries g - 2 of decoration. If L
+    does not carry h - 1 (and so R not g - h - 1), a vertex is off its
+    degree and both sides pair the class to 0. Otherwise each side's value
+    is the product of that side's values for the records L of verify(h,
+    True) and R of verify(g - h, True): both sides evaluate the class as
+    the product of their one-vertex factors, so such a record checks
+    nothing that the lower-genus monomial records do not.
+    """
+    monomials = {f: {r.omega: r for r in verify(f, include_kappa=True).records} for f in range(1, g)}
+    report = verify(g, include_kappa=True, include_boundary=True)
+    assert report.passed
+    off_degree = balanced = 0
+    for record in report.records:
+        match = _BOUNDARY_LABEL.fullmatch(record.omega)
+        if match is None:
+            continue  # a monomial
+        h, left_label, right_label = int(match.group(1)), match.group(2), match.group(3)
+        left, right = ChainVertex.parse(h, left_label), ChainVertex.parse(g - h, right_label)
+        if (left.decoration_degree, right.decoration_degree) != (h - 1, g - h - 1):
+            assert record.bamboo == record.dr == 0, record.omega
+            off_degree += 1
+        else:
+            a, b = monomials[h][left_label], monomials[g - h][right_label]
+            assert (record.bamboo, record.dr) == (a.bamboo * b.bamboo, a.dr * b.dr), record.omega
+            balanced += 1
+    return off_degree, balanced
+
+
+@pytest.mark.parametrize(
+    "g,kinds",
+    [(2, (0, 1)), (3, (6, 6)), (4, (46, 23)), (5, (210, 70)), (6, (740, 185)), (7, (2210, 442)), (8, (5880, 980))],
+)
+def test_boundary_records_are_zeros_or_products_of_lower_genus_records(g, kinds):
+    assert boundary_record_kinds(g) == kinds
