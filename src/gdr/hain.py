@@ -17,19 +17,21 @@ multinomial(exps) b_g in dimension.
 A two-leg vertex of genus f with psi powers l and r and kappa K is in
 dimension when l + r + deg K = 2f - 1. The kappa expansion turns K into
 new markings e_1..e_p with sum e_j = deg K + p, each block adding one,
-so its integral over b_f is the sum over the expansion of
-(2f - 1 + p)!/(l! r! prod e_j!): U(2f - 1, K)/(l! r!), with
+so its integral over b_f is the sum over the expansion of the
+multinomials (l, r, e_1..e_p): V(2f - 1, K) C(l + r, l), with
 
-    U(points, K) = sum over the expansion of (points + p)!/prod e_j!,
+    V(points, K) = sum over the expansion of the multinomials
+                   (points - deg K; e_1..e_p),
 
-which depends on f and K alone. :func:`_vertex_table` is that table,
-built by a one-factor pushforward of its own that reads neither
-gdr.kappa nor :func:`gdr.core.kappa_splits`, so a fault in the bamboo
-side's kappa expansion moves one side only. The division is exact:
-every term of U(2f - 1, K) over l! r! is the multinomial of
-(l, r, e_1..e_p), and inside the recursion the rest's table, at
-points + 1, divides by the new marking's m! term by term, as
-points >= deg K keeps every term a multinomial times an integer.
+which depends on f and K alone, as l + r = 2f - 1 - deg K.
+:func:`_vertex_table` is that table, built by a one-factor pushforward
+of its own that reads neither gdr.kappa nor
+:func:`gdr.core.kappa_splits`, so a fault in the bamboo side's kappa
+expansion moves one side only. Nothing divides: the pushforward merges
+the last factor into one new marking m and leaves a rest at points + 1,
+and each multinomial (n; m, e'), n = points - deg K, is C(n + m, m)
+times the rest's multinomial (n + m; e'), where n + m is points + 1
+less the rest's degree: every table is a signed sum of integer products.
 
 Distinct delta_h meet transversally and the excess rule gives
 delta_h^m = delta_h (-psi' - psi'')^(m-1), so the multinomial expansion
@@ -90,8 +92,9 @@ outgoing power i. A vertex contributes beta_h b_f / beta_(h-f) times
 its integral over b_f, the vertex that closes the run 1 for its
 outgoing power (t = i there), and a node of D -C(m-1, i) C(t, m).
 Every vertex that a run places first has the entry's `incoming` power
-on its left leg, so :func:`_run` takes U(2f - 1, K) over the outgoing
-power's factorial for each and divides each entry by incoming! once.
+on its left leg, so :func:`_run` weights its V(2f - 1, K) by
+C(out, incoming), out being its outgoing power, and the closing
+vertex's by C(top + right_psi, incoming).
 A rest with no room for D's power, its t below 0, contributes 0 and is
 never built. :func:`_capped_run` builds one Fraction per vertex key:
 with top = a + t, D's whole power on omega's vertex, it divides
@@ -244,24 +247,25 @@ def _vertex_weight(genus: int, first: int) -> int:
 
 @lru_cache(maxsize=None)
 def _vertex_table(points: int, kappa: KappaMap) -> int:
-    """U(points, kappa): the sum over the kappa expansion of
-    (points + p)!/prod e_j!, p being the number of new markings e_j, an
-    integer when deg kappa <= points; memoized for the whole process.
+    """V(points, kappa): the sum over the kappa expansion of the
+    multinomials (points - deg kappa; e_1..e_p), the e_j being the new
+    markings, for deg kappa <= points; memoized for the whole process.
 
     It is its own one-factor pushforward: the last factor kappa_b takes
     t_i more factors of each index i, in prod C(c_i, t_i) ways with the
     sign (-1)^(sum t), into one marking m = b + 1 + sum i t_i, so the rest
-    adds its markings to points + 1 and the table of the rest divides by
-    m!, exactly, term by term."""
+    adds its markings to points + 1 and each of its multinomials comes
+    with C(points - deg kappa + m, m), the ways to place the m."""
     if not kappa:
-        return factorial(points)
-    index, count = kappa[-1]
+        return 1
+    # free = points - deg kappa, the part of each multinomial beside the e_j
+    (index, count), free = kappa[-1], points - kappa_degree(kappa)
     # (signed ways w, marking m, rest r) for every choice of the t_i; r
     # keeps an index whose factors all merge, with count 0, until the end
     terms = [(1, index + 1, ())]
     for i, c in kappa[:-1] + ((index, count - 1),):
         terms = [(w * (-1) ** t * comb(c, t), m + i * t, r + ((i, c - t),)) for w, m, r in terms for t in range(c + 1)]
-    return sum(w * (_vertex_table(points + 1, tuple(e for e in r if e[1])) // factorial(m)) for w, m, r in terms)
+    return sum(w * comb(free + m, m) * _vertex_table(points + 1, tuple(e for e in r if e[1])) for w, m, r in terms)
 
 
 @lru_cache(maxsize=None)
@@ -293,7 +297,7 @@ def _run(genus: int, kappa: KappaMap, right_psi: int) -> Tuple[Tuple[int, ...], 
     # the closing vertex: D's part of its outgoing power top + right_psi -
     # incoming is i = top - incoming, and (1/2)^i/i! is 1 on the scale 2^i i!
     closing = _vertex_table(2 * genus - 1, kappa) * _vertex_weight(genus, genus)
-    totals = [closing // factorial(top + right_psi - incoming) for incoming in range(top + 1)]
+    totals = [closing * comb(top + right_psi, incoming) for incoming in range(top + 1)]
     for first in range(1, genus):
         weight = _vertex_weight(genus, first)
         for mult, share, rest, share_degree in kappa_splits(kappa):
@@ -305,8 +309,8 @@ def _run(genus: int, kappa: KappaMap, right_psi: int) -> Tuple[Tuple[int, ...], 
                 transfers = _transfers(genus - first, rest, right_psi, out + 1)
                 value = mult * weight * _vertex_table(2 * first - 1, share)
                 for incoming in range(out + 1):
-                    totals[incoming] += value // factorial(out - incoming) * transfers[out - incoming]
-    return tuple(total // factorial(incoming) for incoming, total in enumerate(totals)), []
+                    totals[incoming] += value * comb(out, incoming) * transfers[out - incoming]
+    return tuple(totals), []
 
 
 def _transfers(genus: int, kappa: KappaMap, right_psi: int, length: int) -> List[int]:

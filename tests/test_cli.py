@@ -337,6 +337,13 @@ class TestStreamedReport:
         assert main(["verify", "--genus", str(g), "--kappa", "--boundary"]) == 0
         assert _zero_ms(capsys.readouterr().out) == _golden(g)
 
+    def test_boundary_without_kappa_streams_the_kappa_free_golden_records(self, capsys):
+        assert main(["verify", "--genus", "4", "--boundary"]) == 0
+        golden = _strip_ms(json.loads(_golden(4)))
+        golden["records"] = [r for r in golden["records"] if "kappa" not in r["omega"]]
+        assert _strip_ms(json.loads(capsys.readouterr().out)) == golden
+        assert len(golden["records"]) == 34 and golden["pass"] is True
+
     @pytest.mark.parametrize("g", range(1, 6))
     def test_json_stdout_matches_out_file(self, capsys, tmp_path, g):
         argv = ["verify", "--genus", str(g), "--kappa", "--boundary"]

@@ -203,6 +203,15 @@ class TestDecoratedChain:
         with pytest.raises(ValueError):
             DecoratedChain(())
 
+    def test_vertex_that_is_not_a_chain_vertex_rejected(self):
+        with pytest.raises(ValueError, match="ChainVertex"):
+            DecoratedChain((ChainVertex(1), (1, 0, 0, ())))
+
+    def test_int_coefficient_is_stored_as_a_fraction(self):
+        chain = DecoratedChain((ChainVertex(1),), 3)
+        assert type(chain.coefficient) is Fraction
+        assert chain.coefficient == 3
+
     def test_reflection_is_distinct(self):
         a = DecoratedChain((ChainVertex(1, 1, 0), ChainVertex(2)))
         b = DecoratedChain((ChainVertex(2), ChainVertex(1, 0, 1)))

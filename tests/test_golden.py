@@ -51,6 +51,22 @@ def test_verify_report_matches_golden_byte_for_byte(g):
     assert report.passed is golden["pass"]
 
 
+@pytest.mark.parametrize("g,count", enumerate([1, 3, 11, 34, 85, 181, 343, 596], start=1))
+def test_boundary_without_kappa_gives_the_kappa_free_golden_records(g, count):
+    """verify() with boundary classes and no kappa classes, the one
+    configuration that no other test turns on, gives the golden file's
+    records whose class carries no kappa, field for field and in order."""
+    with open(os.path.join(GOLDEN_DIR, f"verify_g{g}_kappa_boundary.json"), encoding="utf-8") as handle:
+        golden = [{k: v for k, v in r.items() if k != "ms"} for r in json.load(handle)["records"]]
+    report = verify(g, include_kappa=False, include_boundary=True)
+    assert [
+        {"omega": r.omega, "bamboo": format_rational(r.bamboo), "dr": format_rational(r.dr), "equal": r.equal}
+        for r in report.records
+    ] == [r for r in golden if "kappa" not in r["omega"]]
+    assert len(report.records) == count
+    assert report.passed
+
+
 def test_verify_report_at_genus_9_matches_its_digest(capsys, tmp_path):
     path = tmp_path / "report.json"
     assert main(["verify", "--genus", "9", "--kappa", "--boundary", "--out", str(path)]) == 0

@@ -104,6 +104,10 @@ class TestDivisorTerms:
     def test_genus_1_has_no_boundary_terms(self):
         assert hain_divisor_terms(1) == [("psi1", HALF), ("psi2", HALF)]
 
+    def test_genus_below_1_rejected(self):
+        with pytest.raises(ValueError, match="genus must be >= 1"):
+            hain_divisor_terms(0)
+
     def test_genus_3(self):
         assert hain_divisor_terms(3) == [
             ("psi1", HALF),
@@ -594,9 +598,9 @@ def kappa_maps(degree, smallest=1):
 class TestVertexTable:
     def test_matches_the_kappa_expansion_on_every_two_leg_key(self):
         # every in-dimension key (f, l, r, K) with f <= 10, l + r + deg K =
-        # 2f - 1: the table over l! r!, exact, against the sum of the
-        # capped unit multinomial(l, r, e) over the kappa expansion, which
-        # the table never reads
+        # 2f - 1: the table times C(l + r, l), the capped vertex over b_f,
+        # against the sum of the capped unit multinomial(l, r, e) over the
+        # kappa expansion, which the table never reads
         keys = 0
         for f in range(1, 11):
             for degree in range(2 * f):
@@ -604,9 +608,8 @@ class TestVertexTable:
                     for left in range(2 * f - degree):
                         right = 2 * f - 1 - degree - left
                         expected = sum(c * multinomial((left, right) + e) for c, e in _extension(kappa))
-                        legs = math.factorial(left) * math.factorial(right)
-                        value, remainder = divmod(hain._vertex_table(2 * f - 1, kappa), legs)
-                        assert (value, remainder) == (expected, 0), (f, left, kappa)
+                        value = hain._vertex_table(2 * f - 1, kappa) * math.comb(left + right, left)
+                        assert value == expected, (f, left, kappa)
                         keys += 1
         assert keys == 17650
 

@@ -7,7 +7,7 @@ import pytest
 from gdr.bamboo import vertex_integral
 from gdr.cli import MAX_GENUS, enumerate_omegas
 from gdr.correlators import correlator
-from gdr.core import kappa_degree, kappa_map, kappa_splits
+from gdr.core import kappa_degree, kappa_map, kappa_splits, multinomial
 from gdr.hain import _vertex_table
 from gdr.hodge import lambda_g_constant, psi_lambda_g_integral
 from gdr.kappa import _extension, kappa_to_psi
@@ -261,9 +261,9 @@ def capped_unit(genus, exps):
 
 def table_vertex(genus, psi, kappa):
     """The capped vertex over b_g from the divisor side's table, which
-    never reads the kappa expansion: U(2g - 3 + n, kappa) / prod psi_i!,
-    n = len(psi), a multinomial sum when the vertex is in dimension."""
-    return _vertex_table(2 * genus - 3 + len(psi), kappa) // math.prod(map(math.factorial, psi))
+    never reads the kappa expansion: V(2g - 3 + n, kappa) times the
+    multinomial of psi, n = len(psi), when the vertex is in dimension."""
+    return _vertex_table(2 * genus - 3 + len(psi), kappa) * multinomial(psi)
 
 
 class TestIntegrate:
