@@ -37,7 +37,7 @@ its top call. :func:`enumerate_bamboos` lists the terms explicitly.
 The program runs in integers, from the leaves up. A vertex of genus h
 evaluates, through the kappa expansion of gdr.kappa, whose coefficients
 are integers, to an integer combination of in-dimension correlators
-<tau_k>_h, and each of these is itself an integer on a scale B_h that
+<tau_k>_h, and each of these is itself an integer on a scale that
 depends on h alone. The string and dilaton equations have integer
 coefficients and keep the genus, so every in-dimension genus-h
 correlator is an integer combination of genus-h correlators whose
@@ -47,20 +47,18 @@ has sum(k_i - 1) = 3h - 3, and gdr.correlators shows that
 of prod (2k_i+1)!! over the tuples with every k_i >= 2 and
 sum(k_i - 1) = w,
 
-    B_1 = 24,    B_h = 2^(4h-1) P(3h-3)   (h >= 2),
+    L_1 = 24,    L_h = 2^(4h-1) P(3h-3)   (h >= 2),
 
-P(0) = 1,    P(w) = lcm over 1 <= a <= w of (2a+3)!! P(w-a),
+P(w) = lcm over 1 <= a <= w of (2a+3)!! P(w-a)   (P(0) = 1),
 
 clears the denominator of every in-dimension genus-h correlator, whatever
-its exponents, and so of every vertex integral of genus h. The leaf
-B_h <tau_k>_h is read straight from the scaled correlator memo by
-:func:`gdr.correlators.times_correlator`, which raises ArithmeticError if
-a remainder ever shows that B_h does not clear it: no Fraction stands
-between the correlator recursion and the chain. B_f B_(h-f) divides B_h.
-The powers of 2 add up to 4h - 2. The odd parts multiply to at most
-9 P(3f-3) P(3h-3f-3) (B_1 = 2^3 * 3 P(0)), which divides 9 P(3h-6) (join
-the tuples), and P(3h-3) is a multiple of 15^3 P(3h-6), since P(w+1) is a
-multiple of 15 P(w) (the a = 1 term).
+its exponents, and so of every vertex integral of genus h. The chain
+scale B_h is the lcm of L_h and of B_f B_(h-f) for 1 <= f < h, so that
+B_f B_(h-f) divides B_h by construction; the tests find B_h = L_h for
+every h <= 40. The leaf B_h <tau_k>_h is read straight from the scaled
+correlator memo by :func:`gdr.correlators.times_correlator`, which raises
+ArithmeticError if a remainder ever shows that B_h does not clear it: no
+Fraction stands between the correlator recursion and the chain.
 
 :func:`_scaled_vertex` is a vertex integral times B_h. :func:`_tail`
 stores the sum over the chains of genus h as its value times B_h. A
@@ -80,7 +78,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 from typing import Iterator, List
 
 from .core import (
@@ -138,31 +136,24 @@ def vertex_integral(genus: int, left_psi: int, right_psi: int, kappa: KappaMap) 
     kappa = kappa_map(kappa)
     if left_psi + right_psi + kappa_degree(kappa) != 3 * genus - 1:
         return Fraction(0)
-    return Fraction(_scaled_vertex(genus, left_psi, right_psi, kappa), _scale(genus))
+    return Fraction(_scaled_vertex(genus, left_psi, kappa), _scale(genus))
 
 
 @lru_cache(maxsize=None)
 def _odd_scale(weight: int) -> int:
     """P(weight): the lcm of prod (2k_i+1)!! over the exponent tuples with
     every k_i >= 2 and sum(k_i - 1) = weight (see the module docstring)."""
-    if weight == 0:
-        return 1
-    terms = []
-    double_factorial = 3
-    for a in range(1, weight + 1):
-        double_factorial *= 2 * a + 3  # (2a+3)!!
-        terms.append(double_factorial * _odd_scale(weight - a))
-    return lcm(*terms)
+    return lcm(*(prod(range(1, 2 * a + 4, 2)) * _odd_scale(weight - a) for a in range(1, weight + 1)))
 
 
 @lru_cache(maxsize=None)
 def _scale(genus: int) -> int:
-    """B_genus, which clears the denominator of every in-dimension
-    correlator of genus `genus`, and so of every vertex integral of that
-    genus, with B_f B_(genus-f) dividing it."""
-    if genus == 1:
-        return 24
-    return 2 ** (4 * genus - 1) * _odd_scale(3 * genus - 3)
+    """B_genus: the lcm of the leaf scale L_genus, which clears the
+    denominator of every in-dimension correlator of genus `genus` and so
+    of every vertex integral of that genus, and of B_f B_(genus-f) over
+    the splits of `genus`."""
+    leaf = 24 if genus == 1 else 2 ** (4 * genus - 1) * _odd_scale(3 * genus - 3)
+    return lcm(leaf, *(_scale(f) * _scale(genus - f) for f in range(1, genus)))
 
 
 @lru_cache(maxsize=None)
@@ -173,13 +164,15 @@ def _node(genus: int, first: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _scaled_vertex(genus: int, left: int, right: int, kappa: KappaMap) -> int:
+def _scaled_vertex(genus: int, left: int, kappa: KappaMap) -> int:
     """B_genus times the vertex integral of psi_l^left psi_r^right * kappa,
-    an integer, for a canonical `kappa` in dimension (left + right +
-    deg kappa = 3 genus - 1), as :func:`_tail` places every vertex: the sum
-    over the kappa expansion's terms (c, e) of c times the correlator of
-    (left, right) + e. Each correlator is read as B_genus <tau_k>_genus,
-    an integer that :func:`gdr.correlators.times_correlator` checks."""
+    an integer, for a canonical `kappa`, the right leg taking the power
+    that puts the vertex in dimension, right = 3 genus - 1 - left -
+    deg kappa: the sum over the kappa expansion's terms (c, e) of c times
+    the correlator of (left, right) + e. Each correlator is read as
+    B_genus <tau_k>_genus, an integer that
+    :func:`gdr.correlators.times_correlator` checks."""
+    right = 3 * genus - 1 - left - kappa_degree(kappa)
     return sum(c * times_correlator(_scale(genus), genus, (left, right) + e) for c, e in _extension(kappa))
 
 
@@ -194,16 +187,16 @@ def _tail(genus: int, left: int, right_psi: int, kappa: KappaMap) -> int:
     and the loop over the kappa splits places only vertices that a node
     follows."""
     degree = kappa_degree(kappa)
-    # the last vertex's right leg carries d_v + d_2, with d_v >= 0
-    right = 3 * genus - 1 - left - degree
-    total = _scaled_vertex(genus, left, right, kappa) if right >= right_psi else 0
+    # the last vertex's right leg, 3 genus - 1 - left - degree, carries
+    # d_v + d_2, with d_v >= 0
+    total = _scaled_vertex(genus, left, kappa) if 3 * genus - 1 - left - degree >= right_psi else 0
     for mult, share, rest, share_degree in kappa_splits(kappa):
         # a vertex of genus f that a node follows gets right = 3f - offset
         # >= 0 and leaves a genus >= 1 + right_psi + deg rest after it,
         # which bounds f both ways
         offset = 1 + left + share_degree
         for first in range(max(1, (offset + 2) // 3), genus - right_psi - (degree - share_degree)):
-            value = _scaled_vertex(first, left, 3 * first - offset, share)
+            value = _scaled_vertex(first, left, share)
             if value:
                 total += mult * value * _node(genus, first) * _tail(genus - first, 0, right_psi, rest)
     return total

@@ -72,11 +72,13 @@ from .hodge import psi_lambda_g_integral
 # 10 is the largest genus the benchmark drives (witten one-points).
 MAX_GENUS = 10
 # Longest --exps list witten and hodge accept, checked before any recursion.
-# At genus MAX_GENUS the slowest list of this length found, 0^17 2^3 3^3
-# 4^2 5^2 6 8 10, takes about 1.4 s and 34 MB from the command line, 1.2 s
-# of it in the recursion (2-vCPU Xeon VM, Python 3.11.7);
-# 3000 points overflowed the stack.
-MAX_POINTS = 3 * MAX_GENUS
+# 30 is the point count measured at genus 10: the slowest list of this
+# length found there, 0^17 2^3 3^3 4^2 5^2 6 8 10, takes about 1.4 s and
+# 34 MB from the command line, 1.2 s of it in the recursion (2-vCPU Xeon
+# VM, Python 3.11.7); 3000 points overflowed the stack. When MAX_GENUS
+# moves, measure it again rather than scale it: one 36-point key at
+# genus 12 took 5.6 s and 78 MB.
+MAX_POINTS = 30
 
 
 @dataclass(frozen=True)
@@ -406,17 +408,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # the reader has gone; as in the SIGPIPE note of the Python docs,
-        # point stdout at devnull so that the flush at exit cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
     except OSError as exc:
         # no command reads a file, so this is a failed open or write of the
         # report: verify's --out, or stdout
         out = getattr(args, "out", None)
         if out is None:
+            # as in the SIGPIPE note of the Python docs, point stdout at
+            # devnull so that the flush at exit cannot raise again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(exc, BrokenPipeError):
+                return 1  # the reader of stdout has gone
         print(f"error: cannot write {'stdout' if out is None else out}: {exc.strerror or exc}", file=sys.stderr)
         return 2
 

@@ -287,6 +287,13 @@ class TestScaledIntegers:
             for f in range(1, h):
                 assert bamboo._scale(h) % (bamboo._scale(f) * bamboo._scale(h - f)) == 0, (h, f)
 
+    def test_chain_scale_is_the_leaf_scale(self):
+        # the lcm over the splits adds nothing to the leaf scale: B_h stays
+        # the closed form of the module docstring, so every scaled integer
+        # is the one it was before B_h became an lcm
+        for h in range(2, 41):
+            assert bamboo._scale(h) == 2 ** (4 * h - 1) * bamboo._odd_scale(3 * h - 3), h
+
     @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6, 7])
     def test_pair_matches_fraction_oracle(self, g):
         # the integer program against the Fraction program it replaced,
@@ -349,7 +356,7 @@ def _sorted_exponents(total, n, low=0):
 
 
 def _vertex_keys_reached(monkeypatch, run):
-    """The (genus, left, right, kappa) of every vertex that `run` evaluates
+    """The (genus, left, kappa) of every vertex that `run` evaluates
     through the chain program, from cold memos."""
     reached = set()
     cached = bamboo._scaled_vertex
@@ -405,10 +412,14 @@ class TestIntegerLeaf:
         assert len(reached) == 232 and any(kappa for *_, kappa in reached)
         clear_memos()
         for key in sorted(reached):
+            genus, left, kappa = key
+            # the leaf puts the vertex in dimension through its right leg
+            right = 3 * genus - 1 - left - kappa_degree(kappa)
+            expected = bamboo_oracle.vertex_integral(genus, left, right, kappa)
             value = bamboo._scaled_vertex(*key)
             assert type(value) is int, key
-            assert value == bamboo._scale(key[0]) * bamboo_oracle.vertex_integral(*key), key
-            assert vertex_integral(*key) == bamboo_oracle.vertex_integral(*key), key
+            assert value == bamboo._scale(genus) * expected, key
+            assert vertex_integral(genus, left, right, kappa) == expected, key
 
     def test_a_scale_that_does_not_clear_aborts_the_records(self, monkeypatch, capsys):
         # B_h = 1 for h >= 2 clears no correlator of genus >= 2, and every

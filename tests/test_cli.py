@@ -463,6 +463,30 @@ class TestOutPath:
         assert main(argv) == 0
         assert _zero_ms(received[0].decode("utf-8")) == _zero_ms(capsys.readouterr().out)
 
+    def test_out_pipe_that_closes_is_a_failed_write(self, capsys):
+        # /dev/fd/N of a pipe whose reader closes after the first bytes, long
+        # before the 136 kB report fits in the pipe: a failed write of the
+        # report, not a closed stdout, although stdout has no descriptor
+        argv = ["verify", "--genus", "6", "--kappa", "--boundary"]
+        read_end, write_end = os.pipe()
+        received = []
+
+        def read_first_bytes():
+            with os.fdopen(read_end, "rb") as pipe:
+                received.append(pipe.read(100))
+
+        reader = threading.Thread(target=read_first_bytes, daemon=True)
+        reader.start()
+        try:
+            assert main(argv + ["--out", f"/dev/fd/{write_end}"]) == 2
+        finally:
+            os.close(write_end)
+        reader.join(timeout=60)
+        assert not reader.is_alive() and received[0].startswith(b'{\n  "genus": 6,')
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write /dev/fd/{write_end}: {os.strerror(errno.EPIPE)}\n"
+        assert captured.out == ""
+
     @needs_dev_full
     def test_out_device_that_fails_to_write_is_an_error(self, capsys):
         # /dev/full is written directly, as a device; the error is the write's
@@ -793,6 +817,34 @@ def test_closed_pipe_ends_without_a_traceback(tmp_path, argv):
         finally:
             process.kill()
     assert err == ""
+    assert os.listdir(tmp_path) == []
+
+
+def test_closed_out_pipe_ends_with_an_error_not_a_traceback(tmp_path):
+    # --out names a pipe whose reader closes after the first bytes, long
+    # before the 0.4 MB report fits in it: a failed write of the report,
+    # exit 2 with one error line, while stdout stays open
+    env = dict(os.environ, PYTHONPATH=SRC)
+    read_end, write_end = os.pipe()
+    path = f"/dev/fd/{write_end}"
+    with subprocess.Popen(
+        [sys.executable, "-m", "gdr", "verify", "--genus", "7", "--kappa", "--boundary", "--out", path],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=str(tmp_path),
+        env=env,
+        pass_fds=(write_end,),
+    ) as process:
+        try:
+            os.close(write_end)  # the child holds the only write end
+            with os.fdopen(read_end, "rb") as pipe:
+                assert pipe.read(100)
+            out, err = process.communicate(timeout=60)
+        finally:
+            process.kill()
+    assert process.returncode == 2
+    assert err.decode() == f"error: cannot write {path}: {os.strerror(errno.EPIPE)}\n"
+    assert out == b""
     assert os.listdir(tmp_path) == []
 
 
