@@ -56,11 +56,10 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
-from typing import Iterable, Iterator, List, NoReturn, Optional, TextIO, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, NoReturn, Optional, TextIO, Tuple
 
 from .bamboo import _bamboos, pair_bamboo_boundary, pair_bamboo_side
 from .core import ChainVertex, DecoratedChain, format_rational, kappa_map
@@ -81,8 +80,7 @@ MAX_GENUS = 10
 MAX_POINTS = 30
 
 
-@dataclass(frozen=True)
-class TestClass:
+class TestClass(NamedTuple):
     """One omega to pair against both pipelines: a decorated chain, of one
     vertex for a psi/kappa monomial and of two for a boundary class."""
 
@@ -90,8 +88,7 @@ class TestClass:
     chain: DecoratedChain
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
     omega: str
     bamboo: Fraction
     dr: Fraction
@@ -99,11 +96,10 @@ class VerificationRecord:
     ms: int
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     genus: int
-    records: List[VerificationRecord] = field(default_factory=list)
-    aborted: List[str] = field(default_factory=list)
+    records: List[VerificationRecord]
+    aborted: List[str]
 
     @property
     def passed(self) -> bool:
@@ -200,9 +196,9 @@ def verify(g: int, include_kappa: bool = False, include_boundary: bool = False) 
     An internal failure aborts its record and fails the run (see
     :func:`_records`).
     """
-    report = VerificationReport(genus=g)
-    report.records = list(_records(enumerate_omegas(g, include_kappa, include_boundary), report.aborted))
-    return report
+    aborted: List[str] = []
+    records = list(_records(enumerate_omegas(g, include_kappa, include_boundary), aborted))
+    return VerificationReport(g, records, aborted)
 
 
 def _write_report(

@@ -5,7 +5,8 @@ over Python's arbitrary-precision integers), or, inside the correlator
 recursion and the chain programs of both pipelines, an integer that
 stands for a rational times a known scale (see gdr.correlators,
 gdr.bamboo and gdr.hain). There is no floating point anywhere. The types
-here are immutable values, safe to share freely:
+here are immutable values, safe to share freely: named tuples, so they
+compare, order and hash as the tuple of their fields.
 
 - :class:`Bamboo` -- one signed chain term of the bamboo class expansion.
 - :class:`ChainVertex` -- a vertex of genus g with psi powers on its two
@@ -15,16 +16,19 @@ here are immutable values, safe to share freely:
 - :class:`DecoratedChain` -- a compact-type chain of such vertices with
   a rational coefficient: each test class of both pipelines, and each
   term of the D^g expansion of gdr.hain.
+
+The last two check their fields, and canonicalise the kappa map and the
+coefficient, in ``__new__``, before the tuple exists; build a changed
+copy through the constructor, not ``_replace``, which skips both.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, pairwise, product
 from math import comb, factorial, prod
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 _FRACTION_RE = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
@@ -72,8 +76,7 @@ def kappa_degree(kappa: KappaMap) -> int:
     return sum(i * c for i, c in kappa)
 
 
-@dataclass(frozen=True)
-class Bamboo:
+class Bamboo(NamedTuple):
     """One chain term of the bamboo class: vertices (genus, edge psi power).
 
     The psi decoration d_i sits at the second point of vertex i (the
@@ -96,22 +99,18 @@ class Bamboo:
         return f"{self.sign:+d} {body}"
 
 
-@dataclass(frozen=True, order=True)
-class ChainVertex:
+class ChainVertex(NamedTuple("ChainVertex", [("genus", int), ("left_psi", int), ("right_psi", int), ("kappa", KappaMap)])):
     """Vertex of a chain stratum: genus, psi powers on its two legs, kappa,
     ordered by these fields in this order."""
 
-    genus: int
-    left_psi: int = 0
-    right_psi: int = 0
-    kappa: KappaMap = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.genus < 1:
+    def __new__(cls, genus: int, left_psi: int = 0, right_psi: int = 0, kappa=()) -> ChainVertex:
+        if genus < 1:
             raise ValueError("genus must be >= 1")
-        if self.left_psi < 0 or self.right_psi < 0:
+        if left_psi < 0 or right_psi < 0:
             raise ValueError("psi powers must be non-negative")
-        object.__setattr__(self, "kappa", kappa_map(self.kappa))
+        return super().__new__(cls, genus, left_psi, right_psi, kappa_map(kappa))
 
     @property
     def decoration_degree(self) -> int:
@@ -148,8 +147,7 @@ class ChainVertex:
         return cls(genus, psi["psi1"], psi["psi2"], kappa)
 
 
-@dataclass(frozen=True)
-class DecoratedChain:
+class DecoratedChain(NamedTuple("DecoratedChain", [("vertices", tuple), ("coefficient", Fraction)])):
     """Compact-type chain stratum with marking 1 on the far left leg and
     marking 2 on the far right leg, carried with a rational coefficient.
 
@@ -157,18 +155,17 @@ class DecoratedChain:
     chain with its mirror image.
     """
 
-    vertices: tuple  # tuple[ChainVertex, ...]
-    coefficient: Fraction = Fraction(1)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        vs = tuple(self.vertices)
+    def __new__(cls, vertices: Iterable[ChainVertex], coefficient=Fraction(1)) -> DecoratedChain:
+        vs = tuple(vertices)
         if not vs:
             raise ValueError("chain needs at least one vertex")
         if not all(isinstance(v, ChainVertex) for v in vs):
             raise ValueError("chain vertices must be ChainVertex instances")
-        object.__setattr__(self, "vertices", vs)
-        if type(self.coefficient) is not Fraction:
-            object.__setattr__(self, "coefficient", Fraction(self.coefficient))
+        if type(coefficient) is not Fraction:
+            coefficient = Fraction(coefficient)
+        return super().__new__(cls, vs, coefficient)
 
     @property
     def genus(self) -> int:

@@ -113,7 +113,6 @@ against.
 """
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
@@ -160,10 +159,10 @@ def multiply_by_divisor(chain: DecoratedChain, term: DivisorTerm) -> List[Decora
     """
     vertices, coefficient = chain.vertices, chain.coefficient
     if term == "psi1":
-        first = replace(vertices[0], left_psi=vertices[0].left_psi + 1)
+        first = ChainVertex(vertices[0].genus, vertices[0].left_psi + 1, vertices[0].right_psi, vertices[0].kappa)
         return [DecoratedChain((first,) + vertices[1:], coefficient)]
     if term == "psi2":
-        last = replace(vertices[-1], right_psi=vertices[-1].right_psi + 1)
+        last = ChainVertex(vertices[-1].genus, vertices[-1].left_psi, vertices[-1].right_psi + 1, vertices[-1].kappa)
         return [DecoratedChain(vertices[:-1] + (last,), coefficient)]
     if not (isinstance(term, tuple) and len(term) == 2 and term[0] == "delta"):
         raise ValueError(f"malformed divisor term {term!r}")
@@ -177,8 +176,8 @@ def multiply_by_divisor(chain: DecoratedChain, term: DivisorTerm) -> List[Decora
         if h == cumulative and j < len(vertices) - 1:
             # excess: -psi' - psi'' at the existing node
             nxt = vertices[j + 1]
-            bumped_left = replace(v, right_psi=v.right_psi + 1)
-            bumped_right = replace(nxt, left_psi=nxt.left_psi + 1)
+            bumped_left = ChainVertex(v.genus, v.left_psi, v.right_psi + 1, v.kappa)
+            bumped_right = ChainVertex(nxt.genus, nxt.left_psi + 1, nxt.right_psi, nxt.kappa)
             return [
                 DecoratedChain(vertices[:j] + (bumped_left, nxt) + vertices[j + 2:], -coefficient),
                 DecoratedChain(vertices[:j] + (v, bumped_right) + vertices[j + 2:], -coefficient),

@@ -725,8 +725,9 @@ class TestParser:
         for command, (options, _) in cli._COMMANDS.items():
             assert all(name in listed[command] for name in options), command
 
-    def test_import_leaves_argparse_out(self):
-        code = "import sys, gdr.cli; assert 'argparse' not in sys.modules"
+    @pytest.mark.parametrize("module", ["argparse", "dataclasses"])
+    def test_import_leaves_module_out(self, module):
+        code = f"import sys, gdr.cli; assert {module!r} not in sys.modules"
         result = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,

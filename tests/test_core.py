@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gdr import cli
 from gdr.core import (
     Bamboo,
     ChainVertex,
@@ -216,6 +217,37 @@ class TestDecoratedChain:
         a = DecoratedChain((ChainVertex(1, 1, 0), ChainVertex(2)))
         b = DecoratedChain((ChainVertex(2), ChainVertex(1, 0, 1)))
         assert a != b
+
+
+def test_value_types_are_immutable_and_compare_as_field_tuples():
+    # the memos key on vertices and chains, and the D^g expansion sorts its
+    # chains as tuples of vertices
+    vertex = ChainVertex(2, 1, 0, {1: 1})
+    chain = DecoratedChain((vertex, ChainVertex(1)), Fraction(1, 2))
+    record = cli.VerificationRecord("1", Fraction(1), Fraction(1), True, 0)
+    values = [
+        (Bamboo(((1, 2),)), "vertices"),
+        (vertex, "genus"),
+        (chain, "coefficient"),
+        (cli.TestClass("1", chain), "label"),
+        (record, "equal"),
+        (cli.VerificationReport(2, [record], []), "records"),
+    ]
+    for value, field in values:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+    assert hash(vertex) == hash((2, 1, 0, ((1, 1),)))
+    assert hash(chain) == hash(((vertex, ChainVertex(1)), Fraction(1, 2)))
+    ordered = [
+        ChainVertex(1, 0, 2),
+        ChainVertex(1, 0, 2, {1: 1}),
+        ChainVertex(1, 0, 2, {1: 2}),
+        ChainVertex(1, 0, 2, {2: 1}),
+        ChainVertex(1, 1, 0),
+        ChainVertex(2),
+    ]
+    assert sorted(reversed(ordered)) == ordered
+    assert repr(vertex) == "ChainVertex(genus=2, left_psi=1, right_psi=0, kappa=((1, 1),))"
 
 
 class TestCombinatorics:
