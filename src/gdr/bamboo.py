@@ -51,9 +51,12 @@ sum(k_i - 1) = w,
 
 P(w) = lcm over 1 <= a <= w of (2a+3)!! P(w-a)   (P(0) = 1),
 
-clears the denominator of every in-dimension genus-h correlator, whatever
-its exponents, and so of every vertex integral of genus h. The chain
-scale B_h is the lcm of L_h and of B_f B_(h-f) for 1 <= f < h, so that
+with (2a+3)!! read from gdr.correlators' one memoized (2k+1)!!,
+:func:`gdr.correlators._odd_double_factorial` at k = a + 1, the same
+one that the correlator scale 2^(4h-1) prod (2k_i+1)!! reads. L_h
+clears the denominator of every in-dimension genus-h correlator,
+whatever its exponents, and so of every vertex integral of genus h. The
+chain scale B_h is the lcm of L_h and of B_f B_(h-f) for 1 <= f < h, so that
 B_f B_(h-f) divides B_h by construction; the tests find B_h = L_h for
 every h <= 40. The leaf B_h <tau_k>_h is read straight from the scaled
 correlator memo by :func:`gdr.correlators.times_correlator`, which raises
@@ -78,7 +81,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import lcm
 from typing import Iterator, List
 
 from .core import (
@@ -91,7 +94,7 @@ from .core import (
     kappa_map,
     kappa_splits,
 )
-from .correlators import times_correlator
+from .correlators import _odd_double_factorial, times_correlator
 from .kappa import _extension
 
 
@@ -143,7 +146,7 @@ def vertex_integral(genus: int, left_psi: int, right_psi: int, kappa: KappaMap) 
 def _odd_scale(weight: int) -> int:
     """P(weight): the lcm of prod (2k_i+1)!! over the exponent tuples with
     every k_i >= 2 and sum(k_i - 1) = weight (see the module docstring)."""
-    return lcm(*(prod(range(1, 2 * a + 4, 2)) * _odd_scale(weight - a) for a in range(1, weight + 1)))
+    return lcm(*(_odd_double_factorial(a + 1) * _odd_scale(weight - a) for a in range(1, weight + 1)))
 
 
 @lru_cache(maxsize=None)

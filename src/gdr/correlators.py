@@ -55,8 +55,9 @@ DVV runs only at g >= 2 (at genus 1 the dimension, sum(k) = n, forces an
 exponent <= 1) and both split genera are >= 1. So by induction from
 M_1(1) = 8 * 3 * (1/24) = 1, every M_g(k) is an integer, and 2^(4g-1) is
 enough. :func:`correlator` divides by the scale once, at the end. The
-scale reads each (2k+1)!! from a table that grows with the largest
-exponent seen, so no double factorial is recomputed.
+scale reads each (2k+1)!! from :func:`_odd_double_factorial`, memoized
+for the process, which gdr.bamboo's chain scale reads too: gdr computes
+the double factorial in this one place.
 
 :func:`times_correlator` serves a caller that already works on a scale of
 its own, as the bamboo side does on B_h: it returns scale * <tau_k>_g as
@@ -87,7 +88,8 @@ import os
 import re
 import tempfile
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, prod
 from typing import Dict, Iterable, Tuple
 
 from .core import format_rational, multinomial, parse_rational
@@ -105,21 +107,16 @@ def memo_snapshot() -> Dict[Key, Fraction]:
     return {key: Fraction(value, _scale(*key)) for key, value in _memo.items()}
 
 
-# (2k+1)!! at index k, grown on demand
-_odd_double_factorials = [1]
+@lru_cache(maxsize=None)
+def _odd_double_factorial(k: int) -> int:
+    """(2k+1)!! = 3 * 5 * ... * (2k+1), the empty product 1 at k = 0."""
+    return prod(range(3, 2 * k + 2, 2))
 
 
 def _scale(genus: int, exps: tuple) -> int:
     """2^max(4g-1, 0) prod_i (2k_i+1)!!, which turns <tau_k>_g into an
-    integer; for sorted, non-empty exponents, as every key is."""
-    table = _odd_double_factorials
-    if exps[-1] >= len(table):
-        for k in range(len(table), exps[-1] + 1):
-            table.append(table[-1] * (2 * k + 1))
-    result = 1 << max(4 * genus - 1, 0)
-    for k in exps:
-        result *= table[k]
-    return result
+    integer."""
+    return prod(map(_odd_double_factorial, exps), start=1 << max(4 * genus - 1, 0))
 
 
 def correlator(genus: int, exponents: Iterable[int]) -> Fraction:

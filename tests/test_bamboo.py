@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from gdr.core import (
     kappa_map,
 )
 from gdr.cli import enumerate_omegas, verify
-from gdr.correlators import correlator, times_correlator
+from gdr.correlators import _odd_double_factorial, correlator, times_correlator
 import bamboo_oracle
 from memos import clear_memos
 
@@ -293,6 +294,28 @@ class TestScaledIntegers:
         # is the one it was before B_h became an lcm
         for h in range(2, 41):
             assert bamboo._scale(h) == 2 ** (4 * h - 1) * bamboo._odd_scale(3 * h - 3), h
+
+    def test_odd_scale_from_its_definition(self):
+        # P(w) is the lcm of prod (2k_i+1)!! over the exponent tuples with
+        # every k_i >= 2 and sum(k_i - 1) = w, that is over the partitions
+        # of w into parts k_i - 1 >= 1, each part's (2k_i+1)!! from
+        # factorials; and the one (2k+1)!! that the recursion P(w) and the
+        # correlator scale read is the same closed form
+        def partitions(w, largest):
+            if w == 0:
+                yield ()
+            for part in range(min(w, largest), 0, -1):
+                for tail in partitions(w - part, part):
+                    yield (part,) + tail
+
+        def odd_double_factorial(k):
+            return math.factorial(2 * k + 1) // (2**k * math.factorial(k))
+
+        for k in range(61):
+            assert _odd_double_factorial(k) == odd_double_factorial(k), k
+        for w in range(13):
+            expected = math.lcm(*(math.prod(odd_double_factorial(p + 1) for p in ps) for ps in partitions(w, w)))
+            assert bamboo._odd_scale(w) == expected, w
 
     @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6, 7])
     def test_pair_matches_fraction_oracle(self, g):
