@@ -216,7 +216,9 @@ def kappa_splits(kappa: KappaMap) -> tuple:
     chain, as (multiplicity, share, rest, degree of share): the two-part
     :func:`kappa_distributions`, in its order, memoized for the whole
     process. The chain programs of both pipelines place one vertex at a
-    time through it.
+    time through it, and the bamboo side's kappa expansion
+    (gdr.kappa._extension) merges each sub-multiset of a vertex's other
+    factors, a share here, into one new marking.
 
     The c_i factors kappa_i split as e to the share and c_i - e to the
     rest in C(c_i, e) ways, for e = 0..c_i, and the splits are the product

@@ -27,11 +27,15 @@ which depends on f and K alone, as l + r = 2f - 1 - deg K.
 :func:`_vertex_table` is that table, built by a one-factor pushforward
 of its own that reads neither gdr.kappa nor
 :func:`gdr.core.kappa_splits`, so a fault in the bamboo side's kappa
-expansion moves one side only. Nothing divides: the pushforward merges
-the last factor into one new marking m and leaves a rest at points + 1,
-and each multinomial (n; m, e'), n = points - deg K, is C(n + m, m)
-times the rest's multinomial (n + m; e'), where n + m is points + 1
-less the rest's degree: every table is a signed sum of integer products.
+expansion moves one side only. A fault in kappa_splits moves the bamboo
+side in two places, its chain program and its kappa expansion, and this
+side in one, the chain program of :func:`_run`; it still reaches the
+comparison, as tests/test_independence.py shows. Nothing divides: the
+pushforward merges the last factor into one new marking m and leaves a
+rest at points + 1, and each multinomial (n; m, e'), n = points - deg K,
+is C(n + m, m) times the rest's multinomial (n + m; e'), where n + m is
+points + 1 less the rest's degree: every table is a signed sum of
+integer products.
 
 Distinct delta_h meet transversally and the excess rule gives
 delta_h^m = delta_h (-psi' - psi'')^(m-1), so the multinomial expansion

@@ -11,9 +11,11 @@ merge into the new marking:
     I(a; kappa_b K) = sum over S of (-1)^|S| I(a, b + 1 + deg S; K - S).
 
 A map K with c_i factors of index i has prod_i C(c_i, t_i) sub-multisets
-that take t_i factors of each index, all with the same term, so
-:func:`_extension` sums over the t_i with that weight and recurses on
-the rest, again a canonical kappa map. Unrolled, this is the closed form
+that take t_i factors of each index, all with the same term: the splits
+of K between a share S and a rest that :func:`gdr.core.kappa_splits`
+lists for the chain programs, with that weight. So :func:`_extension`
+sums over those splits and recurses on the rest, again a canonical
+kappa map. Unrolled, this is the closed form
 over the set partitions of the factors: one new marking tau_{(sum of
 block indices)+1} per block, with the integer coefficient prod over
 blocks of (-1)^(|B|-1), and no (|B|-1)! factor, since each block is
@@ -24,7 +26,7 @@ genus-0 spaces, and int kappa~_1^3 = 43/2880 over unmarked genus-2.
 The terms are aggregated by sorted extension and depend on the kappa map
 alone, so :func:`_extension` is memoized for the whole process, and a
 map reuses the expansions of the smaller maps it leaves: all 1,597
-canonical maps of degree <= 18 expand in 0.23 s from a cold memo
+canonical maps of degree <= 18 expand in 0.22 s from a cold memo
 (Python 3.11, 2-vCPU VM). :func:`kappa_to_psi` returns the psi prefix
 followed by each memoized extension.
 
@@ -34,21 +36,23 @@ integral over the psi prefix plus each extension; with the bamboo
 side's integer leaf B_h <tau_k>_h the sum stays an integer. The divisor
 side's dynamic program does not use it: gdr.hain evaluates its capped
 vertices from a table of its own, so a fault here moves only one side
-of a comparison. :func:`kappa_to_psi` is the same expansion as an
-explicit list of terms. Its correctness is gated in the tests by the
-set-partition form, by the closed form over the integer partitions for
-powers of kappa_1, and by the brute-force pushforward, which keeps
-equal factors distinguishable. The expansion
-is valid verbatim under a top-Chern cap because lambda classes pull
-back along forgetful maps.
+of a comparison. The splits are shared code: a fault in
+:func:`gdr.core.kappa_splits` moves the expansion and both chain
+programs, and the tests show that it still reaches the comparison.
+:func:`kappa_to_psi` is the same expansion as an explicit list of
+terms. Its correctness is gated in the tests by the set-partition form,
+by the closed form over the integer partitions for powers of kappa_1,
+by the brute-force pushforward, which keeps equal factors
+distinguishable, and by a digest of every map of degree <= 13. The
+expansion is valid verbatim under a top-Chern cap because lambda
+classes pull back along forgetful maps.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
 from typing import List, Sequence, Tuple
 
-from .core import KappaMap, kappa_map
+from .core import KappaMap, kappa_map, kappa_splits
 
 
 @lru_cache(maxsize=None)
@@ -58,24 +62,19 @@ def _extension(kappa: KappaMap) -> tuple:
     coefficients dropped; memoized for the whole process.
 
     One factor kappa_b is pushed forward: each sub-multiset S of the other
-    factors, chosen in prod C(c_i, t_i) ways, merges into its marking
-    b + 1 + deg S with the sign (-1)^|S|, and the rest expands in turn."""
+    factors, one split of :func:`gdr.core.kappa_splits` with its weight
+    prod C(c_i, t_i), merges into the marking b + 1 + deg S with the sign
+    (-1)^|S|, and the rest expands in turn."""
     if not kappa:
         return ((1, ()),)
     index, count = kappa[-1]
-    # (signed ways, marking, rest) for each sub-multiset of the other factors
-    merges = [(1, index + 1, ())]
-    for i, c in kappa[:-1] + (((index, count - 1),) if count > 1 else ()):
-        merges = [
-            ((-1) ** t * comb(c, t) * ways, marking + i * t, rest + ((i, c - t),) if t < c else rest)
-            for ways, marking, rest in merges
-            for t in range(c + 1)
-        ]
+    others = kappa[:-1] + (((index, count - 1),) if count > 1 else ())
     acc: dict = {}
-    for ways, marking, rest in merges:
+    for ways, share, rest, share_degree in kappa_splits(others):
+        signed = (-1) ** sum(t for _, t in share) * ways
         for coeff, extension in _extension(rest):
-            key = tuple(sorted(extension + (marking,)))
-            acc[key] = acc.get(key, 0) + ways * coeff
+            key = tuple(sorted(extension + (index + 1 + share_degree,)))
+            acc[key] = acc.get(key, 0) + signed * coeff
     return tuple((coeff, extension) for extension, coeff in sorted(acc.items()) if coeff)
 
 

@@ -3,11 +3,12 @@ agreeing with each other.
 
 A fault in code that both pipelines share could make them agree while
 both are wrong. Each such shared piece gets a test here showing that a
-fault in it reaches the comparison: the kappa splits and the kappa
-degree. The kappa expansion is not shared: the bamboo side reads it and
-the divisor side its own capped-vertex table, and a test here shows that
-a wrong expansion coefficient makes the two sides differ. And closed
-forms that share no code with either pipeline give every psi-only
+fault in it reaches the comparison: the kappa splits, which the bamboo
+side's kappa expansion reads as well as both chain programs, and the
+kappa degree. The kappa expansion is not shared: the bamboo side reads
+it and the divisor side its own capped-vertex table, and a test here
+shows that a wrong expansion coefficient makes the two sides differ. And
+closed forms that share no code with either pipeline give every psi-only
 record, and every record with one kappa factor, a third value.
 
 Not every record tests much: a boundary record is 0 on both sides by
@@ -44,7 +45,8 @@ def unequal_at_genus_4(monkeypatch, modules, name, fault):
     return [r.omega for r in report.records if not r.equal]
 
 
-SIDES = {"bamboo": bamboo, "hain": hain}
+# the two chain programs, and the bamboo side's kappa expansion
+SIDES = {"bamboo": bamboo, "hain": hain, "kappa": kappa}
 
 
 def _unit_multiplicity_splits(kappa):
@@ -52,13 +54,20 @@ def _unit_multiplicity_splits(kappa):
     return tuple((1, share, rest, degree) for _, share, rest, degree in kappa_splits(kappa))
 
 
-@pytest.mark.parametrize("sides", [("bamboo",), ("hain",), ("bamboo", "hain")], ids="+".join)
+@pytest.mark.parametrize(
+    "sides", [("bamboo",), ("hain",), ("bamboo", "hain"), ("kappa",), ("bamboo", "hain", "kappa")], ids="+".join
+)
 def test_kappa_splits_fault_reaches_the_comparison(monkeypatch, sides):
-    # both chain programs place a vertex's kappa share through kappa_splits;
-    # they use the multiplicity differently, so a wrong one makes them differ
+    # both chain programs place a vertex's kappa share through kappa_splits,
+    # and the bamboo side's kappa expansion merges each sub-multiset through
+    # it too; they use the multiplicity differently, so a wrong one makes
+    # the sides differ, in the expansion alone as well
     modules = [SIDES[side] for side in sides]
     unequal = unequal_at_genus_4(monkeypatch, modules, "kappa_splits", _unit_multiplicity_splits)
-    assert unequal == ["psi1 kappa1^2", "psi2 kappa1^2", "kappa1^3"]
+    if sides == ("kappa",):
+        assert unequal == ["kappa1^3"]
+    else:
+        assert unequal == ["psi1 kappa1^2", "psi2 kappa1^2", "kappa1^3"]
 
 
 def _degree_off_by_one(kappa):
@@ -95,7 +104,10 @@ def modules_binding_the_expansion():
 
 
 # the sign (-1)^|S| of a merge dropped, and the weight 2^|S| in its place
-EXTENSION_MUTANTS = {"sign-dropped": ("(-1) ** t * ", ""), "weight-2^|S|": ("(-1) ** t", "2 ** t")}
+EXTENSION_MUTANTS = {
+    "sign-dropped": ("(-1) ** sum(t for _, t in share) * ", ""),
+    "weight-2^|S|": ("(-1) ** ", "2 ** "),
+}
 
 
 @pytest.mark.parametrize("mutant", EXTENSION_MUTANTS.values(), ids=EXTENSION_MUTANTS.keys())

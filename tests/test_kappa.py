@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -136,13 +138,6 @@ class TestMultisetPartitions:
         # the set partitions of m equal factors with block sizes lambda number
         # m!/(prod lambda_i! prod_r mult_r(lambda)!), each with the sign
         # (-1)^(m - len(lambda)); Bell(20) of them are out of the oracle's reach
-        def partitions(m, largest):
-            if not m:
-                yield ()
-            for part in range(min(m, largest), 0, -1):
-                for rest in partitions(m - part, part):
-                    yield (part,) + rest
-
         for m in range(1, 21):
             expected = []
             for lam in partitions(m, m):
@@ -153,6 +148,26 @@ class TestMultisetPartitions:
                     ways //= math.factorial(lam.count(part))
                 expected.append(((-1) ** (m - len(lam)) * ways, tuple(sorted(part + 1 for part in lam))))
             assert _extension(((1, m),)) == tuple(sorted(expected, key=lambda term: term[1])), m
+
+    def test_every_kappa_map_up_to_degree_13_is_pinned(self):
+        # the g=14 digest's vertices carry kappa maps up to degree 13, and
+        # the set-partition oracle stops at degree 9: every canonical map of
+        # degree <= 13, one line "map:expansion" each, against a sha256
+        maps = sorted(kappa_map(Counter(parts)) for degree in range(14) for parts in partitions(degree, degree))
+        lines = "".join(f"{kappa}:{_extension(kappa)}\n" for kappa in maps)
+        assert len(maps) == 373 and sum(len(_extension(kappa)) for kappa in maps) == 7421
+        digest = hashlib.sha256(lines.encode()).hexdigest()
+        assert digest == "d91e91e50a33c67f81317744244643b66100f2e83915b2cc50cc5f5ba059901d"
+
+
+def partitions(m, largest):
+    """The integer partitions of m into parts <= largest, each a tuple in
+    decreasing order."""
+    if not m:
+        yield ()
+    for part in range(min(m, largest), 0, -1):
+        for rest in partitions(m - part, part):
+            yield (part,) + rest
 
 
 def verify_kappa_maps(max_genus):
