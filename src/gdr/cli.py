@@ -436,6 +436,12 @@ def _open_beside(path: str) -> Tuple[TextIO, Optional[str], str]:
     temporary = f"{target}.{os.getpid()}.tmp"
     # O_EXCL: never write through a file or link that is already there
     fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    if os.path.exists(target):  # open(path, "w") keeps an existing file's mode
-        os.fchmod(fd, os.stat(target).st_mode & 0o777)
-    return os.fdopen(fd, "w", encoding="utf-8"), temporary, target
+    try:
+        if os.path.exists(target):  # open(path, "w") keeps an existing file's mode
+            os.fchmod(fd, os.stat(target).st_mode & 0o777)
+        return os.fdopen(fd, "w", encoding="utf-8"), temporary, target
+    except BaseException:
+        # the target gone since the check, or a mode the filesystem refuses
+        os.close(fd)
+        os.unlink(temporary)
+        raise

@@ -413,6 +413,22 @@ class TestOutPath:
         assert "error: cannot write" in capsys.readouterr().err
         assert victim.read_text(encoding="utf-8") == "keep\n" and not out.exists()
 
+    def test_out_mode_that_cannot_be_set_leaves_no_temporary_file(self, capsys, monkeypatch, tmp_path):
+        # the temporary file exists when fchmod fails: it is closed and removed
+        path = tmp_path / "report.json"
+        path.write_text("previous report\n", encoding="utf-8")
+        descriptors = []
+
+        def refused(fd, mode):
+            descriptors.append(fd)
+            raise PermissionError(errno.EPERM, os.strerror(errno.EPERM))
+
+        monkeypatch.setattr(os, "fchmod", refused)
+        assert main(["verify", "--genus", "2", "--out", str(path)]) == 2
+        pytest.raises(OSError, os.fstat, descriptors[0])  # closed
+        assert capsys.readouterr().err == f"error: cannot write {path}: {os.strerror(errno.EPERM)}\n"
+        assert path.read_text(encoding="utf-8") == "previous report\n" and os.listdir(tmp_path) == ["report.json"]
+
     def test_out_writes_through_a_symlink(self, capsys, tmp_path):
         # as open(path, "w") would: the link stays a link, its target gets the report
         argv = ["verify", "--genus", "3", "--kappa", "--boundary"]

@@ -15,8 +15,10 @@ Regenerate one (only when a change of values is intended):
 then replace each ``"ms": <n>`` by ``"ms": 0``.
 
 Above that range the whole report, too large to check in, is pinned by
-the sha256 of the same text: g = 9 here, g = 10 (5.5 MB) in CI. Every
-golden label also parses back, through ChainVertex.parse, to its class.
+the sha256 of the same text: g = 9 here, g = 10 (5.5 MB) in CI. Higher
+still, the values are pinned by the sha256 of their lines, in ``deep``
+rows up to g = 18 that ``pytest -m deep`` runs. Every golden label also
+parses back, through ChainVertex.parse, to its class.
 """
 import hashlib
 import json
@@ -25,8 +27,11 @@ import re
 
 import pytest
 
+from gdr.bamboo import pair_bamboo_side
 from gdr.cli import enumerate_omegas, main, verify
 from gdr.core import ChainVertex, format_rational
+from gdr.hain import pair_dr_side
+from memos import clear_memos
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 # a boundary label: delta(h)[left decoration | right decoration]
@@ -73,6 +78,44 @@ def test_verify_report_at_genus_9_matches_its_digest(capsys, tmp_path):
     assert "PASS: 16571/16571" in capsys.readouterr().err
     text = re.sub(r'"ms": [0-9]+', '"ms": 0', path.read_text(encoding="utf-8"))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_G9_SHA256
+
+
+def _lines(kind, g):
+    """What a digest row hashes. "full" and "monomials": the omega;bamboo;dr
+    lines of verify(g, True), with and without boundary classes, which must
+    pass. "divisor" and "bamboo": the label;value lines of that side alone
+    over the monomial classes."""
+    if kind in ("full", "monomials"):
+        report = verify(g, include_kappa=True, include_boundary=kind == "full")
+        assert report.passed
+        return [f"{r.omega};{format_rational(r.bamboo)};{format_rational(r.dr)}\n" for r in report.records]
+    pair = {"divisor": pair_dr_side, "bamboo": pair_bamboo_side}[kind]
+    return [f"{t.label};{format_rational(pair(t.chain.vertices[0]))}\n" for t in enumerate_omegas(g, True)]
+
+
+def _row(kind, g, count, digest, deep=False):
+    return pytest.param(kind, g, count, digest, id=f"{kind}-{g}", marks=[pytest.mark.deep] * deep)
+
+
+@pytest.mark.parametrize(
+    "kind,g,count,digest",
+    [
+        _row("divisor", 10, 284, "367effa6962fd0e4a9a58e26902194ca0b69e041bc8b1c2f5226d750f71749d6"),
+        _row("bamboo", 10, 284, "367effa6962fd0e4a9a58e26902194ca0b69e041bc8b1c2f5226d750f71749d6"),
+        # the deep rows reach vertices with kappa maps up to degree g - 1,
+        # above the degree-9 maps that tests/test_kappa.py checks against set
+        # partitions, and the divisor side's longer transfer lists
+        _row("full", 12, 159601, "bcabc9b08983777af97744aec748125269487957ebc2cd252ac375351fcb3d98", deep=True),
+        _row("monomials", 14, 1263, "59821d3f658538a54ba98510eabc8bd8f3dc13783d4bd502ab451314d52c0ce6", deep=True),
+        _row("divisor", 16, 2455, "41812f370b860b0b2a132e025d8de34d61f11a9bb628e146626a163b6b63ac43", deep=True),
+        _row("bamboo", 16, 2455, "41812f370b860b0b2a132e025d8de34d61f11a9bb628e146626a163b6b63ac43", deep=True),
+        _row("divisor", 18, 4582, "d1a854a18dd98b2c3bc69fb59107956f57693a4b8bcab0e8e3871132e6ebb602", deep=True),
+    ],
+)
+def test_values_match_their_digest(kind, g, count, digest):
+    clear_memos()  # from cold memos, so that memory holds one row at a time
+    lines = _lines(kind, g)
+    assert (len(lines), hashlib.sha256("".join(lines).encode()).hexdigest()) == (count, digest)
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6, 7, 8])

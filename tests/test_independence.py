@@ -29,20 +29,20 @@ from gdr.core import ChainVertex, kappa_degree, kappa_splits
 from memos import clear_memos
 
 
-def unequal_at_genus_4(monkeypatch, modules, name, fault):
-    """The omegas of the unequal records of verify(4, include_kappa=True)
+def unequal_at_genus(g, monkeypatch, modules, name, fault):
+    """The omegas of the unequal records of verify(g, include_kappa=True)
     with `name` bound to `fault` in each of `modules`, from cold memos, all
-    of them cleared again after the run. The report must fail, with all
-    of its 14 records and none aborted."""
+    of them cleared again after the run, and the number of records. The
+    report must fail, with none aborted."""
     for module in modules:
         monkeypatch.setattr(module, name, fault)
     clear_memos()
     try:
-        report = verify(4, include_kappa=True)
+        report = verify(g, include_kappa=True)
     finally:
         clear_memos()
-    assert report.aborted == [] and not report.passed and len(report.records) == 14
-    return [r.omega for r in report.records if not r.equal]
+    assert report.aborted == [] and not report.passed
+    return [r.omega for r in report.records if not r.equal], len(report.records)
 
 
 # the two chain programs, and the bamboo side's kappa expansion
@@ -63,11 +63,11 @@ def test_kappa_splits_fault_reaches_the_comparison(monkeypatch, sides):
     # it too; they use the multiplicity differently, so a wrong one makes
     # the sides differ, in the expansion alone as well
     modules = [SIDES[side] for side in sides]
-    unequal = unequal_at_genus_4(monkeypatch, modules, "kappa_splits", _unit_multiplicity_splits)
+    unequal = unequal_at_genus(4, monkeypatch, modules, "kappa_splits", _unit_multiplicity_splits)
     if sides == ("kappa",):
-        assert unequal == ["kappa1^3"]
+        assert unequal == (["kappa1^3"], 14)
     else:
-        assert unequal == ["psi1 kappa1^2", "psi2 kappa1^2", "kappa1^3"]
+        assert unequal == (["psi1 kappa1^2", "psi2 kappa1^2", "kappa1^3"], 14)
 
 
 def _degree_off_by_one(kappa):
@@ -81,8 +81,8 @@ def test_kappa_degree_fault_reaches_the_comparison(monkeypatch, sides):
     # to place its legs; the bamboo side's dimension is 3g - 1 and the
     # divisor side's 2g - 1, so a wrong degree makes them differ
     modules = [SIDES[side] for side in sides]
-    unequal = unequal_at_genus_4(monkeypatch, modules, "kappa_degree", _degree_off_by_one)
-    assert unequal == ["psi1 kappa2", "psi2 kappa2", "kappa1 kappa2", "kappa3"]
+    unequal = unequal_at_genus(4, monkeypatch, modules, "kappa_degree", _degree_off_by_one)
+    assert unequal == (["psi1 kappa2", "psi2 kappa2", "kappa1 kappa2", "kappa3"], 14)
 
 
 _EXTENSION_SOURCE = inspect.getsource(kappa._extension)
@@ -98,11 +98,6 @@ def extension_mutant(old, new):
     return namespace["_extension"]
 
 
-def modules_binding_the_expansion():
-    """Every gdr module that binds the name `_extension`."""
-    return [module for module in vars(gdr).values() if inspect.ismodule(module) and "_extension" in vars(module)]
-
-
 # the sign (-1)^|S| of a merge dropped, and the weight 2^|S| in its place
 EXTENSION_MUTANTS = {
     "sign-dropped": ("(-1) ** sum(t for _, t in share) * ", ""),
@@ -110,15 +105,25 @@ EXTENSION_MUTANTS = {
 }
 
 
-@pytest.mark.parametrize("mutant", EXTENSION_MUTANTS.values(), ids=EXTENSION_MUTANTS.keys())
-def test_kappa_expansion_fault_reaches_the_comparison(monkeypatch, mutant):
+@pytest.mark.parametrize(
+    "g,mutant",
+    [pytest.param(4, m, id=name) for name, m in EXTENSION_MUTANTS.items()]
+    + [pytest.param(12, m, id=f"{name}-g12", marks=pytest.mark.deep) for name, m in EXTENSION_MUTANTS.items()],
+)
+def test_kappa_expansion_fault_reaches_the_comparison(monkeypatch, g, mutant):
     # the bamboo side expands each vertex's kappa factors into psi
     # insertions; the divisor side reads its own capped-vertex table, so a
     # wrong coefficient moves one side only
-    modules = modules_binding_the_expansion()
+    modules = [module for module in vars(gdr).values() if inspect.ismodule(module) and "_extension" in vars(module)]
     assert {module.__name__ for module in modules} == {"gdr.bamboo", "gdr.hain", "gdr.kappa"}
-    unequal = unequal_at_genus_4(monkeypatch, modules, "_extension", extension_mutant(*mutant))
-    assert unequal == ["psi1 kappa1^2", "psi2 kappa1^2", "kappa1^3", "kappa1 kappa2"]
+    unequal, records = unequal_at_genus(g, monkeypatch, modules, "_extension", extension_mutant(*mutant))
+    if g == 4:
+        assert (unequal, records) == (["psi1 kappa1^2", "psi2 kappa1^2", "kappa1^3", "kappa1 kappa2"], 14)
+    else:
+        # records of kappa degree >= 10 too, above the degree <= 9 maps
+        # that tests/test_kappa.py checks against set partitions
+        high = [omega for omega in unequal if kappa_degree(ChainVertex.parse(g, omega).kappa) >= 10]
+        assert (len(unequal), records, len(high)) == (540, 618, 137)
 
 
 def psi_only_value(g, d1):
@@ -127,7 +132,7 @@ def psi_only_value(g, d1):
     return Fraction(math.comb(g - 1, d1), 24**g * math.factorial(g))
 
 
-@pytest.mark.parametrize("g", range(1, 11))
+@pytest.mark.parametrize("g", [*range(1, 11), pytest.param(12, marks=pytest.mark.deep)])
 def test_psi_records_match_the_closed_form(g):
     report = verify(g)
     assert len(report.records) == g
@@ -146,30 +151,41 @@ def single_factor_value(g, d1, d2, e):
     return Fraction(f(g) * 6**e * f(e), f(d1) * f(d2) * f(e) * double_factorial * 24**g * f(g))
 
 
-def test_single_factor_records_match_the_closed_form():
-    # every record psi_1^d1 psi_2^d2 kappa_b of g = 2..10, one kappa factor
-    # of exponent 1, on both sides: g(g-1)/2 of them at each genus. A block
-    # of kappa._extension with one factor has coefficient 1, so this law
+@pytest.mark.parametrize(
+    "g,monomials",
+    [(2, 3), (3, 7), (4, 14), (5, 26), (6, 45), (7, 75), (8, 120), (9, 187), (10, 284)]
+    + [pytest.param(12, 618, marks=pytest.mark.deep)],
+)
+def test_single_factor_records_match_the_closed_form(g, monomials):
+    # every record psi_1^d1 psi_2^d2 kappa_b, one kappa factor of exponent
+    # 1, on both sides: g(g-1)/2 of the monomial records. A block of
+    # kappa._extension with one factor has coefficient 1, so this law
     # cannot see a fault in the multi-factor coefficients.
+    report = verify(g, include_kappa=True)
+    assert report.passed and len(report.records) == monomials
     checked = 0
-    for g in range(2, 11):
-        for record in verify(g, include_kappa=True).records:
-            vertex = ChainVertex.parse(g, record.omega)
-            if len(vertex.kappa) == 1 and vertex.kappa[0][1] == 1:
-                e = vertex.kappa[0][0] + 1
-                expected = single_factor_value(g, vertex.left_psi, vertex.right_psi, e)
-                assert record.bamboo == record.dr == expected, (g, record.omega)
-                checked += 1
-    assert checked == sum(g * (g - 1) // 2 for g in range(2, 11)) == 165
+    for record in report.records:
+        vertex = ChainVertex.parse(g, record.omega)
+        if len(vertex.kappa) == 1 and vertex.kappa[0][1] == 1:
+            e = vertex.kappa[0][0] + 1
+            expected = single_factor_value(g, vertex.left_psi, vertex.right_psi, e)
+            assert record.bamboo == record.dr == expected, record.omega
+            checked += 1
+    assert checked == g * (g - 1) // 2
 
 
 _BOUNDARY_LABEL = re.compile(r"delta\(([0-9]+)\)\[(.*) \| (.*)\]")
 
 
-def boundary_record_kinds(g):
-    """Check every boundary record of verify(g, True, True) against the
-    monomial records of lower genus, and return how many records were off
-    degree and how many balanced.
+@pytest.mark.parametrize(
+    "g,kinds",
+    [(2, (0, 1)), (3, (6, 6)), (4, (46, 23)), (5, (210, 70)), (6, (740, 185)), (7, (2210, 442)), (8, (5880, 980))]
+    + [pytest.param(10, (32640, 4080), marks=pytest.mark.deep)],
+)
+def test_boundary_records_are_zeros_or_products_of_lower_genus_records(g, kinds):
+    """Every boundary record of verify(g, True, True) against the monomial
+    records of lower genus; `kinds` is how many records are off degree and
+    how many balanced.
 
     A boundary record delta(h)[L | R] carries g - 2 of decoration. If L
     does not carry h - 1 (and so R not g - h - 1), a vertex is off its
@@ -196,12 +212,4 @@ def boundary_record_kinds(g):
             a, b = monomials[h][left_label], monomials[g - h][right_label]
             assert (record.bamboo, record.dr) == (a.bamboo * b.bamboo, a.dr * b.dr), record.omega
             balanced += 1
-    return off_degree, balanced
-
-
-@pytest.mark.parametrize(
-    "g,kinds",
-    [(2, (0, 1)), (3, (6, 6)), (4, (46, 23)), (5, (210, 70)), (6, (740, 185)), (7, (2210, 442)), (8, (5880, 980))],
-)
-def test_boundary_records_are_zeros_or_products_of_lower_genus_records(g, kinds):
-    assert boundary_record_kinds(g) == kinds
+    assert (off_degree, balanced) == kinds
