@@ -203,9 +203,9 @@ def verify(g: int, include_kappa: bool = False, include_boundary: bool = False) 
 
 def _write_report(
     handle: TextIO, genus: int, records: Iterable[VerificationRecord], aborted: List[str]
-) -> Tuple[int, int]:
+) -> Tuple[bool, int, int]:
     """Write the whole JSON report of `records`, each record as it
-    arrives, and return (equal records, records).
+    arrives, and return (the verdict it wrote, equal records, records).
 
     The text is that of ``json.dumps(payload, indent=2)`` and one final
     newline, with the ``pass`` flag last; it is known only once `records`
@@ -226,9 +226,9 @@ def _write_report(
         equal += r.equal
         total += 1
     close = "\n  ]" if total else "]"
-    passed_text = "true" if not aborted and equal == total else "false"
-    write(f'{close},\n  "pass": {passed_text}\n}}\n')
-    return equal, total
+    passed = not aborted and equal == total
+    write(f'{close},\n  "pass": {json.dumps(passed)}\n}}\n')
+    return passed, equal, total
 
 
 # The one grammar of an integer on the command line, for --genus and each
@@ -266,7 +266,7 @@ def _run_verify(args: SimpleNamespace) -> int:
     # stdout, or a temporary file that replaces --out only once the report is complete
     handle, temporary, target = (sys.stdout, None, None) if args.out is None else _open_beside(args.out)
     try:
-        equal, total = _write_report(handle, args.genus, records, aborted)
+        passed, equal, total = _write_report(handle, args.genus, records, aborted)
         handle.flush()  # a failed write ends the run here, before the verdict
         if handle is not sys.stdout:
             handle.close()
@@ -281,7 +281,6 @@ def _run_verify(args: SimpleNamespace) -> int:
         if temporary is not None:
             os.unlink(temporary)
         raise
-    passed = not aborted and equal == total
     print(
         f"{'PASS' if passed else 'FAIL'}: {equal}/{total} test classes equal at genus {args.genus}",
         file=sys.stderr,

@@ -167,10 +167,18 @@ class TestMain:
         assert capsys.readouterr().out == ""
 
     def test_bside_and_drside(self, capsys):
-        assert main(["bside", "--genus", "2", "--omega", "psi2"]) == 0
-        assert capsys.readouterr().out.strip() == "1/1152"
-        assert main(["drside", "--genus", "2", "--omega", "psi1"]) == 0
-        assert capsys.readouterr().out.strip() == "1/1152"
+        # the g=10 values are kappa-heavy: the bamboo side reads its integer
+        # vertex leaf from the scaled correlator memo, and both sides print
+        # the values they printed before that leaf became an integer
+        for genus, omega, value in (
+            ("2", "psi1", "1/1152"),
+            ("2", "psi2", "1/1152"),
+            ("10", "kappa1^9", "27648/230945"),
+            ("10", "psi1^2 kappa2^2 kappa3", "299053/23902195168051200"),
+        ):
+            for side in ("bside", "drside"):
+                assert main([side, "--genus", genus, "--omega", omega]) == 0
+                assert capsys.readouterr().out == f"{value}\n", (side, genus, omega)
 
     def test_drside_takes_no_cache(self, capsys, tmp_path):
         # the divisor side evaluates no correlator, so there is nothing to cache
@@ -479,6 +487,21 @@ class TestOutPath:
         assert main(argv) == 0
         assert _zero_ms(received[0].decode("utf-8")) == _zero_ms(capsys.readouterr().out)
 
+    def test_out_writes_into_stdout_when_it_is_a_pipe(self, tmp_path):
+        # /dev/stdout names the pipe the child writes to, so it is opened
+        # itself, as /dev/fd/N is: the report arrives on stdout, no file is made
+        result = subprocess.run(
+            [sys.executable, "-m", "gdr", "verify", "--genus", "3", "--kappa", "--boundary", "--out", "/dev/stdout"],
+            capture_output=True,
+            text=True,
+            cwd=str(tmp_path),
+            env=dict(os.environ, PYTHONPATH=SRC),
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert _zero_ms(result.stdout) == _golden(3)
+        assert os.listdir(tmp_path) == []
+
     def test_out_pipe_that_closes_is_a_failed_write(self, capsys):
         # /dev/fd/N of a pipe whose reader closes after the first bytes, long
         # before the 136 kB report fits in the pipe: a failed write of the
@@ -762,16 +785,23 @@ class TestParser:
         assert len(json.loads(capsys.readouterr().out)["records"]) == 2
 
 
-# sha256 of ``gdr bamboos --genus 8`` (43,263 lines); CI pins g = 9 the same way
-BAMBOOS_G8_SHA256 = "82017b34a073f14d48cbbd464daf89722899658808e303d274336cce6182defe"
-
-
 class TestBamboos:
-    def test_genus_8_matches_its_digest(self, capsys):
-        assert main(["bamboos", "--genus", "8"]) == 0
+    @pytest.mark.parametrize(
+        "g,count,digest",
+        [
+            pytest.param(8, 43263, "82017b34a073f14d48cbbd464daf89722899658808e303d274336cce6182defe", id="8"),
+            pytest.param(
+                9, 246675, "9114ad5efd2da0dad06a4f6c191a58d0cedaf7ae6bd64700dd5c222f031bb868",
+                id="9", marks=pytest.mark.deep,
+            ),
+        ],
+    )
+    def test_output_matches_its_digest(self, capsys, g, count, digest):
+        # the sha256 of ``gdr bamboos --genus g``, and its line count
+        assert main(["bamboos", "--genus", str(g)]) == 0
         out = capsys.readouterr().out
-        assert out.count("\n") == 43263
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == BAMBOOS_G8_SHA256
+        assert out.count("\n") == count
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     @pytest.mark.parametrize("g", range(1, 8))
     def test_lists_enumerate_bamboos(self, capsys, g):

@@ -46,8 +46,24 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("key,expected", sorted(GOLDEN.items()))
+# The slowest 30-point key found at the command line's bounds, genus
+# MAX_GENUS = 10 and MAX_POINTS = 30 points: from cold memos its string
+# path recurses about 50 levels deep, and it takes about 0.5 s.
+DEEPEST_STRING_PATH = (
+    (10, (0,) * 17 + (2, 2, 2, 3, 3, 3, 4, 4, 5, 5, 6, 8, 10)),
+    Fraction(976521007111746671094211029340880314039601921, 8989483991040000),
+)
+
+
+@pytest.mark.parametrize(
+    "key,expected",
+    [
+        *sorted(GOLDEN.items()),
+        pytest.param(*DEEPEST_STRING_PATH, id="deepest-string-path", marks=pytest.mark.deep),
+    ],
+)
 def test_golden_values(key, expected):
+    clear_memos()  # each key recurses as deep as in a fresh process
     genus, exps = key
     assert correlator(genus, exps) == expected
 

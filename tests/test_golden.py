@@ -15,9 +15,10 @@ Regenerate one (only when a change of values is intended):
 then replace each ``"ms": <n>`` by ``"ms": 0``.
 
 Above that range the whole report, too large to check in, is pinned by
-the sha256 of the same text: g = 9 here, g = 10 (5.5 MB) in CI. Higher
-still, the values are pinned by the sha256 of their lines, in ``deep``
-rows up to g = 18 that ``pytest -m deep`` runs. Every golden label also
+the sha256 of the same text: g = 9 in tier-1, and g = 10 (5.5 MB, and
+without kappa classes) in ``deep`` rows. Higher still, the values are
+pinned by the sha256 of their lines, in ``deep`` rows up to g = 18.
+``pytest -m deep`` runs the ``deep`` rows. Every golden label also
 parses back, through ChainVertex.parse, to its class.
 """
 import hashlib
@@ -36,8 +37,6 @@ from memos import clear_memos
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 # a boundary label: delta(h)[left decoration | right decoration]
 BOUNDARY_LABEL = re.compile(r"^delta\((\d+)\)\[(.*) \| (.*)\]$")
-# sha256 of ``verify --genus 9 --kappa --boundary --out`` with every ms 0
-REPORT_G9_SHA256 = "3ce2156bf9ea31708c7ddad553f5da25e8ee24e5880425234d804698b8fd01f6"
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6, 7, 8])
@@ -72,12 +71,41 @@ def test_boundary_without_kappa_gives_the_kappa_free_golden_records(g, count):
     assert report.passed
 
 
-def test_verify_report_at_genus_9_matches_its_digest(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "options,count,digest",
+    [
+        pytest.param(
+            ["--genus", "9", "--kappa", "--boundary"],
+            16571,
+            "3ce2156bf9ea31708c7ddad553f5da25e8ee24e5880425234d804698b8fd01f6",
+            id="9-kappa-boundary",
+        ),
+        # 37,004 classes, 5.5 MB
+        pytest.param(
+            ["--genus", "10", "--kappa", "--boundary"],
+            37004,
+            "1b65fb22f193eeb415484c1e356190bbc44a15fe1ca82c38e76f63913de1e59a",
+            id="10-kappa-boundary",
+            marks=pytest.mark.deep,
+        ),
+        # --boundary without --kappa, which g = 1..8 check against the
+        # goldens' kappa-free records above
+        pytest.param(
+            ["--genus", "10", "--boundary"],
+            1495,
+            "7b01dfd84d79fe17cb552fd00ccc6d663f02029ad5f6e361da1eb0be68dea6ee",
+            id="10-boundary",
+            marks=pytest.mark.deep,
+        ),
+    ],
+)
+def test_verify_report_matches_its_digest(capsys, tmp_path, options, count, digest):
+    # the sha256 of the report file with every ms field set to 0
     path = tmp_path / "report.json"
-    assert main(["verify", "--genus", "9", "--kappa", "--boundary", "--out", str(path)]) == 0
-    assert "PASS: 16571/16571" in capsys.readouterr().err
+    assert main(["verify", *options, "--out", str(path)]) == 0
+    assert f"PASS: {count}/{count}" in capsys.readouterr().err
     text = re.sub(r'"ms": [0-9]+', '"ms": 0', path.read_text(encoding="utf-8"))
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_G9_SHA256
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def _lines(kind, g):

@@ -46,7 +46,8 @@ def test_spanned_generators_are_generator_functions(tracing):
 def _gdr_names_used(path):
     """(module, attribute) for every ``from gdr.m import name`` and every
     ``m.attr`` on a module bound by ``from gdr import m`` in a script."""
-    tree = ast.parse(open(path, encoding="utf-8").read(), path)
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), path)
     modules, used = {}, []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "gdr":
