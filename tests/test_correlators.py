@@ -190,11 +190,16 @@ def test_genus_zero_closed_form_matches_string_recursion():
 # -- reference recursion ----------------------------------------------------
 #
 # The DVV recursion with an unreduced split term: every g1 in 0..g times
-# every subset of the remaining points, with its own memo and its own
-# genus-0 closed form. Out-of-dimension factors return 0, so the reference
-# pays for each dead split but cannot miscount one.
+# every subset of the remaining points, with its own memo per pivot and its
+# own genus-0 closed form. Out-of-dimension factors return 0, so the
+# reference pays for each dead split but cannot miscount one. Its DVV pivot
+# is a parameter, the index of the pivot in the sorted exponents: with the
+# smallest it reaches the keys that gdr's recursion reaches, and with the
+# largest it checks their values by another path.
 
-_reference_memo: dict = {}
+SMALLEST, LARGEST = 0, -1
+
+_reference_memos: dict = {SMALLEST: {}, LARGEST: {}}
 
 
 def _reference_odd_double_factorial(m):
@@ -204,7 +209,7 @@ def _reference_odd_double_factorial(m):
     return result
 
 
-def reference(genus, exps):
+def reference(genus, exps, pivot=SMALLEST):
     exps = tuple(sorted(exps))
     n = len(exps)
     if n == 0 or sum(exps) != 3 * genus - 3 + n:
@@ -212,42 +217,49 @@ def reference(genus, exps):
     if genus == 0:
         return Fraction(factorial(n - 3), prod(factorial(k) for k in exps))
     key = (genus, exps)
-    if key not in _reference_memo:
-        _reference_memo[key] = _reference_evaluate(genus, exps)
-    return _reference_memo[key]
+    memo = _reference_memos[pivot]
+    if key not in memo:
+        memo[key] = _reference_evaluate(genus, exps, pivot)
+    return memo[key]
 
 
-def _reference_evaluate(genus, exps):
+def _reference_evaluate(genus, exps, pivot):
     n = len(exps)
     if (genus, n) == (1, 1):
         return Fraction(1, 24)
     if exps[0] == 0:
         rest = exps[1:]
         return sum(
-            (reference(genus, rest[:j] + (kj - 1,) + rest[j + 1:]) for j, kj in enumerate(rest) if kj >= 1),
+            (reference(genus, rest[:j] + (kj - 1,) + rest[j + 1:], pivot) for j, kj in enumerate(rest) if kj >= 1),
             Fraction(0),
         )
     if exps[0] == 1:
-        return (2 * genus - 2 + (n - 1)) * reference(genus, exps[1:])
+        return (2 * genus - 2 + (n - 1)) * reference(genus, exps[1:], pivot)
     dfact = _reference_odd_double_factorial
-    k = exps[-1]
-    rest = exps[:-1]
+    at = pivot % n
+    k = exps[at]
+    rest = exps[:at] + exps[at + 1:]
     m = len(rest)
     acc = Fraction(0)
     for j, kj in enumerate(rest):
         joined = rest[:j] + (k + kj - 1,) + rest[j + 1:]
-        acc += Fraction(dfact(2 * (k + kj) - 1), dfact(2 * kj - 1)) * reference(genus, joined)
+        acc += Fraction(dfact(2 * (k + kj) - 1), dfact(2 * kj - 1)) * reference(genus, joined, pivot)
     half = Fraction(1, 2)
     for a in range(k - 1):
         b = k - 2 - a
         weight = dfact(2 * a + 1) * dfact(2 * b + 1)
-        acc += half * weight * reference(genus - 1, rest + (a, b))
+        acc += half * weight * reference(genus - 1, rest + (a, b), pivot)
         for g1 in range(genus + 1):
             for mask in range(1 << m):
                 left = tuple(rest[i] for i in range(m) if mask >> i & 1)
                 right = tuple(rest[i] for i in range(m) if not mask >> i & 1)
-                acc += half * weight * reference(g1, (a,) + left) * reference(genus - g1, (b,) + right)
+                acc += half * weight * reference(g1, (a,) + left, pivot) * reference(genus - g1, (b,) + right, pivot)
     return acc / dfact(2 * k + 1)
+
+
+def _clear_reference_memos():
+    for memo in _reference_memos.values():
+        memo.clear()
 
 
 def in_dimension_keys(max_genus, max_points):
@@ -277,28 +289,37 @@ def _bside_g6_kappa_keys():
 
 
 class TestReferenceRecursion:
+    """gdr's memo holds exactly the keys, and the values, that the
+    smallest-pivot reference reaches, and each value equals the
+    largest-pivot reference's."""
+
     def test_every_small_key(self):
         clear_memos()
-        _reference_memo.clear()
+        _clear_reference_memos()
         keys = list(in_dimension_keys(max_genus=4, max_points=6))
         assert len(keys) > 300
         for key in keys:
             assert correlator(*key) == reference(*key), key
-        assert memo_snapshot() == _reference_memo
+        reached = memo_snapshot()
+        assert reached == _reference_memos[SMALLEST]
+        assert {key: reference(*key, LARGEST) for key in reached} == reached
 
     def test_bside_g6_kappa_keys(self):
         reached = _bside_g6_kappa_keys()
-        assert len(reached) == 224
-        _reference_memo.clear()
+        assert len(reached) == 134
+        _clear_reference_memos()
         assert {key: reference(*key) for key in reached} == reached
-        assert _reference_memo == reached
+        assert _reference_memos[SMALLEST] == reached
+        assert {key: reference(*key, LARGEST) for key in reached} == reached
 
 
 def test_recursion_work_is_bounded(monkeypatch):
     # <tau_3^3 tau_2^9>_6 from an empty memo: an unreduced split term (every
     # genus times every subset, as in `reference`) makes 599,113 calls; with
     # g1 fixed by dimension and sub-multiset sharings it took about 5,000,
-    # and with the DVV terms of a and k-2-a shared it takes about 2,900.
+    # and with the DVV terms of a and k-2-a shared about 2,900. Pivoting DVV
+    # on the smallest exponent instead of the largest raised it to about
+    # 4,500 here, while it shrinks the memo on the bamboo side's keys.
     # The recursion calls the private `_scaled`, so that is what is counted.
     asked = []
     real = correlators._scaled
@@ -331,20 +352,47 @@ def test_recursion_call_count_is_exact(monkeypatch):
     monkeypatch.setattr(correlators, "_scaled", counting)
     clear_memos()
     correlators.correlator(6, (3, 3, 3) + (2,) * 9)
-    assert calls == 2868
+    assert calls == 4485
+
+
+def _covered_keys():
+    """The memo keys that the bside-g6-kappa pairings, the small keys and
+    <tau_3^3 tau_2^9>_6 reach, each from cold memos."""
+    keys = set(_bside_g6_kappa_keys())
+    clear_memos()
+    for key in in_dimension_keys(max_genus=4, max_points=6):
+        correlator(*key)
+    keys |= set(memo_snapshot())
+    clear_memos()
+    correlator(6, (3, 3, 3) + (2,) * 9)
+    return keys | set(memo_snapshot())
+
+
+def test_every_key_asked_for_is_sorted_and_in_dimension(monkeypatch):
+    # The recursion builds its keys by concatenation and one insertion, not
+    # by sorting, so a key put together in the wrong order would be a second
+    # memo entry for one correlator, with a wrong pivot below it. Each key
+    # is checked as it is asked for, before the recursion goes on with it.
+    asked = set()
+    real = correlators._scaled
+
+    def checking(genus, exponents):
+        assert exponents == tuple(sorted(exponents)), (genus, exponents)
+        assert sum(exponents) == 3 * genus - 3 + len(exponents), (genus, exponents)
+        asked.add((genus, exponents))
+        return real(genus, exponents)
+
+    monkeypatch.setattr(correlators, "_scaled", checking)
+    _covered_keys()
+    assert len(asked) > 1000
 
 
 def test_every_dvv_shape_shares_the_points_exactly_once():
     # Every shape that the DVV recursion meets on the bside-g6-kappa keys, on
     # the small keys and on <tau_3^3 tau_2^9>_6: the residue classes of
     # sharings.
-    keys = set(_bside_g6_kappa_keys())
-    clear_memos()
-    for key in in_dimension_keys(max_genus=4, max_points=6):
-        correlator(*key)
-    correlator(6, (3, 3, 3) + (2,) * 9)
-    keys |= set(memo_snapshot())
-    rests = {exps[:-1] for _, exps in keys if exps[0] >= 2}
+    keys = _covered_keys()
+    rests = {exps[1:] for _, exps in keys if exps[0] >= 2}
     assert len(rests) > 50
     for rest in rests:
         by_residue = correlators._shape(rest)

@@ -20,6 +20,7 @@ DEEP_CASES = {
     "tests/test_golden.py::test_values_match_their_digest[divisor-16]",
     "tests/test_golden.py::test_values_match_their_digest[bamboo-16]",
     "tests/test_golden.py::test_values_match_their_digest[divisor-18]",
+    "tests/test_golden.py::test_values_match_their_digest[bamboo-18]",
     "tests/test_independence.py::test_kappa_expansion_fault_reaches_the_comparison[sign-dropped-g12]",
     "tests/test_independence.py::test_kappa_expansion_fault_reaches_the_comparison[weight-2^|S|-g12]",
     "tests/test_independence.py::test_psi_records_match_the_closed_form[12]",

@@ -138,6 +138,7 @@ def _row(kind, g, count, digest, deep=False):
         _row("divisor", 16, 2455, "41812f370b860b0b2a132e025d8de34d61f11a9bb628e146626a163b6b63ac43", deep=True),
         _row("bamboo", 16, 2455, "41812f370b860b0b2a132e025d8de34d61f11a9bb628e146626a163b6b63ac43", deep=True),
         _row("divisor", 18, 4582, "d1a854a18dd98b2c3bc69fb59107956f57693a4b8bcab0e8e3871132e6ebb602", deep=True),
+        _row("bamboo", 18, 4582, "d1a854a18dd98b2c3bc69fb59107956f57693a4b8bcab0e8e3871132e6ebb602", deep=True),
     ],
 )
 def test_values_match_their_digest(kind, g, count, digest):
