@@ -72,8 +72,10 @@ as a Fraction, :func:`_scaled_vertex` over B_h, so the side has one
 vertex path.
 
 :func:`_scaled_vertex`, :func:`_tail` and :func:`_pair` are memoized for
-the whole process, as the divisor side's vertex factors are: every class
-of a `verify` run, a chain that :func:`pair_bamboo_boundary` pairs,
+the whole process, as the divisor side's vertex factors are. :func:`_pair`
+is a vertex's factor: a `verify` run reads it once for each vertex of its
+classes and multiplies a boundary class's two factors, as
+:func:`pair_bamboo_boundary` multiplies them for a chain. So every class
 reuses the vertex integrals and chain tails that earlier classes
 evaluated, and a boundary class the lower-genus pairings of its sides.
 """

@@ -58,13 +58,14 @@ import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Iterable, Iterator, List, NamedTuple, NoReturn, Optional, TextIO, Tuple
 
-from .bamboo import _bamboos, pair_bamboo_boundary, pair_bamboo_side
+from .bamboo import _bamboos, _pair, pair_bamboo_side
 from .core import ChainVertex, DecoratedChain, format_rational, kappa_map
 from .correlators import correlator
-from .hain import pair_dr_boundary, pair_dr_side
+from .hain import _capped_run, pair_dr_side
 from .hodge import psi_lambda_g_integral
 
 # Largest genus any subcommand accepts, checked before any work starts;
@@ -143,51 +144,109 @@ def enumerate_omegas(g: int, include_kappa: bool = False, include_boundary: bool
     ``delta(h)[left deco | right deco]`` with the left deco's psi2 slot
     meaning the node branch (mirrored for the right deco's psi1 slot).
     """
+    classes = _classes(g, include_kappa, include_boundary)
+    return (TestClass(label, DecoratedChain(row[0] for row in rows)) for label, rows in classes)
+
+
+# The slots of a vertex row past (vertex, label): the vertex's factor on
+# each side, None until a record first reads it.
+_BAMBOO, _DR = 2, 3
+_ZERO = Fraction(0)
+
+
+def _classes(g: int, include_kappa: bool, include_boundary: bool) -> Iterator[Tuple[str, tuple]]:
+    """The label and the vertex rows of each class of :func:`enumerate_omegas`,
+    in its order; a genus below 1 is rejected here, before the first class."""
     if g < 1:
         raise ValueError("genus must be >= 1")
-    return _omegas(g, include_kappa, include_boundary)
+    return _labelled(_blocks(g, include_kappa, include_boundary))
 
 
-def _omegas(g: int, include_kappa: bool, include_boundary: bool) -> Iterator[TestClass]:
+def _blocks(g: int, include_kappa: bool, include_boundary: bool) -> Iterator[tuple]:
+    """The classes as blocks (h, lefts, rights) of vertex rows
+    [vertex, label, bamboo factor, divisor factor]: first the monomials,
+    (0, rows, None), then for each h and left degree the boundary classes
+    delta(h)[left | right], every left row with every right row. The rows of
+    each (genus, degree) are built at most once per call and shared by the
+    blocks that hold them."""
+
     @lru_cache(maxsize=None)
     def vertices(genus: int, degree: int) -> list:
-        """The vertices of each (genus, degree) and their labels, built at most once per call."""
-        return [(v, str(v)) for v in _monomials_of_degree(genus, degree, include_kappa)]
+        return [[v, str(v), None, None] for v in _monomials_of_degree(genus, degree, include_kappa)]
 
-    for vertex, label in vertices(g, g - 1):
-        yield TestClass(label, DecoratedChain((vertex,)))
-    if not include_boundary:
-        return
-    deco_total = g - 2
-    for h in range(1, g):
-        for left_deg in range(deco_total + 1):
-            rights = vertices(g - h, deco_total - left_deg)
-            for left, left_label in vertices(h, left_deg):
-                for right, right_label in rights:
-                    yield TestClass(f"delta({h})[{left_label} | {right_label}]", DecoratedChain((left, right)))
+    yield 0, vertices(g, g - 1), None
+    if include_boundary:
+        for h in range(1, g):
+            for left_deg in range(g - 1):
+                yield h, vertices(h, left_deg), vertices(g - h, g - 2 - left_deg)
 
 
-def _records(classes: Iterable[TestClass], aborted: List[str]) -> Iterator[VerificationRecord]:
-    """Pair each class's chain on both sides and compare exactly, yielding
-    one record per class as it is produced. The one record path of
+def _labelled(blocks: Iterator[tuple]) -> Iterator[Tuple[str, tuple]]:
+    """Each class of `blocks` as its label and its one or two vertex rows."""
+    for h, lefts, rights in blocks:
+        if rights is None:
+            for row in lefts:
+                yield row[1], (row,)
+            continue
+        for left in lefts:
+            prefix = f"delta({h})[{left[1]} | "
+            for right in rights:
+                yield f"{prefix}{right[1]}]", (left, right)
+
+
+def _factor(row: list, side: int) -> Fraction:
+    """The vertex's factor on `side`: bamboo._pair or hain._capped_run, read
+    on first use and kept in the row, a zero as the shared _ZERO. A read
+    that raises keeps nothing, so each record that uses the vertex reads it
+    again and aborts as the first one did."""
+    factor = row[side]
+    if factor is None:
+        v = row[0]
+        if side == _BAMBOO:
+            factor = _pair(v.genus, v.left_psi, v.right_psi, v.kappa)
+        else:
+            factor = _capped_run(v.genus, v.left_psi, v.kappa, v.right_psi)
+        row[side] = factor = factor or _ZERO
+    return factor
+
+
+def _value(rows: tuple, side: int) -> Fraction:
+    """A class's value on `side`: the product of its vertices' factors, every
+    one of them read, the multiply skipped when one is the shared _ZERO."""
+    value = None
+    for row in rows:
+        factor = _factor(row, side)
+        value = factor if value is None else _ZERO if value is _ZERO or factor is _ZERO else value * factor
+    return value
+
+
+def _records(classes: Iterable[Tuple[str, tuple]], aborted: List[str]) -> Iterator[VerificationRecord]:
+    """Pair each class of :func:`_classes` on both sides and compare exactly,
+    yielding one record per class as it is produced. The one record path of
     :func:`verify` and of the command line.
+
+    A class's value on each side is the product of its vertices' factors on
+    that side (see :func:`_value`), the memoized one-vertex pairings that
+    pair_bamboo_boundary and pair_dr_boundary multiply for a chain. A
+    record's ms includes the factor reads that it is the first to make.
 
     Any internal failure (a degree-bookkeeping violation, a broken
     invariant) aborts that record with a diagnostic on stderr instead of
     reporting a value: its label goes to `aborted`, which fails the run.
     """
     clock = time.perf_counter
-    for test_class in classes:
+    for label, rows in classes:
         start = clock()
         try:
-            bamboo_value = pair_bamboo_boundary(test_class.chain)
-            dr_value = pair_dr_boundary(test_class.chain)
+            bamboo_value = _value(rows, _BAMBOO)
+            dr_value = _value(rows, _DR)
         except Exception as exc:
-            print(f"aborted record {test_class.label!r}: {exc}", file=sys.stderr)
-            aborted.append(test_class.label)
+            print(f"aborted record {label!r}: {exc}", file=sys.stderr)
+            aborted.append(label)
             continue
-        ms = int((clock() - start) * 1000)
-        yield VerificationRecord(test_class.label, bamboo_value, dr_value, bamboo_value == dr_value, ms)
+        # the shared zero on both sides, most boundary records, is equal without Fraction.__eq__
+        equal = bamboo_value is dr_value or bamboo_value == dr_value
+        yield VerificationRecord(label, bamboo_value, dr_value, equal, int((clock() - start) * 1000))
 
 
 def verify(g: int, include_kappa: bool = False, include_boundary: bool = False) -> VerificationReport:
@@ -197,7 +256,7 @@ def verify(g: int, include_kappa: bool = False, include_boundary: bool = False) 
     :func:`_records`).
     """
     aborted: List[str] = []
-    records = list(_records(enumerate_omegas(g, include_kappa, include_boundary), aborted))
+    records = list(_records(_classes(g, include_kappa, include_boundary), aborted))
     return VerificationReport(g, records, aborted)
 
 
@@ -215,15 +274,15 @@ def _write_report(
     write(f'{{\n  "genus": {json.dumps(genus)},\n  "records": [')
     separator = "\n"
     equal = total = 0
-    for r in records:
-        equal_text = "true" if r.equal else "false"
+    for omega, bamboo, dr, is_equal, ms in records:
+        # encode_basestring_ascii quotes a str as json.dumps does
         write(
-            f'{separator}    {{\n      "omega": {json.dumps(r.omega)},\n'
-            f'      "bamboo": "{format_rational(r.bamboo)}",\n      "dr": "{format_rational(r.dr)}",\n'
-            f'      "equal": {equal_text},\n      "ms": {r.ms}\n    }}'
+            f'{separator}    {{\n      "omega": {encode_basestring_ascii(omega)},\n'
+            f'      "bamboo": "{bamboo.numerator}/{bamboo.denominator}",\n      "dr": "{dr.numerator}/{dr.denominator}",\n'
+            f'      "equal": {"true" if is_equal else "false"},\n      "ms": {ms}\n    }}'
         )
         separator = ",\n"
-        equal += r.equal
+        equal += is_equal
         total += 1
     close = "\n  ]" if total else "]"
     passed = not aborted and equal == total
@@ -262,7 +321,7 @@ def _run_bamboos(args: SimpleNamespace) -> int:
 def _run_verify(args: SimpleNamespace) -> int:
     aborted: List[str] = []
     # a bad genus is rejected here, before any output
-    records = _records(enumerate_omegas(args.genus, args.kappa, args.boundary), aborted)
+    records = _records(_classes(args.genus, args.kappa, args.boundary), aborted)
     # stdout, or a temporary file that replaces --out only once the report is complete
     handle, temporary, target = (sys.stdout, None, None) if args.out is None else _open_beside(args.out)
     try:

@@ -75,7 +75,10 @@ delta_h is D_left + D_right. So the pairing is a product over the runs:
 
 :func:`_run` and :func:`_capped_run` are memoized for the whole
 process, so every class of a `verify` run reuses the runs that earlier
-classes computed.
+classes computed. :func:`_capped_run` is a vertex's factor: a `verify`
+run reads it once for each vertex of its classes and multiplies a
+class's factors, as :func:`pair_dr_boundary` does for a chain of any
+length.
 
 The runs are integers. The cap's support fixes D's total power in a
 run: its vertices have degrees 2g_v - 1, so a run of genus h and kappa
@@ -104,7 +107,8 @@ never built. :func:`_capped_run` builds one Fraction per vertex key:
 with top = a + t, D's whole power on omega's vertex, it divides
 sum_a C(top, a) times the run's entry a + left_psi by beta_h 2^top top!.
 :func:`pair_dr_boundary` multiplies the memoized factors of omega's
-vertices into the one Fraction of a pairing.
+vertices into the one Fraction of a pairing, and gives 0 for a chain
+whose codim is not g - 1, which no class of `verify` has.
 
 :func:`expand_divisor_power` expands D^g explicitly in the tree strata
 algebra instead: psi_1 and psi_2 decorate the outer legs; delta_h either

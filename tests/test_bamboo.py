@@ -218,9 +218,11 @@ class TestBoundaryPairing:
             pair_bamboo_boundary(DecoratedChain((ChainVertex(1), ChainVertex(1), ChainVertex(1))))
 
     def test_a_record_is_two_memo_lookups_and_one_fraction(self, monkeypatch):
-        # with the vertex pairings memoized, a boundary class reads each of
-        # its two vertices from the _pair memo, keyed on the vertex tuple,
-        # and builds one Fraction from their numerators and denominators
+        # with the vertex pairings memoized, pair_bamboo_boundary reads each
+        # of a boundary chain's two vertices from the _pair memo, keyed on the
+        # vertex tuple, and builds one Fraction from their numerators and
+        # denominators; a record of verify reads the same factors once per
+        # vertex, in gdr.cli
         classes = [
             t.chain
             for t in enumerate_omegas(5, include_kappa=True, include_boundary=True)

@@ -12,9 +12,11 @@ from fractions import Fraction
 import pytest
 
 from gdr import cli
-from gdr.bamboo import enumerate_bamboos, pair_bamboo_side
+from gdr.bamboo import enumerate_bamboos, pair_bamboo_boundary, pair_bamboo_side
 from gdr.cli import enumerate_omegas, main, verify
 from gdr.core import ChainVertex, format_rational
+from gdr.hain import pair_dr_boundary
+from memos import clear_memos
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -40,8 +42,8 @@ def _forbid_work(monkeypatch) -> None:
         raise AssertionError("started work on input that should have been rejected")
 
     for name in (
-        "correlator", "_bamboos", "enumerate_omegas", "_records", "pair_bamboo_side", "pair_dr_side",
-        "psi_lambda_g_integral",
+        "correlator", "_bamboos", "enumerate_omegas", "_classes", "_records", "_pair", "_capped_run",
+        "pair_bamboo_side", "pair_dr_side", "psi_lambda_g_integral",
     ):
         monkeypatch.setattr(cli, name, no_work)
 
@@ -109,6 +111,15 @@ class TestEnumerateOmegas:
     def test_without_kappa_only_psi_monomials(self):
         assert [t.label for t in enumerate_omegas(3)] == ["psi1^2", "psi1 psi2", "psi2^2"]
 
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_every_class_has_codim_g_minus_1(self, g):
+        # a node and the decorations: so pair_dr_boundary's rule that any
+        # other codim pairs to 0 never applies to a class of verify, and the
+        # record path, which multiplies the vertex factors alone, skips it
+        for test_class in enumerate_omegas(g, include_kappa=True, include_boundary=True):
+            vertices = test_class.chain.vertices
+            assert len(vertices) - 1 + sum(v.decoration_degree for v in vertices) == g - 1, test_class.label
+
 
 class TestReports:
     def test_json_schema_and_values(self, capsys):
@@ -135,16 +146,52 @@ class TestReports:
     def test_internal_violation_aborts_record_with_diagnostic(self, monkeypatch, capsys, error):
         import gdr.cli as cli_module
 
-        def broken(omega):
+        def broken(*key):
             raise error("degree bookkeeping violated")
 
-        monkeypatch.setattr(cli_module, "pair_bamboo_boundary", broken)
+        monkeypatch.setattr(cli_module, "_pair", broken)
         report = verify(1)
         err = capsys.readouterr().err
         assert report.records == []
         assert report.aborted == ["1"]
         assert not report.passed
         assert "degree bookkeeping violated" in err
+
+    @pytest.mark.parametrize("g", range(1, 8))
+    def test_records_are_the_chain_pairings_of_their_classes(self, g):
+        # the record path multiplies each side's vertex factors; each record
+        # is what the chain pairing of its class gives, that one computed
+        # first from cold memos, the record from cold memos again
+        classes = list(enumerate_omegas(g, include_kappa=True, include_boundary=True))
+        clear_memos()
+        expected = [(c.label, pair_bamboo_boundary(c.chain), pair_dr_boundary(c.chain)) for c in classes]
+        clear_memos()
+        report = verify(g, include_kappa=True, include_boundary=True)
+        assert report.passed
+        assert [(r.omega, r.bamboo, r.dr) for r in report.records] == expected
+
+    def test_a_failing_vertex_factor_aborts_exactly_the_records_that_use_it(self, monkeypatch, capsys):
+        # at genus 4 the genus-1 vertex psi2 is a left side in an h = 1
+        # block and a right side in an h = 3 block, where each left vertex,
+        # of genus 3 and degree 1, has the divisor factor 0: every record
+        # reads all of its factors, so those records abort too
+        chosen = ChainVertex(1, 0, 1)
+        original = cli._capped_run
+
+        def failing(genus, left_psi, kappa, right_psi):
+            if ChainVertex(genus, left_psi, right_psi, kappa) == chosen:
+                raise ArithmeticError("no factor for this vertex")
+            return original(genus, left_psi, kappa, right_psi)
+
+        monkeypatch.setattr(cli, "_capped_run", failing)
+        classes = list(enumerate_omegas(4, include_kappa=True, include_boundary=True))
+        users = [c.label for c in classes if chosen in c.chain.vertices]
+        report = verify(4, include_kappa=True, include_boundary=True)
+        assert report.aborted == users and len(users) == 6
+        assert [r.omega for r in report.records] == [c.label for c in classes if c.label not in users]
+        assert all(r.equal for r in report.records) and not report.passed
+        lines = [f"aborted record {label!r}: no factor for this vertex\n" for label in users]
+        assert capsys.readouterr().err == "".join(lines)
 
 
 class TestMain:
@@ -319,7 +366,7 @@ class TestMain:
     @pytest.mark.parametrize("out", [[], ["--out", "r.json"]], ids=["stdout", "out"])
     @pytest.mark.parametrize("genus", ["0", "-1"])
     def test_verify_rejects_a_genus_below_1(self, capsys, monkeypatch, tmp_path, genus, out):
-        # rejected by enumerate_omegas, before the report file is opened
+        # rejected by the class stream, before the report file is opened
         monkeypatch.chdir(tmp_path)
         assert main(["verify", "--genus", genus, *out]) == 2
         captured = capsys.readouterr()
@@ -361,10 +408,10 @@ class TestStreamedReport:
         assert _zero_ms(capsys.readouterr().out) == _zero_ms(path.read_bytes().decode("utf-8"))
 
     def test_failed_pairing_streams_no_records_and_fails(self, capsys, monkeypatch):
-        def broken(omega):
+        def broken(*key):
             raise ValueError("degree bookkeeping violated")
 
-        monkeypatch.setattr(cli, "pair_bamboo_boundary", broken)
+        monkeypatch.setattr(cli, "_pair", broken)
         assert main(["verify", "--genus", "1"]) == 1
         out = capsys.readouterr()
         assert out.out == '{\n  "genus": 1,\n  "records": [],\n  "pass": false\n}\n'
@@ -400,7 +447,7 @@ class TestOutPath:
         def no_work(*args, **kwargs):
             raise AssertionError("paired a class for a report that cannot be written")
 
-        for name in ("pair_bamboo_side", "pair_bamboo_boundary", "pair_dr_side", "pair_dr_boundary"):
+        for name in ("pair_bamboo_side", "_pair", "pair_dr_side", "_capped_run"):
             monkeypatch.setattr(cli, name, no_work)
         # an empty path is not the working directory: it names no file
         monkeypatch.chdir(tmp_path)
@@ -567,16 +614,16 @@ class TestOutPath:
     def test_interrupted_run_keeps_previous_report(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "report.json"
         path.write_text("previous report\n", encoding="utf-8")
-        original = cli.pair_dr_boundary
+        original = cli._capped_run
         calls = []
 
-        def interrupted(omega):
-            calls.append(omega)
+        def interrupted(*key):
+            calls.append(key)
             if len(calls) > 3:
                 raise KeyboardInterrupt
-            return original(omega)
+            return original(*key)
 
-        monkeypatch.setattr(cli, "pair_dr_boundary", interrupted)
+        monkeypatch.setattr(cli, "_capped_run", interrupted)
         with pytest.raises(KeyboardInterrupt):
             main(["verify", "--genus", "3", "--kappa", "--boundary", "--out", str(path)])
         assert len(calls) == 4

@@ -16,6 +16,7 @@ DEEP_CASES = {
     "tests/test_golden.py::test_verify_report_matches_its_digest[10-kappa-boundary]",
     "tests/test_golden.py::test_verify_report_matches_its_digest[10-boundary]",
     "tests/test_golden.py::test_values_match_their_digest[full-12]",
+    "tests/test_golden.py::test_values_match_their_digest[full-14]",
     "tests/test_golden.py::test_values_match_their_digest[monomials-14]",
     "tests/test_golden.py::test_values_match_their_digest[divisor-16]",
     "tests/test_golden.py::test_values_match_their_digest[bamboo-16]",

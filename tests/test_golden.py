@@ -134,6 +134,7 @@ def _row(kind, g, count, digest, deep=False):
         # above the degree-9 maps that tests/test_kappa.py checks against set
         # partitions, and the divisor side's longer transfer lists
         _row("full", 12, 159601, "bcabc9b08983777af97744aec748125269487957ebc2cd252ac375351fcb3d98", deep=True),
+        _row("full", 14, 592906, "1ff41d9a73f812d3f74d08d7e2e2e4ebb619ed657c8cd89c27214b181d8d7f04", deep=True),
         _row("monomials", 14, 1263, "59821d3f658538a54ba98510eabc8bd8f3dc13783d4bd502ab451314d52c0ce6", deep=True),
         _row("divisor", 16, 2455, "41812f370b860b0b2a132e025d8de34d61f11a9bb628e146626a163b6b63ac43", deep=True),
         _row("bamboo", 16, 2455, "41812f370b860b0b2a132e025d8de34d61f11a9bb628e146626a163b6b63ac43", deep=True),

@@ -443,9 +443,10 @@ class TestBoundaryPairing:
         assert count == 1 + 3 + 7 + 14 + 26 + 45
 
     def test_a_record_is_two_memo_lookups_and_one_fraction(self, monkeypatch):
-        # with the vertex factors memoized, a boundary class reads each of
-        # its two vertices from the _capped_run memo and builds one Fraction
-        # from their numerators and denominators
+        # with the vertex factors memoized, pair_dr_boundary reads each of a
+        # boundary chain's two vertices from the _capped_run memo and builds
+        # one Fraction from their numerators and denominators; a record of
+        # verify reads the same factors once per vertex, in gdr.cli
         classes = [
             t.chain
             for t in enumerate_omegas(5, include_kappa=True, include_boundary=True)

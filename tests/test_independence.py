@@ -7,8 +7,10 @@ fault in it reaches the comparison: the kappa splits, which the bamboo
 side's kappa expansion reads as well as both chain programs, and the
 kappa degree. The kappa expansion is not shared: the bamboo side reads
 it and the divisor side its own capped-vertex table, and a test here
-shows that a wrong expansion coefficient makes the two sides differ. And
-closed forms that share no code with either pipeline give every psi-only
+shows that a wrong expansion coefficient makes the two sides differ.
+Neither is the record path: it reads each side's vertex factor apart,
+and a test here shows that a fault in one side's factor moves that side
+alone. And closed forms that share no code with either pipeline give every psi-only
 record, and every record with one kappa factor, a third value.
 
 Not every record tests much: a boundary record is 0 on both sides by
@@ -23,7 +25,7 @@ from fractions import Fraction
 import pytest
 
 import gdr
-from gdr import bamboo, hain, kappa
+from gdr import bamboo, cli, hain, kappa
 from gdr.cli import verify
 from gdr.core import ChainVertex, kappa_degree, kappa_splits
 from memos import clear_memos
@@ -124,6 +126,27 @@ def test_kappa_expansion_fault_reaches_the_comparison(monkeypatch, g, mutant):
         # that tests/test_kappa.py checks against set partitions
         high = [omega for omega in unequal if kappa_degree(ChainVertex.parse(g, omega).kappa) >= 10]
         assert (len(unequal), records, len(high)) == (540, 618, 137)
+
+
+@pytest.mark.parametrize("name", ["_pair", "_capped_run"])
+def test_a_fault_in_one_sides_vertex_factor_reaches_the_comparison(monkeypatch, name):
+    # the record path reads each side's vertex factors, bamboo._pair and
+    # hain._capped_run, apart: one of them doubled on the genus-2 vertices
+    # moves that side alone, on the boundary records delta(2)[L | R] whose
+    # value is not 0, and on no monomial of genus 4
+    original = getattr(cli, name)
+
+    def doubled(genus, *key):
+        value = original(genus, *key)
+        return 2 * value if genus == 2 else value
+
+    monkeypatch.setattr(cli, name, doubled)
+    report = verify(4, include_kappa=True, include_boundary=True)
+    assert report.aborted == [] and not report.passed
+    unequal = [r for r in report.records if not r.equal]
+    assert len(unequal) == 9 and all(r.omega.startswith("delta(2)[") for r in unequal)
+    doubled_side, other_side = ("bamboo", "dr") if name == "_pair" else ("dr", "bamboo")
+    assert all(getattr(r, doubled_side) == 4 * getattr(r, other_side) != 0 for r in unequal)
 
 
 def psi_only_value(g, d1):
