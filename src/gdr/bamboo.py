@@ -32,7 +32,9 @@ the condition no longer mentions the genus or psi_1 power of omega.
 (genus still to place, kappa still to place): each step picks the next
 vertex's genus and kappa share, checks the prefix bound, evaluates the
 vertex, and multiplies by -1 for the node after it. :func:`_pair` is
-its top call. :func:`enumerate_bamboos` lists the terms explicitly.
+its top call. :func:`enumerate_bamboos` lists the terms explicitly, as
+the tests' reference for the program; no pipeline and no subcommand
+calls it.
 
 The program runs in integers, from the leaves up. A vertex of genus h
 evaluates, through the kappa expansion of gdr.kappa, whose coefficients
@@ -103,20 +105,15 @@ from .kappa import _extension
 def enumerate_bamboos(g: int) -> List[Bamboo]:
     """All bamboo terms for genus g, deterministically ordered by
     (vertex count, genus tuple, psi-power tuple)."""
-    return list(_bamboos(g))
-
-
-def _bamboos(g: int) -> Iterator[Bamboo]:
-    """The terms of :func:`enumerate_bamboos`, yielded one at a time; a
-    genus below 1 raises at the first step, before any term."""
     if g < 1:
         raise ValueError("genus must be >= 1")
+    terms = []
     for k in range(1, g + 1):
         d_total = 2 * g - (k - 1)
         for excess in compositions(g - k, k):
             genera = tuple(part + 1 for part in excess)
-            for ds in _prefix_constrained(genera, d_total):
-                yield Bamboo(tuple(zip(genera, ds)))
+            terms.extend(Bamboo(tuple(zip(genera, ds))) for ds in _prefix_constrained(genera, d_total))
+    return terms
 
 
 def _prefix_constrained(genera: tuple, d_total: int) -> Iterator[tuple]:

@@ -6,8 +6,6 @@ Subcommands:
     bside   --genus G --omega SPEC         one bamboo-side pairing
     drside  --genus G --omega SPEC         one divisor-side pairing
     witten  --genus G --exps K1,K2,...     one psi correlator
-    hodge   --genus G --exps K1,K2,...     one capped psi integral
-    bamboos --genus G                      list the signed bamboo terms
 
 Options follow the subcommand in any order, as ``--opt value`` or
 ``--opt=value``; the last occurrence wins and names are not abbreviated.
@@ -15,7 +13,8 @@ They are read against one table, ``_COMMANDS``: each subcommand's row
 holds its options, with the converter of each value (bool for a flag,
 int or str), and the action that runs it. One grammar, ASCII
 ``-?[0-9]+``, reads every int value and every --exps entry, so ``1_0``,
-``+2``, `` 2`` and other scripts' digits are not integers.
+``+2``, `` 2`` and other scripts' digits are not integers; an option's
+int value with more digits than int() converts is a usage error too.
 ``-h``/``--help`` prints this text. A usage error prints the usage line
 and the error in argparse's wording to stderr, and exits 2. As in
 argparse, a value may start with ``-`` when it is a negative number or
@@ -62,22 +61,21 @@ from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Iterable, Iterator, List, NamedTuple, NoReturn, Optional, TextIO, Tuple
 
-from .bamboo import _bamboos, _pair, pair_bamboo_side
+from .bamboo import _pair, pair_bamboo_side
 from .core import ChainVertex, DecoratedChain, format_rational, kappa_map
 from .correlators import correlator
 from .hain import _capped_run, pair_dr_side
-from .hodge import psi_lambda_g_integral
 
 # Largest genus any subcommand accepts, checked before any work starts;
 # 10 is the largest genus the benchmark drives (witten one-points).
 MAX_GENUS = 10
-# Longest --exps list witten and hodge accept, checked before any recursion.
-# 30 is the point count measured at genus 10: the slowest list of this
-# length found there, 0^17 2^3 3^3 4^2 5^2 6 8 10, takes about 1.4 s and
-# 34 MB from the command line, 1.2 s of it in the recursion (2-vCPU Xeon
-# VM, Python 3.11.7); 3000 points overflowed the stack. When MAX_GENUS
-# moves, measure it again rather than scale it: one 36-point key at
-# genus 12 took 5.6 s and 78 MB.
+# Longest --exps list witten accepts, checked before any recursion. 30 is
+# the point count measured at genus 10: the slowest list of this length
+# found there, 0^17 2^3 3^3 4^2 5^2 6 8 10, takes about 1.0 s and 34 MB
+# from the command line, 0.6 s of it in the recursion, which fills 62,919
+# memo entries (2-vCPU Xeon VM, Python 3.11.7); 3000 points overflowed
+# the stack. When MAX_GENUS moves, measure it again rather than scale it:
+# one 36-point key at genus 12 took 3.0-3.8 s and 85 MB in process.
 MAX_POINTS = 30
 
 
@@ -156,66 +154,53 @@ _ZERO = Fraction(0)
 
 def _classes(g: int, include_kappa: bool, include_boundary: bool) -> Iterator[Tuple[str, tuple]]:
     """The label and the vertex rows of each class of :func:`enumerate_omegas`,
-    in its order; a genus below 1 is rejected here, before the first class."""
+    in its order; a genus below 1 is rejected here, before the first class.
+
+    A vertex row is [vertex, label, bamboo factor, divisor factor]. The
+    monomials come first, then for each h and left degree the boundary
+    classes delta(h)[left | right], every left row with every right row. The
+    rows of each (genus, degree) are built at most once per call and shared
+    by the classes that hold them, so each vertex's factors are read once."""
     if g < 1:
         raise ValueError("genus must be >= 1")
-    return _labelled(_blocks(g, include_kappa, include_boundary))
-
-
-def _blocks(g: int, include_kappa: bool, include_boundary: bool) -> Iterator[tuple]:
-    """The classes as blocks (h, lefts, rights) of vertex rows
-    [vertex, label, bamboo factor, divisor factor]: first the monomials,
-    (0, rows, None), then for each h and left degree the boundary classes
-    delta(h)[left | right], every left row with every right row. The rows of
-    each (genus, degree) are built at most once per call and shared by the
-    blocks that hold them."""
 
     @lru_cache(maxsize=None)
     def vertices(genus: int, degree: int) -> list:
         return [[v, str(v), None, None] for v in _monomials_of_degree(genus, degree, include_kappa)]
 
-    yield 0, vertices(g, g - 1), None
-    if include_boundary:
-        for h in range(1, g):
-            for left_deg in range(g - 1):
-                yield h, vertices(h, left_deg), vertices(g - h, g - 2 - left_deg)
+    def classes() -> Iterator[Tuple[str, tuple]]:
+        for row in vertices(g, g - 1):
+            yield row[1], (row,)
+        if include_boundary:
+            for h in range(1, g):
+                for left_deg in range(g - 1):
+                    lefts, rights = vertices(h, left_deg), vertices(g - h, g - 2 - left_deg)
+                    for left in lefts:
+                        prefix = f"delta({h})[{left[1]} | "
+                        for right in rights:
+                            yield f"{prefix}{right[1]}]", (left, right)
 
-
-def _labelled(blocks: Iterator[tuple]) -> Iterator[Tuple[str, tuple]]:
-    """Each class of `blocks` as its label and its one or two vertex rows."""
-    for h, lefts, rights in blocks:
-        if rights is None:
-            for row in lefts:
-                yield row[1], (row,)
-            continue
-        for left in lefts:
-            prefix = f"delta({h})[{left[1]} | "
-            for right in rights:
-                yield f"{prefix}{right[1]}]", (left, right)
-
-
-def _factor(row: list, side: int) -> Fraction:
-    """The vertex's factor on `side`: bamboo._pair or hain._capped_run, read
-    on first use and kept in the row, a zero as the shared _ZERO. A read
-    that raises keeps nothing, so each record that uses the vertex reads it
-    again and aborts as the first one did."""
-    factor = row[side]
-    if factor is None:
-        v = row[0]
-        if side == _BAMBOO:
-            factor = _pair(v.genus, v.left_psi, v.right_psi, v.kappa)
-        else:
-            factor = _capped_run(v.genus, v.left_psi, v.kappa, v.right_psi)
-        row[side] = factor = factor or _ZERO
-    return factor
+    return classes()
 
 
 def _value(rows: tuple, side: int) -> Fraction:
     """A class's value on `side`: the product of its vertices' factors, every
-    one of them read, the multiply skipped when one is the shared _ZERO."""
+    one of them read, the multiply skipped when one is the shared _ZERO.
+
+    A vertex's factor on `side` is bamboo._pair or hain._capped_run, read on
+    first use and kept in its row, a zero as the shared _ZERO. A read that
+    raises keeps nothing, so each record that uses the vertex reads it again
+    and aborts as the first one did."""
     value = None
     for row in rows:
-        factor = _factor(row, side)
+        factor = row[side]
+        if factor is None:
+            v = row[0]
+            if side == _BAMBOO:
+                factor = _pair(v.genus, v.left_psi, v.right_psi, v.kappa)
+            else:
+                factor = _capped_run(v.genus, v.left_psi, v.kappa, v.right_psi)
+            row[side] = factor = factor or _ZERO
         value = factor if value is None else _ZERO if value is _ZERO or factor is _ZERO else value * factor
     return value
 
@@ -307,14 +292,8 @@ def _parse_exps(text: str) -> tuple:
 
 
 def _print_value(value: Fraction) -> int:
-    """The one printer of bside, drside, witten and hodge."""
+    """The one printer of bside, drside and witten."""
     print(format_rational(value))
-    return 0
-
-
-def _run_bamboos(args: SimpleNamespace) -> int:
-    for bamboo in _bamboos(args.genus):
-        print(bamboo)
     return 0
 
 
@@ -362,9 +341,6 @@ _COMMANDS = {
                lambda args: _print_value(pair_dr_side(ChainVertex.parse(args.genus, args.omega)))),
     "witten": ({"--genus": int, "--exps": str},
                lambda args: _print_value(correlator(args.genus, _parse_exps(args.exps)))),
-    "hodge": ({"--genus": int, "--exps": str},
-              lambda args: _print_value(psi_lambda_g_integral(args.genus, _parse_exps(args.exps)))),
-    "bamboos": ({"--genus": int}, _run_bamboos),
 }
 # The values of the options that may be left out; every other option is required.
 _DEFAULTS = {"--kappa": False, "--boundary": False, "--out": None}
@@ -403,9 +379,13 @@ def _parse(argv: List[str]) -> SimpleNamespace:
                 text = next(tokens, None)
                 if text is None or _is_option(text, options):
                     _usage_error(command, f"argument {name}: expected one argument")
-            if convert is int and not _INTEGER.fullmatch(text):
+            try:
+                if convert is int and not _INTEGER.fullmatch(text):
+                    raise ValueError
+                # int() also refuses more digits than sys.get_int_max_str_digits()
+                values[name] = convert(text)
+            except ValueError:
                 _usage_error(command, f"argument {name}: invalid int value: {text!r}")
-            values[name] = convert(text)
     missing = [name for name in options if name not in values]
     if missing:
         _usage_error(command, f"the following arguments are required: {', '.join(missing)}")

@@ -16,13 +16,14 @@ gives the recurrence b_0 = 1, b_g = -sum_{k=1..g} (-1)^k/(4^k (2k+1)!)
 b_(g-k); in Bernoulli numbers, b_g = (2^(2g-1)-1)/2^(2g-1) |B_2g|/(2g)!.
 
 :func:`psi_lambda_g_integral` is the leaf of the D^g reference
-(:func:`gdr.hain.evaluate_chain`) and of ``gdr hodge``. The divisor
-side's dynamic program reads b_g here and the multinomial part from a
-table of its own (:func:`gdr.hain._vertex_table`).
+(:func:`gdr.hain.evaluate_chain`) and of the divisor-side oracle of the
+tests; no pipeline and no subcommand calls it. The divisor side's dynamic
+program reads b_g here and the multinomial part from a table of its own
+(:func:`gdr.hain._vertex_table`).
 
 lambda_0 = 1 is folded in, so genus 0 uses the same entry point and
 reduces to the genus-0 correlator closed form. No chain vertex has genus
-0; only ``gdr hodge --genus 0`` and the tests reach that case.
+0; only the tests reach that case.
 """
 from __future__ import annotations
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -78,6 +79,22 @@ class TestEnumeration:
             Bamboo(((1, 0), (1, 3))),
             Bamboo(((1, 1), (1, 2))),
         ]
+        assert [str(b) for b in enumerate_bamboos(2)] == ["+1 2:4", "-1 1:0|1:3", "-1 1:1|1:2"]
+
+    @pytest.mark.parametrize(
+        "g,count,digest",
+        [
+            pytest.param(8, 43263, "82017b34a073f14d48cbbd464daf89722899658808e303d274336cce6182defe", id="8"),
+            pytest.param(
+                9, 246675, "9114ad5efd2da0dad06a4f6c191a58d0cedaf7ae6bd64700dd5c222f031bb868",
+                id="9", marks=pytest.mark.deep,
+            ),
+        ],
+    )
+    def test_terms_match_their_digest(self, g, count, digest):
+        # the sha256 of the terms, each printed on a line of its own, and their count
+        text = "".join(f"{b}\n" for b in enumerate_bamboos(g))
+        assert (text.count("\n"), hashlib.sha256(text.encode("utf-8")).hexdigest()) == (count, digest)
 
     def test_invalid_genus_rejected(self):
         with pytest.raises(ValueError):

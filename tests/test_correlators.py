@@ -48,7 +48,8 @@ GOLDEN = {
 
 # The slowest 30-point key found at the command line's bounds, genus
 # MAX_GENUS = 10 and MAX_POINTS = 30 points: from cold memos its string
-# path recurses about 50 levels deep, and it takes about 0.5 s.
+# path recurses about 50 levels deep, and it takes about 1.0 s and 34 MB
+# from the command line, 0.6 s of it in the recursion.
 DEEPEST_STRING_PATH = (
     (10, (0,) * 17 + (2, 2, 2, 3, 3, 3, 4, 4, 5, 5, 6, 8, 10)),
     Fraction(976521007111746671094211029340880314039601921, 8989483991040000),

@@ -17,7 +17,7 @@ then replace each ``"ms": <n>`` by ``"ms": 0``.
 Above that range the whole report, too large to check in, is pinned by
 the sha256 of the same text: g = 9 in tier-1, and g = 10 (5.5 MB, and
 without kappa classes) in ``deep`` rows. Higher still, the values are
-pinned by the sha256 of their lines, in ``deep`` rows up to g = 18.
+pinned by the sha256 of their lines, in ``deep`` rows up to g = 20.
 ``pytest -m deep`` runs the ``deep`` rows. Every golden label also
 parses back, through ChainVertex.parse, to its class.
 """
@@ -140,6 +140,8 @@ def _row(kind, g, count, digest, deep=False):
         _row("bamboo", 16, 2455, "41812f370b860b0b2a132e025d8de34d61f11a9bb628e146626a163b6b63ac43", deep=True),
         _row("divisor", 18, 4582, "d1a854a18dd98b2c3bc69fb59107956f57693a4b8bcab0e8e3871132e6ebb602", deep=True),
         _row("bamboo", 18, 4582, "d1a854a18dd98b2c3bc69fb59107956f57693a4b8bcab0e8e3871132e6ebb602", deep=True),
+        _row("divisor", 20, 8266, "271a79646c26bb14f8a85131c602533e1b9b7ff9e3a3c97ac243ae769ca6ceca", deep=True),
+        _row("bamboo", 20, 8266, "271a79646c26bb14f8a85131c602533e1b9b7ff9e3a3c97ac243ae769ca6ceca", deep=True),
     ],
 )
 def test_values_match_their_digest(kind, g, count, digest):
